@@ -9,6 +9,14 @@ Everything here is driven by the structure-constant table ``c[i][j][k]``,
 the coefficient of ``e_k`` in ``[e_i, e_j]``, stored as exact rationals.
 Elements and endomorphisms can live in exact (Fraction) or float mode; the
 table itself is always exact.
+
+The dense ``table`` is the input and interchange form and the identity of
+an algebra (equality, hashing).  Most tables are almost all zeros, so every
+kernel that walks the bracket (``bracket_coords``, ``ad``, the Leibniz
+check, the left center, the derivation system) reads ``sparse`` instead:
+for each i, the pairs ``(j, ((k, c), ...))`` with ``[e_i, e_j]`` nonzero,
+both indices ascending.  The kernels visit terms in the same order as a
+dense loop would, so float results are bit-for-bit those of the dense sums.
 """
 
 from fractions import Fraction
@@ -33,7 +41,16 @@ class LeibnizAlgebra:
         if len(self.basis) != dim:
             raise ValueError("basis name count does not match dimension")
         self.name = name
+        self.sparse = tuple(
+            tuple(
+                (j, tuple((k, c) for k, c in enumerate(row) if c != 0))
+                for j, row in enumerate(plane)
+                if any(row)
+            )
+            for plane in self.table
+        )
         self._leibniz_violations = None
+        self._is_lie = None
         self._nilpotency_class = -2  # sentinel: not yet computed
 
     def __repr__(self):
@@ -66,22 +83,28 @@ class LeibnizAlgebra:
 
     def bracket_coords(self, x, y):
         """Bracket of two coordinate vectors, returned as a coordinate vector."""
-        n = self.dim
-        out = [0] * n
-        for i in range(n):
-            xi = x[i]
+        out = [0] * self.dim
+        for xi, plane in zip(x, self.sparse):
             if xi == 0:
                 continue
-            plane = self.table[i]
-            for j in range(n):
+            for j, row in plane:
                 yj = y[j]
                 if yj == 0:
                     continue
                 w = xi * yj
-                row = plane[j]
-                for k in range(n):
-                    if row[k] != 0:
-                        out[k] = out[k] + w * row[k]
+                for k, c in row:
+                    out[k] = out[k] + w * c
+        return out
+
+    def dual_bracket_coords(self, x, xi):
+        """The covector xi o ad_x: entry j is xi([x, e_j])."""
+        out = [0] * self.dim
+        for xa, plane in zip(x, self.sparse):
+            if xa == 0:
+                continue
+            for j, row in plane:
+                for k, c in row:
+                    out[j] = out[j] + xa * c * xi[k]
         return out
 
     def bracket(self, x, y):
@@ -93,17 +116,14 @@ class LeibnizAlgebra:
     def ad(self, x):
         """Left multiplication operator ad_x = [x, .] as an endomorphism."""
         n = self.dim
+        coords = x.coords if isinstance(x, Element) else x
         rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            xi = x.coords[i] if isinstance(x, Element) else x[i]
+        for xi, plane in zip(coords, self.sparse):
             if xi == 0:
                 continue
-            plane = self.table[i]
-            for j in range(n):
-                row = plane[j]
-                for k in range(n):
-                    if row[k] != 0:
-                        rows[k][j] = rows[k][j] + xi * row[k]
+            for j, row in plane:
+                for k, c in row:
+                    rows[k][j] = rows[k][j] + xi * c
         mode = x.mode if isinstance(x, Element) else EXACT
         return Endomorphism(self, rows, mode)
 
@@ -113,26 +133,28 @@ class LeibnizAlgebra:
         """All basis triples violating the left Leibniz identity.
 
         Returns a list of ``((i, j, k), residual_coords)`` with 0-based
-        indices; residuals are exact rational vectors.
+        indices; the residual [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]]
+        is an exact rational vector.
         """
         if self._leibniz_violations is not None:
             return self._leibniz_violations
         n = self.dim
-        c = self.table
+        rows = [dict(plane) for plane in self.sparse]  # rows[i][j]: nonzero (k, c) of [e_i, e_j]
         violations = []
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    residual = [
-                        sum(
-                            c[j][k][l] * c[i][l][m]
-                            - c[i][j][l] * c[l][k][m]
-                            - c[i][k][l] * c[j][l][m]
-                            for l in range(n)
-                        )
-                        for m in range(n)
-                    ]
-                    if any(r != 0 for r in residual):
+                    # (+-a_l, entries of [e_p, e_l] or [e_l, e_k]) for the three nested brackets
+                    terms = [(a, rows[i].get(l, ())) for l, a in rows[j].get(k, ())]
+                    terms += [(-a, rows[l].get(k, ())) for l, a in rows[i].get(j, ())]
+                    terms += [(-a, rows[j].get(l, ())) for l, a in rows[i].get(k, ())]
+                    if not terms:
+                        continue
+                    residual = [Fraction(0)] * n
+                    for a, entries in terms:
+                        for m, b in entries:
+                            residual[m] += a * b
+                    if any(residual):
                         violations.append(((i, j, k), residual))
         self._leibniz_violations = violations
         return violations
@@ -142,13 +164,13 @@ class LeibnizAlgebra:
 
     def is_lie(self):
         """True when the bracket is also antisymmetric (hence a Lie bracket)."""
-        if not self.is_leibniz():
-            return False
-        c = self.table
-        n = self.dim
-        return all(
-            c[i][j][k] == -c[j][i][k] for i in range(n) for j in range(n) for k in range(n)
-        )
+        if self._is_lie is None:
+            c = self.table
+            n = self.dim
+            self._is_lie = self.is_leibniz() and all(
+                c[i][j][k] == -c[j][i][k] for i in range(n) for j in range(n) for k in range(n)
+            )
+        return self._is_lie
 
     def nilpotency_class(self):
         """Length of the longest nonvanishing bracket, or None if not nilpotent.
@@ -159,14 +181,14 @@ class LeibnizAlgebra:
         """
         if self._nilpotency_class != -2:
             return self._nilpotency_class
-        level = [row[:] for row in linalg.identity_matrix(self.dim)]
+        units = linalg.identity_matrix(self.dim)
+        level = units
         k = 1
         while level:
             images = []
-            for i in range(self.dim):
-                mat = self.ad(self.basis_element(i)).matrix
+            for unit in units:
                 for w in level:
-                    img = linalg.mat_vec(mat, w)
+                    img = self.bracket_coords(unit, w)
                     if not linalg.is_zero_vector(img):
                         images.append(img)
             nxt = linalg.rref(images)[0] if images else []
@@ -407,14 +429,12 @@ def left_center(algebra):
     squares [x, x], and the quotient by it is a Lie algebra.
     """
     n = algebra.dim
-    c = algebra.table
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            row = [c[i][j][k] for i in range(n)]
-            if any(x != 0 for x in row):
-                rows.append(row)
-    basis = linalg.nullspace(rows, cols=n)
+    rows = {}  # (j, k) -> the row of c[i][j][k] over i
+    for i, plane in enumerate(algebra.sparse):
+        for j, entries in plane:
+            for k, c in entries:
+                rows.setdefault((j, k), [0] * n)[i] = c
+    basis = linalg.nullspace([rows[key] for key in sorted(rows)], cols=n)
     return Subspace(algebra, basis)
 
 
@@ -443,17 +463,30 @@ def derivation_algebra(algebra):
     representatives of der(h); inner derivations are the span of the ad_x.
     """
     n = algebra.dim
-    c = algebra.table
+    # With c = c[p][q][m] != 0: left[q][m] holds (p, c) and right[p][m] holds (q, c).
+    left = [[[] for _ in range(n)] for _ in range(n)]
+    right = [[[] for _ in range(n)] for _ in range(n)]
+    for p, plane in enumerate(algebra.sparse):
+        for q, entries in plane:
+            for m, c in entries:
+                left[q][m].append((p, c))
+                right[p][m].append((q, c))
     rows = []
     for i in range(n):
+        brackets = dict(algebra.sparse[i])
         for j in range(n):
+            bracket = brackets.get(j, ())
             for m in range(n):
+                if not (bracket or left[j][m] or right[i][m]):
+                    continue
                 row = [Fraction(0)] * (n * n)
-                for l in range(n):
-                    row[m * n + l] += c[i][j][l]
-                    row[l * n + i] -= c[l][j][m]
-                    row[l * n + j] -= c[i][l][m]
-                if any(x != 0 for x in row):
+                for l, c in bracket:
+                    row[m * n + l] += c
+                for l, c in left[j][m]:
+                    row[l * n + i] -= c
+                for l, c in right[i][m]:
+                    row[l * n + j] -= c
+                if any(row):
                     rows.append(row)
     flat_basis = linalg.nullspace(rows, cols=n * n)
     basis = [

@@ -13,20 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .linalg import EXACT
 from .reports import CheckReport
 
 MAX_ORDER = 8
-
-
-class BCHConfig:
-    """Truncation order (1..8) and scalar mode for BCH evaluation."""
-
-    def __init__(self, order=MAX_ORDER, mode=EXACT):
-        if not 1 <= order <= MAX_ORDER:
-            raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
-        self.order = order
-        self.mode = mode
 
 
 def _truncated_product(a, b, max_degree):
@@ -61,19 +50,25 @@ def log_word_table():
 
 
 def evaluate_word_table(table, x, y, order):
-    """Sum c_w/|w| [w_1,[w_2,[..]]] over table words of degree <= order."""
+    """Sum c_w/|w| [w_1,[w_2,[..]]] over table words of degree <= order.
+
+    A word whose suffix evaluates to zero is zero, so its bracket is never
+    taken; zero values are memoised as None.
+    """
     alg = x.algebra
     values = (x, y)
     memo = {}
 
     def nested(word):
-        cached = memo.get(word)
-        if cached is not None:
-            return cached
+        if word in memo:
+            return memo[word]
         if len(word) == 1:
             value = values[word[0]]
         else:
-            value = alg.bracket(values[word[0]], nested(word[1:]))
+            inner = nested(word[1:])
+            value = None if inner is None else alg.bracket(values[word[0]], inner)
+        if value is not None and value.is_zero():
+            value = None
         memo[word] = value
         return value
 
@@ -82,7 +77,7 @@ def evaluate_word_table(table, x, y, order):
         if len(word) > order:
             continue
         term = nested(word)
-        if not term.is_zero():
+        if term is not None:
             total = total + (coeff / len(word)) * term
     return total
 

@@ -13,6 +13,7 @@ Vector-valued flags take comma-separated exact fractions, e.g. --xi 1,1/2,-3.
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -128,6 +129,22 @@ def emit(command, algebra, checks, config, seed, json_path, extra_details=None):
             json.dump(doc, handle, indent=2, sort_keys=True)
             handle.write("\n")
     return 0 if doc["status"] == "pass" else 1
+
+
+EXACT_ONLY = ("cocycle", "hessian")
+
+
+def check_args(command, args):
+    """Reject flag values that would fail obscurely or pass vacuously."""
+    if args.samples <= 0:
+        raise UsageError(f"--samples must be positive, got {args.samples}")
+    if command in EXACT_ONLY and args.mode == FLOAT:
+        raise UsageError(f"{command} is exact-only; drop --mode float")
+    float_exp = command == "tangent" or (command in ("rack", "quantize") and args.mode == FLOAT)
+    if float_exp and args.order <= 0:
+        raise UsageError(f"--order must be positive for the float exponential, got {args.order}")
+    if command == "tangent" and not (math.isfinite(args.step) and args.step > 0):
+        raise UsageError(f"--step must be a positive finite number, got {args.step}")
 
 
 def require_nilpotent(algebra, mode, what):
@@ -555,6 +572,7 @@ def main(argv=None):
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:
+        check_args(command, args)
         checks, details = HANDLERS[command](algebra, args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -20,7 +20,7 @@ nilpotent bundled algebras; see ``tests/test_cocycle.py``.
 from fractions import Fraction
 from math import factorial
 
-from .racks import exp_endo
+from .racks import bass_product
 
 SERIES_SIGN = -1
 
@@ -31,9 +31,8 @@ def rack_cocycle_exact(ext, x, y, float_exp_order=12):
     ``x`` and ``y`` are quotient elements.  Exact mode needs both the
     algebra and its quotient nilpotent (the exponentials must terminate).
     """
-    alg, quot = ext.algebra, ext.quotient
-    lifted = exp_endo(alg.ad(ext.section(x)), float_exp_order)(ext.section(y))
-    pushed = ext.section(exp_endo(quot.ad(x), float_exp_order)(y))
+    lifted = bass_product(ext.section(x), ext.section(y), float_exp_order)
+    pushed = ext.section(bass_product(x, y, float_exp_order))
     return lifted - pushed
 
 

@@ -89,10 +89,7 @@ def build_extension(algebra):
     quotient_table = [[[Fraction(0)] * dim_q for _ in range(dim_q)] for _ in range(dim_q)]
     for a, qa in enumerate(complement):
         for b, qb in enumerate(complement):
-            bracket = algebra.bracket_coords(
-                _unit(n, qa), _unit(n, qb)
-            )
-            quotient_table[a][b] = linalg.mat_vec(pi_matrix, bracket)
+            quotient_table[a][b] = linalg.mat_vec(pi_matrix, algebra.table[qa][qb])
     quotient = LeibnizAlgebra(
         quotient_table,
         basis=tuple(algebra.basis[q] + "~" for q in complement),
@@ -107,8 +104,7 @@ def build_extension(algebra):
         for b, qb in enumerate(complement):
             q_bracket = quotient_table[a][b]
             s_of = linalg.mat_vec(section_matrix, q_bracket)
-            h_bracket = algebra.bracket_coords(_unit(n, qa), _unit(n, qb))
-            value = linalg.vec_sub(s_of, h_bracket)
+            value = linalg.vec_sub(s_of, algebra.table[qa][qb])
             if linalg.coordinates_in_rowspan(center.basis_rows, value) is None:
                 raise ValueError("cocycle value escaped the left center")
             row.append(value)
@@ -117,19 +113,13 @@ def build_extension(algebra):
     return ExtensionData(algebra, center, quotient, pi_matrix, section_matrix, omega_table)
 
 
-def _unit(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return v
-
-
 def projection_morphism_violations(ext):
     """Basis pairs where pi fails to intertwine the two brackets."""
     alg, quot = ext.algebra, ext.quotient
     violations = []
     for i in range(alg.dim):
         for j in range(alg.dim):
-            lhs = linalg.mat_vec(ext.pi_matrix, alg.bracket_coords(_unit(alg.dim, i), _unit(alg.dim, j)))
+            lhs = linalg.mat_vec(ext.pi_matrix, alg.table[i][j])
             pi_i = [ext.pi_matrix[r][i] for r in range(quot.dim)]
             pi_j = [ext.pi_matrix[r][j] for r in range(quot.dim)]
             rhs = quot.bracket_coords(pi_i, pi_j)

@@ -107,18 +107,6 @@ def mat_norm_1(a):
     return max(sum(abs(a[i][j]) for i in range(len(a))) for j in range(len(a[0])))
 
 
-def mat_norm_inf(a):
-    return max(sum(abs(x) for x in row) for row in a)
-
-
-def is_zero_matrix(a):
-    return all(is_zero_vector(row) for row in a)
-
-
-def copy_matrix(a):
-    return [row[:] for row in a]
-
-
 def rref(matrix):
     """Reduced row echelon form over the rationals.
 

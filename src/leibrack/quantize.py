@@ -167,17 +167,13 @@ def poisson_bracket(algebra, f, g, sign=1):
     grad0 = f.gradient_at_zero()
     partials = [g.partial(j) for j in range(n)]
     result = PolyObservable.zero(n)
-    for i in range(n):
-        a_i = grad0[i]
+    for a_i, plane in zip(grad0, algebra.sparse):
         if a_i == 0:
             continue
-        for j in range(n):
+        for j, row in plane:
             if not partials[j].terms:
                 continue
-            for k in range(n):
-                c = algebra.table[i][j][k]
-                if c == 0:
-                    continue
+            for k, c in row:
                 result = result + (sign * c * a_i) * (
                     partials[j] * PolyObservable.coordinate(n, k)
                 )

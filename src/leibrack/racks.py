@@ -8,10 +8,17 @@ Three carriers share one binary operation shape x > y:
 
 All are pointed racks: self-distributive, with invertible left translations,
 and unital against the distinguished base point.
+
+Exact exponentials never form matrix powers.  ``exp_action`` sums
+A^k v / k! on one vector, applying A by a sparse product (a bracket with x
+for ad_x, its transpose for a covector), and stops at the first vanishing
+term, so exact ``bass_product`` and ``coadjoint`` cost a few brackets.
+``exp_endo`` builds the exact matrix, where a caller needs one, column by
+column from the same routine.  Float mode keeps the truncated Taylor
+matrix series with scaling and squaring.
 """
 
 from fractions import Fraction
-from math import factorial
 
 from . import linalg
 from .algebra import Element, Endomorphism
@@ -24,26 +31,47 @@ DEFAULT_FLOAT_ORDER = 12
 DEFAULT_FLOAT_TOL = 1e-9
 
 
+def exp_action(apply, v):
+    """Exact exp(A) v = sum_k A^k v / k! for a nilpotent linear map A.
+
+    ``apply`` maps a coordinate list to its image under A.  The sum stops at
+    the first vanishing term; raises ValueError when A^n v is still nonzero
+    for n = len(v), since then A is not nilpotent.
+    """
+    n = len(v)
+    total = list(v)
+    term = total
+    k = 0
+    while any(term):
+        k += 1
+        if k > n:
+            raise ValueError(
+                f"exact exponential needs a nilpotent matrix: no power up to {n} vanishes"
+            )
+        inv = Fraction(1, k)
+        term = [inv * t if t else t for t in apply(term)]
+        total = [a + t if t else a for a, t in zip(total, term)]
+    return total
+
+
 def exp_endo(endo, order=DEFAULT_FLOAT_ORDER):
     """Exponential of an endomorphism.
 
-    Exact mode sums the series of a nilpotent matrix and is exact; it raises
-    when some power up to the dimension fails to vanish.  Float mode
-    truncates at the given order, after scaling-and-squaring whenever the
-    matrix 1-norm exceeds 1.
+    Exact mode applies ``exp_action`` to each basis vector and is exact; it
+    raises when A^n fails to vanish (n the dimension) and returns the
+    identity on a 0-dimensional algebra.  Float mode truncates the series
+    at the given order, after scaling-and-squaring whenever the matrix
+    1-norm exceeds 1.
     """
     n = endo.algebra.dim
     if endo.mode == EXACT:
-        total = linalg.identity_matrix(n)
-        power = linalg.identity_matrix(n)
-        for k in range(1, n + 1):
-            power = linalg.mat_mul(power, endo.matrix)
-            if linalg.is_zero_matrix(power):
-                return Endomorphism(endo.algebra, total, EXACT)
-            total = linalg.mat_add(total, linalg.mat_scale(Fraction(1, factorial(k)), power))
-        raise ValueError(
-            f"exact exponential needs a nilpotent matrix: no power up to {n} vanishes"
-        )
+        entries = [[(j, a) for j, a in enumerate(row) if a != 0] for row in endo.matrix]
+
+        def apply(v):
+            return [sum(a * v[j] for j, a in row if v[j]) for row in entries]
+
+        columns = [exp_action(apply, unit) for unit in linalg.identity_matrix(n)]
+        return Endomorphism(endo.algebra, linalg.transpose(columns), EXACT)
     norm = linalg.mat_norm_1(endo.matrix)
     squarings = 0
     while norm > 1.0:
@@ -63,13 +91,20 @@ def exp_endo(endo, order=DEFAULT_FLOAT_ORDER):
 
 def bass_product(x, y, order=DEFAULT_FLOAT_ORDER):
     """x > y = exp(ad_x)(y)."""
-    return exp_endo(x.algebra.ad(x), order)(y)
+    alg = x.algebra
+    if x.mode == y.mode == EXACT:
+        return Element(alg, exp_action(lambda v: alg.bracket_coords(x.coords, v), y.coords))
+    return exp_endo(alg.ad(x), order)(y)
 
 
 def coadjoint(x, xi, order=DEFAULT_FLOAT_ORDER):
     """Coadjoint rack action on covectors: xi composed with exp(-ad_x)."""
-    mat = exp_endo(x.algebra.ad(-x), order).matrix
-    return Covector(x.algebra, linalg.vec_mat(list(xi.coords), mat), xi.mode)
+    alg = x.algebra
+    if x.mode == xi.mode == EXACT:
+        neg = [-c for c in x.coords]
+        return Covector(alg, exp_action(lambda v: alg.dual_bracket_coords(neg, v), xi.coords))
+    mat = exp_endo(alg.ad(-x), order).matrix
+    return Covector(alg, linalg.vec_mat(list(xi.coords), mat), xi.mode)
 
 
 class BassRack:
@@ -200,7 +235,7 @@ def rh_embed(x, order=DEFAULT_FLOAT_ORDER):
     return RhElement(x, exp_endo(x.algebra.ad(x), order))
 
 
-def rh_product(a, b, order=DEFAULT_FLOAT_ORDER):
+def rh_product(a, b):
     """(x, A) > (y, B) = (A y, A B A^-1)."""
     first = a.aut(b.point)
     second = a.aut @ b.aut @ a.aut.inverse()
@@ -214,7 +249,7 @@ class RhRack:
         self.order = order
 
     def product(self, a, b):
-        return rh_product(a, b, self.order)
+        return rh_product(a, b)
 
     def unit(self):
         return RhElement(
@@ -319,7 +354,7 @@ def pair_rack_closure_violations(algebra, pairs, order=DEFAULT_FLOAT_ORDER, tol=
     violations = []
     worst = 0
     for idx, (x, y) in enumerate(pairs):
-        got = rh_product(rh_embed(x, order), rh_embed(y, order), order)
+        got = rh_product(rh_embed(x, order), rh_embed(y, order))
         want = rh_embed(bass_product(x, y, order), order)
         r = got.distance(want)
         worst = max(worst, r)
@@ -335,7 +370,7 @@ def linear_map_bracket_violations(source, target, matrix):
     violations = []
     for i in range(source.dim):
         for j in range(source.dim):
-            img = linalg.mat_vec(matrix, source.bracket_coords(_unit(source.dim, i), _unit(source.dim, j)))
+            img = linalg.mat_vec(matrix, source.table[i][j])
             col_i = [matrix[r][i] for r in range(target.dim)]
             col_j = [matrix[r][j] for r in range(target.dim)]
             rhs = target.bracket_coords(col_i, col_j)
@@ -365,7 +400,7 @@ def rack_morphism_check(source, target, matrix, pairs, order=DEFAULT_FLOAT_ORDER
 
     for idx, (x, y) in enumerate(pairs):
         left = rh_embed(push(bass_product(x, y, order)), order)
-        right = rh_product(rh_embed(push(x), order), rh_embed(push(y), order), order)
+        right = rh_product(rh_embed(push(x), order), rh_embed(push(y), order))
         r = left.distance(right)
         worst = max(worst, r)
         if r > tol:
@@ -376,9 +411,3 @@ def rack_morphism_check(source, target, matrix, pairs, order=DEFAULT_FLOAT_ORDER
         violations=violations,
         max_residual=worst,
     )
-
-
-def _unit(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return v

@@ -250,3 +250,58 @@ def test_report_schema_fields(tmp_path):
     }
     check = doc["checks"][0]
     assert set(check) >= {"name", "status", "checked", "residual", "violations"}
+
+
+def test_cocycle_on_its_own_left_center(tmp_path):
+    # abelian3 equals its left center, so the quotient is 0-dimensional.
+    out = tmp_path / "r.json"
+    proc = run_cli("cocycle", corpus_file("abelian3"), "--json", out)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert [(c["name"], c["status"], c["checked"]) for c in doc["checks"]] == [
+        ("cocycle-series-vs-exact", "pass", 50),
+        ("cocycle-in-center", "pass", 50),
+    ]
+
+
+def assert_usage_error(proc, fragment):
+    assert proc.returncode == 2
+    assert fragment in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "checked" not in proc.stdout
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_nonpositive_samples_rejected(samples):
+    proc = run_cli("rack", corpus_file("heisenberg"), "--samples", samples)
+    assert_usage_error(proc, "--samples must be positive")
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-3", "nan", "inf"])
+def test_bad_tangent_step_rejected(step):
+    proc = run_cli("tangent", corpus_file("sl2"), f"--step={step}")
+    assert_usage_error(proc, "--step must be a positive finite number")
+
+
+@pytest.mark.parametrize("command", ["rack", "quantize", "tangent"])
+@pytest.mark.parametrize("order", [0, -1])
+def test_nonpositive_float_order_rejected(command, order):
+    proc = run_cli(command, corpus_file("sl2"), "--mode", "float", "--order", order)
+    assert_usage_error(proc, "--order must be positive")
+
+
+@pytest.mark.parametrize("command", ["cocycle", "hessian"])
+def test_float_mode_rejected_for_exact_only_commands(command):
+    proc = run_cli(command, corpus_file("heisenberg"), "--mode", "float")
+    assert_usage_error(proc, "exact-only")
+
+
+def test_import_loads_no_third_party_numerics():
+    # The runtime is pure standard library; numpy and sympy only serve tests.
+    code = (
+        "import sys, leibrack, leibrack.cli; "
+        "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

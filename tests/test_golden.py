@@ -1,0 +1,94 @@
+"""Golden CLI reports: every JSON report must keep its exact bytes.
+
+Each case runs ``leibrack.cli.main`` in-process with ``--seed 1 --samples 5``
+and compares the SHA-256 of the ``--json`` report, and the exit code, with
+``golden_reports.json``.  A kernel rewrite that changes any sampled value,
+residual, float rounding or field order fails here.
+
+Regenerate the digests (only when a report change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import pytest
+
+from leibrack import cli
+from leibrack.corpus import CORPUS_NAMES, corpus_path
+
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
+NILPOTENT = ("abelian3", "leib2", "heisenberg", "freenil3")
+NILPOTENT_LIE = ("abelian3", "heisenberg", "freenil3")
+
+
+def _cases():
+    cases = []
+    for name in CORPUS_NAMES:
+        for command in ("validate", "analyze", "hessian", "tangent"):
+            cases.append((command, name))
+    for name in NILPOTENT:
+        for command in ("rack", "quantize", "cocycle"):
+            cases.append((command, name))
+    # abelian3 is its own left center; its cocycle report is pinned in test_cli.
+    cases.remove(("cocycle", "abelian3"))
+    for name in NILPOTENT_LIE:
+        cases.append(("bch", name))
+    for name in ("hs1", "sl2"):
+        for command in ("rack", "quantize", "tangent"):
+            cases.append((command, name, "float"))
+    cases.append(("bch", "sl2", "float"))
+    return cases
+
+
+CASES = _cases()
+
+
+def case_id(case):
+    return " ".join(case)
+
+
+def run_case(case):
+    """(exit code, SHA-256 of the JSON report) for one golden case."""
+    command, name = case[:2]
+    argv = [command, str(corpus_path(name)), "--seed", "1", "--samples", "5"]
+    if len(case) == 3:
+        argv += ["--mode", case[2]]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv + ["--json", out])
+        with open(out, "rb") as handle:
+            return code, hashlib.sha256(handle.read()).hexdigest()
+
+
+def load_golden():
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_report_bytes_match_golden(case):
+    want = load_golden()[case_id(case)]
+    code, digest = run_case(case)
+    assert [code, digest] == want
+
+
+def test_golden_file_covers_exactly_the_cases():
+    assert sorted(load_golden()) == sorted(case_id(c) for c in CASES)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    golden = {case_id(c): list(run_case(c)) for c in CASES}
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
+        json.dump(golden, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {len(golden)} digests to {GOLDEN_PATH}")
