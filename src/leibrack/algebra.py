@@ -51,6 +51,7 @@ class LeibnizAlgebra:
         )
         self._leibniz_violations = None
         self._is_lie = None
+        self._exp_ad = {}  # racks.exp_ad: (coords, mode, order) -> exp(ad_x)
         self._nilpotency_class = -2  # sentinel: not yet computed
 
     def __repr__(self):

@@ -145,6 +145,8 @@ def check_args(command, args):
         raise UsageError(f"--order must be positive for the float exponential, got {args.order}")
     if command == "tangent" and not (math.isfinite(args.step) and args.step > 0):
         raise UsageError(f"--step must be a positive finite number, got {args.step}")
+    if command == "tangent" and not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"--tol must be a positive finite number, got {args.tol}")
 
 
 def require_nilpotent(algebra, mode, what):

@@ -4,9 +4,17 @@ Matrices are lists of row lists, vectors are flat lists.  Entries are
 ``fractions.Fraction`` in exact mode or ``float`` in float mode; every routine
 works with either scalar type unless it needs exact pivoting (echelon forms,
 determinants, inverses, signatures), which is rational-only.
+
+Every inner product is a plain left fold, ``reduce(add, map(mul, u, v), 0)``:
+the terms in index order, added one by one onto an ``int`` 0.  ``sum()``
+would compute the same thing up to Python 3.11, but from 3.12 it adds floats
+with compensated summation, which moves float results (and the reports built
+on them) between interpreter versions.
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 EXACT = "exact"
 FLOAT = "float"
@@ -52,7 +60,7 @@ def vec_scale(c, v):
 
 
 def vec_dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), 0)
+    return reduce(add, map(mul, u, v), 0)
 
 
 def vec_norm_inf(v):
@@ -65,25 +73,17 @@ def is_zero_vector(v):
 
 def mat_vec(m, v):
     """Matrix times column vector."""
-    return [sum((row[j] * v[j] for j in range(len(v))), 0) for row in m]
+    return [reduce(add, map(mul, row, v), 0) for row in m]
 
 
 def vec_mat(v, m):
     """Row vector times matrix (how a covector composes with a map)."""
-    if not m:
-        return []
-    cols = len(m[0])
-    return [sum((v[i] * m[i][j] for i in range(len(v))), 0) for j in range(cols)]
+    return [reduce(add, map(mul, v, col), 0) for col in zip(*m)]
 
 
 def mat_mul(a, b):
-    if not a or not b:
-        return [[] for _ in a]
-    cols = len(b[0])
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), 0) for j in range(cols)]
-        for i in range(len(a))
-    ]
+    cols = list(zip(*b))
+    return [[reduce(add, map(mul, row, col), 0) for col in cols] for row in a]
 
 
 def mat_add(a, b):
@@ -104,7 +104,7 @@ def transpose(a):
 
 def mat_norm_1(a):
     """Maximum absolute column sum."""
-    return max(sum(abs(a[i][j]) for i in range(len(a))) for j in range(len(a[0])))
+    return max((reduce(add, map(abs, col), 0) for col in zip(*a)), default=0)
 
 
 def rref(matrix):

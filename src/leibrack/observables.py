@@ -8,7 +8,7 @@ caller feeds floats.
 
 from fractions import Fraction
 
-from .linalg import EXACT, check_mode, scalar
+from .linalg import EXACT, check_mode, scalar, vec_dot
 
 
 class Covector:
@@ -42,7 +42,7 @@ class Covector:
 
     def pair(self, element):
         """Natural pairing <xi, x> in dual coordinates."""
-        return sum(a * b for a, b in zip(self.coords, element.coords))
+        return vec_dot(self.coords, element.coords)
 
     def distance(self, other):
         return max(abs(a - b) for a, b in zip(self.coords, other.coords)) if self.coords else 0

@@ -16,6 +16,14 @@ term, so exact ``bass_product`` and ``coadjoint`` cost a few brackets.
 ``exp_endo`` builds the exact matrix, where a caller needs one, column by
 column from the same routine.  Float mode keeps the truncated Taylor
 matrix series with scaling and squaring.
+
+Every caller that needs the matrix exp(ad_x) asks ``exp_ad(x, order)``.  It
+computes ``exp_endo(ad_x)`` once and keeps it in a dict on the algebra
+object, keyed by ``(x.coords, x.mode, order)``, so a law that reuses a
+sampled element many times pays for one exponential.  The cache lives and
+dies with the algebra: nothing is kept at module level, and a freshly
+loaded algebra starts empty.  ``exp_endo`` stays the one place where an
+exponential is computed.
 """
 
 from fractions import Fraction
@@ -89,12 +97,28 @@ def exp_endo(endo, order=DEFAULT_FLOAT_ORDER):
     return Endomorphism(endo.algebra, total, FLOAT)
 
 
+def exp_ad(x, order=DEFAULT_FLOAT_ORDER):
+    """exp(ad_x) as an endomorphism, computed once per algebra.
+
+    The key ``(x.coords, x.mode, order)`` is exact: ``ad`` skips zero
+    coordinates, so 0.0 and -0.0 (equal keys) give the same matrix, and the
+    mode keeps a Fraction apart from the float it equals.  Every caller gets
+    the same object, which is safe because an Endomorphism is immutable.
+    """
+    cache = x.algebra._exp_ad
+    key = (x.coords, x.mode, order)
+    found = cache.get(key)
+    if found is None:
+        found = cache[key] = exp_endo(x.algebra.ad(x), order)
+    return found
+
+
 def bass_product(x, y, order=DEFAULT_FLOAT_ORDER):
     """x > y = exp(ad_x)(y)."""
     alg = x.algebra
     if x.mode == y.mode == EXACT:
         return Element(alg, exp_action(lambda v: alg.bracket_coords(x.coords, v), y.coords))
-    return exp_endo(alg.ad(x), order)(y)
+    return exp_ad(x, order)(y)
 
 
 def coadjoint(x, xi, order=DEFAULT_FLOAT_ORDER):
@@ -103,8 +127,8 @@ def coadjoint(x, xi, order=DEFAULT_FLOAT_ORDER):
     if x.mode == xi.mode == EXACT:
         neg = [-c for c in x.coords]
         return Covector(alg, exp_action(lambda v: alg.dual_bracket_coords(neg, v), xi.coords))
-    mat = exp_endo(alg.ad(-x), order).matrix
-    return Covector(alg, linalg.vec_mat(list(xi.coords), mat), xi.mode)
+    mat = exp_ad(-x, order).matrix
+    return Covector(alg, linalg.vec_mat(xi.coords, mat), xi.mode)
 
 
 class BassRack:
@@ -232,7 +256,7 @@ class RhElement:
 
 def rh_embed(x, order=DEFAULT_FLOAT_ORDER):
     """x -> (x, exp(ad_x)), the canonical point of the pair rack over x."""
-    return RhElement(x, exp_endo(x.algebra.ad(x), order))
+    return RhElement(x, exp_ad(x, order))
 
 
 def rh_product(a, b):
@@ -312,9 +336,9 @@ def conjugation_lemma_violations(algebra, pairs, order=DEFAULT_FLOAT_ORDER, tol=
     violations = []
     worst = 0
     for idx, (z, x) in enumerate(pairs):
-        a = exp_endo(algebra.ad(z), order)
-        lhs = a @ exp_endo(algebra.ad(x), order) @ a.inverse()
-        rhs = exp_endo(algebra.ad(a(x)), order)
+        a = exp_ad(z, order)
+        lhs = a @ exp_ad(x, order) @ a.inverse()
+        rhs = exp_ad(a(x), order)
         r = lhs.distance(rhs)
         worst = max(worst, r)
         if r > tol:

@@ -283,6 +283,13 @@ def test_bad_tangent_step_rejected(step):
     assert_usage_error(proc, "--step must be a positive finite number")
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_bad_tangent_tol_rejected(tol):
+    # inf passes whatever the error, nan and negatives fail whatever it is.
+    proc = run_cli("tangent", corpus_file("hs1"), f"--tol={tol}")
+    assert_usage_error(proc, "--tol must be a positive finite number")
+
+
 @pytest.mark.parametrize("command", ["rack", "quantize", "tangent"])
 @pytest.mark.parametrize("order", [0, -1])
 def test_nonpositive_float_order_rejected(command, order):

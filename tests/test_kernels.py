@@ -2,7 +2,8 @@
 
 The dense references below are the plain triple and quintuple sums over the
 structure-constant table.  The sparse kernels must agree with them exactly:
-same values, same scalar types, and in float mode the same bits.
+same values, same scalar types, and in float mode the same bits.  The
+memoized ``exp_ad`` must return exactly what ``exp_endo(ad_x)`` computes.
 """
 
 import random
@@ -11,11 +12,11 @@ from math import factorial
 
 import pytest
 
-from leibrack import linalg
+from leibrack import cli, linalg, racks
 from leibrack.algebra import LeibnizAlgebra, derivation_algebra, left_center
-from leibrack.corpus import CORPUS_NAMES, load_corpus
+from leibrack.corpus import CORPUS_NAMES, corpus_path, load_corpus
 from leibrack.observables import Covector
-from leibrack.racks import bass_product, coadjoint, exp_endo
+from leibrack.racks import bass_product, coadjoint, exp_ad, exp_endo
 from leibrack.sampling import rational_vector
 
 from helpers import make_table, n_k, random_invertible, rebase, sl2_semidirect
@@ -244,3 +245,79 @@ def test_exp_endo_on_zero_dimensional_algebra():
     assert exp.matrix == ()
     assert exp == type(exp).identity(point)
     assert bass_product(point.zero(), point.zero()) == point.zero()
+
+
+# -- the per-algebra exp(ad_x) cache ---------------------------------------------
+
+
+def matrix_bits(endo):
+    return [exact_bits(row) for row in endo.matrix]
+
+
+@pytest.mark.parametrize("name", ["hs1", "sl2", "sl2xV1"])
+def test_exp_ad_float_has_the_bits_of_exp_endo(name):
+    alg = ALGEBRAS[name]
+    rng = random.Random(name + "memo")
+    for order in (12, 16):
+        for _ in range(3):
+            x = alg.element([float(v) for v in rational_vector(rng, alg.dim)], "float")
+            got = exp_ad(x, order)
+            assert exp_ad(x, order) is got
+            assert matrix_bits(got) == matrix_bits(exp_endo(alg.ad(x), order))
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "freenil3"])
+def test_exp_ad_exact_equals_exp_endo(name):
+    alg = ALGEBRAS[name]
+    rng = random.Random(name + "memo")
+    for _ in range(3):
+        x = alg.element(rational_vector(rng, alg.dim))
+        assert exp_ad(x) == exp_endo(alg.ad(x))
+        assert exp_ad(x).mode == "exact"
+
+
+def test_exp_ad_keeps_exact_and_float_apart():
+    alg = load_corpus("heisenberg")
+    x = alg.element([1, 2, 0])
+    assert exp_ad(x).mode == "exact"
+    assert exp_ad(x.to_float()).mode == "float"
+    assert len(alg._exp_ad) == 2
+
+
+def test_exp_ad_signed_zero_hits_the_same_entry():
+    alg = load_corpus("sl2")
+    x = alg.element([0.0, 0.25, -0.5], "float")
+    x_neg_zero = alg.element([-0.0, 0.25, -0.5], "float")
+    first = exp_ad(x)
+    assert exp_ad(x_neg_zero) is first
+    assert len(alg._exp_ad) == 1
+    assert matrix_bits(first) == matrix_bits(exp_endo(alg.ad(x_neg_zero)))
+
+
+def count_exponentials(monkeypatch, argv, capsys):
+    calls = []
+    original = racks.exp_endo
+
+    def counting(endo, *args):
+        calls.append(endo.mode)
+        return original(endo, *args)
+
+    monkeypatch.setattr(racks, "exp_endo", counting)
+    cli.main(argv)
+    monkeypatch.undo()
+    capsys.readouterr()
+    return len(calls)
+
+
+def test_tangent_computes_each_exponential_once(monkeypatch, capsys):
+    alg = load_corpus("sl2")
+    # tangent_recover visits +-step e_i: at most 2 dim distinct left factors.
+    count = count_exponentials(monkeypatch, ["tangent", str(corpus_path("sl2"))], capsys)
+    assert 0 < count <= 2 * alg.dim + 1
+
+
+def test_no_exponential_state_carries_across_cli_calls(monkeypatch, capsys):
+    argv = ["rack", str(corpus_path("sl2")), "--mode", "float", "--samples", "3"]
+    first = count_exponentials(monkeypatch, argv, capsys)
+    second = count_exponentials(monkeypatch, argv, capsys)
+    assert first == second > 0

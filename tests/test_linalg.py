@@ -137,3 +137,81 @@ def test_empty_matrix_products():
     assert linalg.mat_mul([], []) == []
     assert linalg.vec_mat([], []) == []
     assert linalg.mat_vec([], []) == []
+
+
+# -- inner products: a plain left fold --------------------------------------------
+
+
+def fold_dot(u, v):
+    """Left-to-right sum of products onto an int 0, one addition at a time."""
+    total = 0
+    for a, b in zip(u, v):
+        total = total + a * b
+    return total
+
+
+def ref_mat_vec(m, v):
+    return [fold_dot(row, v) for row in m]
+
+
+def ref_vec_mat(v, m):
+    return [fold_dot(v, [row[j] for row in m]) for j in range(len(m[0]))] if m else []
+
+
+def ref_mat_mul(a, b):
+    return [ref_vec_mat(row, b) for row in a]
+
+
+def bits(value):
+    """repr all the way down: equal means equal types, values and float bits."""
+    if isinstance(value, list):
+        return [bits(v) for v in value]
+    return repr(value)
+
+
+def float_entry(rng):
+    # Signed zeros and mixed magnitudes, so any change of summation order shows.
+    return rng.choice([0.0, -0.0, rng.uniform(-1, 1), rng.uniform(-1, 1) * 1e8])
+
+
+def fraction_entry(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+@pytest.mark.parametrize("entry", [float_entry, fraction_entry])
+@pytest.mark.parametrize("shape", [(3, 3, 3), (2, 3, 4), (4, 1, 2), (1, 5, 1)])
+def test_kernels_are_left_folds(entry, shape):
+    rows, inner, cols = shape
+    rng = random.Random(f"{entry.__name__}{shape}")
+    for _ in range(5):
+        a = [[entry(rng) for _ in range(inner)] for _ in range(rows)]
+        b = [[entry(rng) for _ in range(cols)] for _ in range(inner)]
+        u = [entry(rng) for _ in range(inner)]
+        v = [entry(rng) for _ in range(inner)]
+        assert bits(linalg.mat_mul(a, b)) == bits(ref_mat_mul(a, b))
+        assert bits(linalg.mat_vec(a, u)) == bits(ref_mat_vec(a, u))
+        assert bits(linalg.vec_mat(u, b)) == bits(ref_vec_mat(u, b))
+        assert bits(linalg.vec_dot(u, v)) == bits(fold_dot(u, v))
+
+
+def test_kernels_on_empty_inputs():
+    assert linalg.vec_dot([], []) == 0
+    assert linalg.mat_vec([], [F(1)]) == []
+    assert linalg.mat_vec([[], []], []) == [0, 0]
+    assert linalg.vec_mat([], []) == []
+    assert linalg.vec_mat([], [[], []]) == []
+    assert linalg.mat_mul([], [[F(1)]]) == []
+    assert linalg.mat_mul([[F(1), F(2)]], []) == [[]]
+    assert linalg.mat_norm_1([]) == 0
+
+
+def test_kernels_do_not_compensate_float_sums():
+    # Left to right, 1e16 + 1.0 rounds back to 1e16; compensated summation
+    # (sum() on floats from Python 3.12) would keep the 1.0.
+    row = [1e16, 1.0, -1e16]
+    ones = [1.0, 1.0, 1.0]
+    assert repr(linalg.vec_dot(row, ones)) == "0.0"
+    assert repr(linalg.mat_vec([row], ones)) == "[0.0]"
+    assert repr(linalg.vec_mat(row, [[1.0]] * 3)) == "[0.0]"
+    assert repr(linalg.mat_mul([row], [[1.0]] * 3)) == "[[0.0]]"
+    assert linalg.mat_norm_1([[1.0], [1e16], [1.0]]) == 1e16
