@@ -20,6 +20,7 @@ dense loop would, so float results are bit-for-bit those of the dense sums.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .linalg import EXACT, FLOAT, check_mode
@@ -136,11 +137,21 @@ class LeibnizAlgebra:
         Returns a list of ``((i, j, k), residual_coords)`` with 0-based
         indices; the residual [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]]
         is an exact rational vector.
+
+        The sums run on ints: every entry is scaled by the table's common
+        denominator D, and each residual term is a product of two entries, so
+        D**2 times the residual is an int vector, divided back at the end.
         """
         if self._leibniz_violations is not None:
             return self._leibniz_violations
         n = self.dim
-        rows = [dict(plane) for plane in self.sparse]  # rows[i][j]: nonzero (k, c) of [e_i, e_j]
+        scale = lcm(*(c.denominator for plane in self.sparse for _, row in plane for _, c in row))
+        # rows[i][j]: the nonzero (k, scale * c) of [e_i, e_j], as ints
+        rows = [
+            {j: tuple((k, c.numerator * (scale // c.denominator)) for k, c in row)
+             for j, row in plane}
+            for plane in self.sparse
+        ]
         violations = []
         for i in range(n):
             for j in range(n):
@@ -151,11 +162,12 @@ class LeibnizAlgebra:
                     terms += [(-a, rows[j].get(l, ())) for l, a in rows[i].get(k, ())]
                     if not terms:
                         continue
-                    residual = [Fraction(0)] * n
+                    residual = [0] * n
                     for a, entries in terms:
                         for m, b in entries:
                             residual[m] += a * b
                     if any(residual):
+                        residual = [Fraction(r, scale * scale) for r in residual]
                         violations.append(((i, j, k), residual))
         self._leibniz_violations = violations
         return violations

@@ -5,6 +5,13 @@ Matrices are lists of row lists, vectors are flat lists.  Entries are
 works with either scalar type unless it needs exact pivoting (echelon forms,
 determinants, inverses, signatures), which is rational-only.
 
+The eliminations run on Python ints: each row is scaled by the lcm of its
+denominators, and ``rref`` (fraction-free Gauss-Jordan, each updated row
+divided by its content), ``det`` and ``symmetric_signature`` (Bareiss steps,
+whose divisions by the previous pivot are exact) turn their results back
+into canonical Fractions only at the end.  ``inverse`` is the right half of
+``rref([matrix | I])``.
+
 Every inner product is a plain left fold, ``reduce(add, map(mul, u, v), 0)``:
 the terms in index order, added one by one onto an ``int`` 0.  ``sum()``
 would compute the same thing up to Python 3.11, but from 3.12 it adds floats
@@ -14,6 +21,7 @@ on them) between interpreter versions.
 
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm, prod
 from operator import add, mul
 
 EXACT = "exact"
@@ -107,32 +115,48 @@ def mat_norm_1(a):
     return max((reduce(add, map(abs, col), 0) for col in zip(*a)), default=0)
 
 
+def _int_rows(matrix):
+    """Each row times the lcm of its denominators, as ints; returns (rows, lcms).
+
+    Scaling a row by a positive constant keeps the row space.
+    """
+    rows, scales = [], []
+    for row in matrix:
+        row = [Fraction(x) for x in row]
+        d = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+        scales.append(d)
+    return rows, scales
+
+
 def rref(matrix):
     """Reduced row echelon form over the rationals.
 
     Returns ``(rows, pivot_columns)`` where zero rows are dropped.
     """
-    a = [[Fraction(x) for x in row] for row in matrix]
+    a = _int_rows(matrix)[0]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, rows) if a[i][c]), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        top = a[r]
+        p = top[c]
         for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(a[i], top)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return a[:r], pivots
+    return [[Fraction(x, row[p]) for x in row] for row, p in zip(a[:r], pivots)], pivots
 
 
 def rank(matrix):
@@ -162,43 +186,29 @@ def nullspace(matrix, cols=None):
 
 
 def det(matrix):
-    """Determinant by exact fraction-free-ish Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in matrix]
-    n = len(a)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot_row is None:
+    """Determinant by Bareiss elimination: the last pivot, over the row scales."""
+    a, scales = _int_rows(matrix)
+    sign = prev = 1
+    while a:
+        k = next((i for i, row in enumerate(a) if row[0]), None)
+        if k is None:
             return Fraction(0)
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
+        if k:
+            a[0], a[k] = a[k], a[0]
             sign = -sign
-        result *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return sign * result
+        p, *top = a[0]
+        a = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in a[1:]]
+        prev = p
+    return Fraction(sign * prev, prod(scales))
 
 
 def inverse(matrix):
     """Exact inverse of a rational matrix; raises ValueError when singular."""
     n = len(matrix)
-    a = [[Fraction(x) for x in row] + irow for row, irow in zip(matrix, identity_matrix(n))]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        a[c], a[pivot_row] = a[pivot_row], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]
+    reduced, pivots = rref([list(row) + irow for row, irow in zip(matrix, identity_matrix(n))])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in reduced]
 
 
 def coordinates_in_rowspan(basis_rows, v):
@@ -226,41 +236,43 @@ def symmetric_signature(matrix):
     Congruence diagonalization in the style of Lagrange's method: symmetric
     row/column operations, with the classic fix-up (add row+column j into
     row+column k) whenever the whole remaining diagonal vanishes.  Plain
-    LDL would break on a zero leading pivot.
+    LDL would break on a zero leading pivot.  It runs on the matrix times
+    the common denominator D > 0, which has the same inertia, and updates
+    the active block by the Bareiss step a_ij <- (d a_ij - a_ik a_kj) // prev;
+    the LDL pivot is then d / prev.
     """
-    a = [[Fraction(x) for x in row] for row in matrix]
+    rows, scales = _int_rows(matrix)
+    common = lcm(*scales)
+    a = [[x * (common // s) for x in row] for row, s in zip(rows, scales)]
     n = len(a)
     for i in range(n):
         for j in range(i):
             if a[i][j] != a[j][i]:
                 raise ValueError("matrix is not symmetric")
     n_plus = n_minus = n_zero = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+    prev = 1
+    while a:
+        if a[0][0] == 0:
+            swap = next((j for j in range(1, len(a)) if a[j][j]), None)
             if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
+                a[0], a[swap] = a[swap], a[0]
                 for row in a:
-                    row[k], row[swap] = row[swap], row[k]
+                    row[0], row[swap] = row[swap], row[0]
             else:
-                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                off = next((j for j in range(1, len(a)) if a[0][j]), None)
                 if off is None:
                     n_zero += 1
+                    a = [row[1:] for row in a[1:]]
                     continue
-                for t in range(n):
-                    a[k][t] += a[off][t]
-                for t in range(n):
-                    a[t][k] += a[t][off]
-        d = a[k][k]
-        if d > 0:
+                for t in range(len(a)):
+                    a[0][t] += a[off][t]
+                for t in range(len(a)):
+                    a[t][0] += a[t][off]
+        d, *top = a[0]
+        if (d > 0) == (prev > 0):
             n_plus += 1
         else:
             n_minus += 1
-        for j in range(k + 1, n):
-            if a[k][j] != 0:
-                f = a[k][j] / d
-                for t in range(n):
-                    a[j][t] -= f * a[k][t]
-                for t in range(n):
-                    a[t][j] -= f * a[t][k]
+        a = [[(d * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in a[1:]]
+        prev = d
     return n_plus, n_minus, n_zero

@@ -320,11 +320,11 @@ def hessian_matrix(algebra, xi):
     block to be the transpose of the (x, y) block.
     """
     n = algebra.dim
-    c = algebra.table
+    coords = [Fraction(x) for x in xi.coords]
     b = linalg.zero_matrix(4 * n, 4 * n)
-    for i in range(n):
-        for j in range(n):
-            value = sum((Fraction(c[i][j][k]) * Fraction(xi.coords[k]) for k in range(n)), Fraction(0))
+    for i, plane in enumerate(algebra.sparse):
+        for j, row in plane:
+            value = sum((c * coords[k] for k, c in row), Fraction(0))
             b[i][n + j] = value
             b[n + j][i] = value
     for i in range(n):

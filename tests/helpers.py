@@ -107,3 +107,109 @@ def sl2_semidirect(sl2, m):
     }
     action = [ops[name] for name in sl2.basis]
     return hemi_semi_direct(sl2, action, d, name=f"sl2xV{m}")
+
+
+# -- reference eliminations over Fraction -------------------------------------
+# Plain Fraction Gauss(-Jordan) and Lagrange congruence, kept as the oracle for
+# the integer kernels in leibrack.linalg.
+
+
+def reference_rref(matrix):
+    a = [[Fraction(x) for x in row] for row in matrix]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a[:r], pivots
+
+
+def reference_det(matrix):
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            a[c], a[pivot_row] = a[pivot_row], a[c]
+            sign = -sign
+        result *= a[c][c]
+        inv = 1 / a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = a[i][c] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return sign * result
+
+
+def reference_inverse(matrix):
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + irow for row, irow in zip(matrix, linalg.identity_matrix(n))]
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pivot_row is None:
+            raise ValueError("matrix is singular")
+        a[c], a[pivot_row] = a[pivot_row], a[c]
+        inv = 1 / a[c][c]
+        a[c] = [x * inv for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [row[n:] for row in a]
+
+
+def reference_symmetric_signature(matrix):
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    for i in range(n):
+        for j in range(i):
+            if a[i][j] != a[j][i]:
+                raise ValueError("matrix is not symmetric")
+    n_plus = n_minus = n_zero = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if off is None:
+                    n_zero += 1
+                    continue
+                for t in range(n):
+                    a[k][t] += a[off][t]
+                for t in range(n):
+                    a[t][k] += a[t][off]
+        d = a[k][k]
+        if d > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        for j in range(k + 1, n):
+            if a[k][j] != 0:
+                f = a[k][j] / d
+                for t in range(n):
+                    a[j][t] -= f * a[k][t]
+                for t in range(n):
+                    a[t][j] -= f * a[t][k]
+    return n_plus, n_minus, n_zero

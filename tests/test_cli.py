@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from leibrack.corpus import corpus_path
+from leibrack import cli
+from leibrack.corpus import CORPUS_NAMES, corpus_path
 
 
 def run_cli(*args):
@@ -301,6 +302,30 @@ def test_nonpositive_float_order_rejected(command, order):
 def test_float_mode_rejected_for_exact_only_commands(command):
     proc = run_cli(command, corpus_file("heisenberg"), "--mode", "float")
     assert_usage_error(proc, "exact-only")
+
+
+COMMANDS = ["validate", "analyze", "rack", "bch", "cocycle", "quantize", "hessian", "tangent"]
+# Default runs whose precondition does not hold: BCH needs a Lie algebra and
+# an exact exponential a nilpotent one.
+PRECONDITION_FAILURES = {
+    ("bch", "leib2"), ("bch", "hs1"), ("bch", "sl2"),
+    ("rack", "hs1"), ("rack", "sl2"),
+    ("cocycle", "hs1"), ("cocycle", "sl2"),
+    ("quantize", "hs1"), ("quantize", "sl2"),
+}
+
+
+def test_every_command_on_the_corpus_at_defaults(capsys):
+    # In-process: an uncaught exception fails the test instead of exiting 1.
+    codes = {}
+    for command in COMMANDS:
+        for name in CORPUS_NAMES:
+            codes[(command, name)] = cli.main([command, corpus_file(name)])
+            err = capsys.readouterr().err
+            if codes[(command, name)] == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, (command, name, err)
+    expected = {key: 2 if key in PRECONDITION_FAILURES else 0 for key in codes}
+    assert codes == expected
 
 
 def test_import_loads_no_third_party_numerics():

@@ -16,10 +16,18 @@ from leibrack import cli, linalg, racks
 from leibrack.algebra import LeibnizAlgebra, derivation_algebra, left_center
 from leibrack.corpus import CORPUS_NAMES, corpus_path, load_corpus
 from leibrack.observables import Covector
+from leibrack.quantize import hessian_matrix
 from leibrack.racks import bass_product, coadjoint, exp_ad, exp_endo
 from leibrack.sampling import rational_vector
 
-from helpers import make_table, n_k, random_invertible, rebase, sl2_semidirect
+from helpers import (
+    make_table,
+    n_k,
+    random_invertible,
+    rebase,
+    reference_rref,
+    sl2_semidirect,
+)
 
 
 def dense_bracket(alg, x, y):
@@ -72,6 +80,37 @@ def dense_leibniz_violations(alg):
                 if any(r != 0 for r in residual):
                     violations.append(((i, j, k), residual))
     return violations
+
+
+def dense_derivation_rows(alg):
+    """The nonzero rows of the linear system D[e_i,e_j] = [De_i,e_j] + [e_i,De_j]."""
+    n = alg.dim
+    c = alg.table
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                row = [Fraction(0)] * (n * n)
+                for l in range(n):
+                    row[m * n + l] += c[i][j][l]
+                    row[l * n + i] -= c[l][j][m]
+                    row[l * n + j] -= c[i][l][m]
+                if any(row):
+                    rows.append(row)
+    return rows
+
+
+def dense_hessian(alg, xi):
+    """The bordered Hessian with the x-y block summed over the dense table."""
+    n = alg.dim
+    c = alg.table
+    b = [[Fraction(0)] * (4 * n) for _ in range(4 * n)]
+    for i in range(n):
+        for j in range(n):
+            b[i][n + j] = b[n + j][i] = sum((c[i][j][k] * xi[k] for k in range(n)), Fraction(0))
+        b[i][2 * n + i] = b[2 * n + i][i] = Fraction(-1)
+        b[n + i][3 * n + i] = b[3 * n + i][n + i] = Fraction(-1)
+    return b
 
 
 def dense_exp(matrix):
@@ -190,20 +229,26 @@ def test_left_center_matches_dense_rows(name):
 def test_derivation_system_matches_dense_rows(name):
     alg = ALGEBRAS[name]
     n = alg.dim
-    c = alg.table
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                row = [Fraction(0)] * (n * n)
-                for l in range(n):
-                    row[m * n + l] += c[i][j][l]
-                    row[l * n + i] -= c[l][j][m]
-                    row[l * n + j] -= c[i][l][m]
-                if any(row):
-                    rows.append(row)
+    rows = dense_derivation_rows(alg)
     got = [[x for row in d.matrix for x in row] for d in derivation_algebra(alg).basis]
     assert got == linalg.nullspace(rows, cols=n * n)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "freenil3", "n4", "n4-rebased"])
+def test_derivation_system_rref_matches_reference(name):
+    rows = dense_derivation_rows(ALGEBRAS[name])
+    assert linalg.rref(rows) == reference_rref(rows)
+
+
+@pytest.mark.parametrize("name", ["freenil3", "n4", "n4-rebased"])
+def test_hessian_matrix_matches_dense_sum(name):
+    alg = ALGEBRAS[name]
+    rng = random.Random(name + "hessian")
+    for _ in range(3):
+        xi = rational_vector(rng, alg.dim)
+        got = hessian_matrix(alg, Covector(alg, xi))
+        want = dense_hessian(alg, xi)
+        assert [exact_bits(row) for row in got] == [exact_bits(row) for row in want]
 
 
 @pytest.mark.parametrize("name", NILPOTENT)

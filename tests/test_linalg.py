@@ -4,9 +4,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leibrack import linalg
-from leibrack.sampling import sample_invertible_matrix
+from leibrack.corpus import load_corpus
+from leibrack.observables import Covector
+from leibrack.quantize import hessian_matrix
+from leibrack.sampling import rational_vector, sample_invertible_matrix
+
+from helpers import (
+    n_k,
+    random_invertible,
+    rebase,
+    reference_det,
+    reference_inverse,
+    reference_rref,
+    reference_symmetric_signature,
+)
 
 
 def F(n, d=1):
@@ -215,3 +230,107 @@ def test_kernels_do_not_compensate_float_sums():
     assert repr(linalg.vec_mat(row, [[1.0]] * 3)) == "[0.0]"
     assert repr(linalg.mat_mul([row], [[1.0]] * 3)) == "[[0.0]]"
     assert linalg.mat_norm_1([[1.0], [1e16], [1.0]]) == 1e16
+
+
+# -- integer eliminations against the Fraction references ---------------------------
+
+
+ENTRIES = [
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.sampled_from([0, 0, 0, 1, -1, 2]).map(Fraction),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+]
+
+
+@st.composite
+def matrices(draw, square=False, symmetric=False):
+    """0..7 x 0..7 matrices of one entry kind, with repeated and dependent rows."""
+    entry = draw(st.sampled_from(ENTRIES))
+    rows = draw(st.integers(0, 7))
+    cols = rows if square or symmetric else draw(st.integers(0, 7))
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if symmetric:
+        for i in range(rows):
+            for j in range(i):
+                m[j][i] = m[i][j]
+        if draw(st.booleans()):
+            for i in range(rows):
+                m[i][i] = 0
+    index = st.integers(0, max(rows - 1, 0))
+    for _ in range(draw(st.integers(0, 2)) if rows > 1 else 0):
+        i, j = draw(index), draw(index)
+        if symmetric:
+            # row and column i become copies of row and column j
+            m[i] = list(m[j])
+            for row in m:
+                row[i] = row[j]
+        else:
+            c = draw(st.sampled_from([0, 1, -1, 2, Fraction(1, 3)]))
+            m[i] = [c * x for x in m[j]]
+    return m
+
+
+def outcome(fn, matrix):
+    """The result, or the type and message of the error raised."""
+    try:
+        return fn(matrix)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rref_matches_reference(m):
+    assert linalg.rref(m) == reference_rref(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(square=True))
+def test_det_and_inverse_match_reference(m):
+    assert linalg.det(m) == reference_det(m)
+    assert outcome(linalg.inverse, m) == outcome(reference_inverse, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(symmetric=True))
+def test_symmetric_signature_matches_reference(m):
+    assert linalg.symmetric_signature(m) == reference_symmetric_signature(m)
+
+
+def test_eliminations_on_empty_matrices():
+    assert linalg.det([]) == 1
+    assert linalg.rref([]) == ([], [])
+    assert linalg.inverse([]) == []
+    assert linalg.symmetric_signature([]) == (0, 0, 0)
+
+
+def test_error_messages_match_reference():
+    singular = [[F(1), F(2)], [F(2), F(4)]]
+    asymmetric = [[F(0), F(1)], [F(0), F(0)]]
+    assert outcome(linalg.inverse, singular) == ("ValueError", "matrix is singular")
+    assert outcome(reference_inverse, singular) == ("ValueError", "matrix is singular")
+    expected = ("ValueError", "matrix is not symmetric")
+    assert outcome(linalg.symmetric_signature, asymmetric) == expected
+    assert outcome(reference_symmetric_signature, asymmetric) == expected
+
+
+def _hessian_algebras():
+    n4 = n_k(4)
+    return {
+        "n4": n4,
+        "n4-rebased": rebase(n4, random_invertible(random.Random(4), n4.dim), "n4d"),
+        "freenil3": load_corpus("freenil3"),
+    }
+
+
+HESSIAN_ALGEBRAS = _hessian_algebras()
+
+
+@pytest.mark.parametrize("name", list(HESSIAN_ALGEBRAS))
+def test_bordered_hessian_det_and_signature_match_reference(name):
+    alg = HESSIAN_ALGEBRAS[name]
+    rng = random.Random(name)
+    for _ in range(2):
+        b = hessian_matrix(alg, Covector(alg, rational_vector(rng, alg.dim)))
+        assert linalg.det(b) == reference_det(b) == 1
+        assert linalg.symmetric_signature(b) == reference_symmetric_signature(b)
