@@ -4,9 +4,18 @@ A covector is a point xi of the dual space in the dual basis.  An observable
 is a polynomial function of the dual coordinates xi_1 .. xi_n, kept as a
 sparse map from exponent tuples to coefficients; exact rationals unless the
 caller feeds floats.
+
+The public ``PolyObservable`` constructor is the only place that validates
+terms: every key must be a tuple of ``nvars`` non-negative ints.  Every
+operator builds a plain dict and hands it to one private normaliser,
+``_normalised``, which sorts the keys and drops zero coefficients; results of
+operators are never re-validated.  ``substitute_linear`` expands each
+monomial factor by factor in one working dict, adds the expansions into one
+result dict, and builds a single observable at the end.
 """
 
 from fractions import Fraction
+from operator import add
 
 from .linalg import EXACT, check_mode, scalar, vec_dot
 
@@ -51,27 +60,44 @@ class Covector:
         return Covector(self.algebra, [float(c) for c in self.coords], "float")
 
 
+def _normalised(terms):
+    """``terms`` with its keys sorted and its zero coefficients dropped."""
+    return {k: terms[k] for k in sorted(terms) if terms[k] != 0}
+
+
+def _unit(n, i):
+    """The exponent tuple of xi_{i+1}."""
+    return (0,) * i + (1,) + (0,) * (n - i - 1)
+
+
 class PolyObservable:
     """Sparse polynomial in the dual coordinates.
 
-    ``terms`` maps exponent tuples to nonzero coefficients; the zero
-    polynomial has no terms.
+    ``terms`` maps exponent tuples to nonzero coefficients, in sorted key
+    order; the zero polynomial has no terms.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
-        object.__setattr__(self, "nvars", nvars)
-        cleaned = {}
-        for exponents, coeff in (terms or {}).items():
+        terms = terms or {}
+        for exponents in terms:
             if len(exponents) != nvars:
                 raise ValueError("exponent tuple length does not match variable count")
-            if coeff != 0:
-                key = tuple(int(e) for e in exponents)
-                cleaned[key] = cleaned.get(key, 0) + coeff
+            if not all(type(e) is int and e >= 0 for e in exponents):
+                raise ValueError(f"exponents must be non-negative ints, got {exponents!r}")
+        object.__setattr__(self, "nvars", nvars)
         object.__setattr__(
-            self, "terms", {k: v for k, v in sorted(cleaned.items()) if v != 0}
+            self, "terms", _normalised({tuple(k): v for k, v in terms.items()})
         )
+
+    @classmethod
+    def _from_terms(cls, nvars, terms):
+        """An observable from a dict of valid keys, without validation."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", _normalised(terms))
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyObservable is immutable")
@@ -80,30 +106,22 @@ class PolyObservable:
 
     @classmethod
     def zero(cls, nvars):
-        return cls(nvars, {})
+        return cls._from_terms(nvars, {})
 
     @classmethod
     def constant(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls._from_terms(nvars, {(0,) * nvars: Fraction(value)})
 
     @classmethod
     def coordinate(cls, nvars, i):
         """The observable xi_{i+1}."""
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls._from_terms(nvars, {_unit(nvars, i): Fraction(1)})
 
     @classmethod
     def from_element(cls, element):
         """The linear observable xi -> <xi, x>."""
         n = element.algebra.dim
-        terms = {}
-        for i, c in enumerate(element.coords):
-            if c != 0:
-                exps = [0] * n
-                exps[i] = 1
-                terms[tuple(exps)] = c
-        return cls(n, terms)
+        return cls._from_terms(n, {_unit(n, i): c for i, c in enumerate(element.coords)})
 
     # -- algebra ---------------------------------------------------------------
 
@@ -112,16 +130,18 @@ class PolyObservable:
         terms = dict(self.terms)
         for k, v in other.terms.items():
             terms[k] = terms.get(k, 0) + v
-        return PolyObservable(self.nvars, terms)
+        return PolyObservable._from_terms(self.nvars, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return PolyObservable(self.nvars, {k: -v for k, v in self.terms.items()})
+        return PolyObservable._from_terms(self.nvars, {k: -v for k, v in self.terms.items()})
 
     def __rmul__(self, coeff):
-        return PolyObservable(self.nvars, {k: coeff * v for k, v in self.terms.items()})
+        return PolyObservable._from_terms(
+            self.nvars, {k: coeff * v for k, v in self.terms.items()}
+        )
 
     def __mul__(self, other):
         if not isinstance(other, PolyObservable):
@@ -130,9 +150,9 @@ class PolyObservable:
         terms = {}
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ka, kb))
+                key = tuple(map(add, ka, kb))
                 terms[key] = terms.get(key, 0) + va * vb
-        return PolyObservable(self.nvars, terms)
+        return PolyObservable._from_terms(self.nvars, terms)
 
     def __eq__(self, other):
         return (
@@ -180,44 +200,48 @@ class PolyObservable:
     def partial(self, i):
         terms = {}
         for exps, coeff in self.terms.items():
-            if exps[i] == 0:
-                continue
-            new = list(exps)
-            new[i] -= 1
-            terms[tuple(new)] = terms.get(tuple(new), 0) + coeff * exps[i]
-        return PolyObservable(self.nvars, terms)
+            if exps[i]:
+                terms[exps[:i] + (exps[i] - 1,) + exps[i + 1:]] = coeff * exps[i]
+        return PolyObservable._from_terms(self.nvars, terms)
 
     def gradient_at_zero(self):
         """The differential at the origin, as element coordinates."""
-        grad = [Fraction(0)] * self.nvars
-        for i in range(self.nvars):
-            exps = [0] * self.nvars
-            exps[i] = 1
-            grad[i] = self.terms.get(tuple(exps), Fraction(0))
-        return grad
+        return [self.terms.get(_unit(self.nvars, i), Fraction(0)) for i in range(self.nvars)]
 
     def substitute_linear(self, forms):
         """Substitute xi_i -> sum_j forms[i][j] xi_j (a linear change of point).
 
-        ``forms[i]`` lists the coefficients of the linear form replacing the
-        i-th coordinate.
+        ``forms[i]`` lists the ``nvars`` coefficients of the linear form
+        replacing the i-th coordinate.  Float results are bit-for-bit those
+        of multiplying each monomial out one linear factor at a time: each
+        partial product walks its keys in sorted order and drops exact zeros
+        before the next factor, and no sum goes through ``sum()``.
         """
-        if len(forms) != self.nvars:
+        n = self.nvars
+        if len(forms) != n:
             raise ValueError("need one linear form per variable")
-        linears = [
-            PolyObservable(self.nvars, {
-                tuple(1 if j == t else 0 for t in range(self.nvars)): c
-                for j, c in enumerate(form)
-                if c != 0
-            })
-            for form in forms
-        ]
-        result = PolyObservable.zero(self.nvars)
+        if any(len(form) != n for form in forms):
+            raise ValueError(f"each linear form needs {n} coefficients")
+        linears = [[(j, c) for j, c in enumerate(form) if c != 0] for form in forms]
+        # steps[i][key]: the (key + e_j, forms[i][j]) that multiplying by form i makes
+        steps = [{} for _ in range(n)]
+        one = Fraction(1)
+        result = {}
         for exps, coeff in self.terms.items():
-            term = PolyObservable.constant(self.nvars, 1)
-            term = coeff * term
+            term = {(0,) * n: coeff * one}  # an int coeff turns Fraction, as in a product
             for i, e in enumerate(exps):
+                step_i, linear = steps[i], linears[i]
                 for _ in range(e):
-                    term = term * linears[i]
-            result = result + term
-        return result
+                    product = {}
+                    for key, value in term.items():
+                        step = step_i.get(key)
+                        if step is None:
+                            step = step_i[key] = [
+                                (key[:j] + (key[j] + 1,) + key[j + 1:], c) for j, c in linear
+                            ]
+                        for bumped, c in step:
+                            product[bumped] = product.get(bumped, 0) + value * c
+                    term = _normalised(product)
+            for key, value in term.items():
+                result[key] = result.get(key, 0) + value
+        return PolyObservable._from_terms(n, result)

@@ -167,19 +167,22 @@ def poisson_bracket(algebra, f, g, sign=1):
     """
     n = algebra.dim
     grad0 = f.gradient_at_zero()
-    partials = [g.partial(j) for j in range(n)]
-    result = PolyObservable.zero(n)
+    partials = [g.partial(j).terms for j in range(n)]
+    result = {}
     for a_i, plane in zip(grad0, algebra.sparse):
         if a_i == 0:
             continue
         for j, row in plane:
-            if not partials[j].terms:
+            partial = partials[j]
+            if not partial:
                 continue
             for k, c in row:
-                result = result + (sign * c * a_i) * (
-                    partials[j] * PolyObservable.coordinate(n, k)
-                )
-    return result
+                scale = sign * c * a_i
+                # add scale * (d_j g) * xi_k, term by term
+                for key, v in partial.items():
+                    bumped = key[:k] + (key[k] + 1,) + key[k + 1:]
+                    result[bumped] = result.get(bumped, 0) + scale * v
+    return PolyObservable(n, result)
 
 
 def right_leibniz_violations(algebra, triples, sign=1):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from leibrack import linalg
 from leibrack.algebra import LeibnizAlgebra, hemi_semi_direct
+from leibrack.observables import PolyObservable
 
 
 def make_table(dim, entries):
@@ -213,3 +214,97 @@ def reference_symmetric_signature(matrix):
                 for t in range(n):
                     a[t][j] -= f * a[t][k]
     return n_plus, n_minus, n_zero
+
+
+# -- reference observable algebra ----------------------------------------------
+# The object-per-factor PolyObservable products kept as the oracle for the
+# one-dict kernels in leibrack.observables and leibrack.quantize: every
+# intermediate is a _ReferencePoly whose constructor re-sums and re-sorts.
+
+
+class _ReferencePoly:
+    def __init__(self, nvars, terms=None):
+        self.nvars = nvars
+        cleaned = {}
+        for exponents, coeff in (terms or {}).items():
+            if coeff != 0:
+                key = tuple(int(e) for e in exponents)
+                cleaned[key] = cleaned.get(key, 0) + coeff
+        self.terms = {k: v for k, v in sorted(cleaned.items()) if v != 0}
+
+    @classmethod
+    def of(cls, poly):
+        return cls(poly.nvars, poly.terms)
+
+    def to_observable(self):
+        return PolyObservable(self.nvars, self.terms)
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, v in other.terms.items():
+            terms[k] = terms.get(k, 0) + v
+        return _ReferencePoly(self.nvars, terms)
+
+    def __rmul__(self, coeff):
+        return _ReferencePoly(self.nvars, {k: coeff * v for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        terms = {}
+        for ka, va in self.terms.items():
+            for kb, vb in other.terms.items():
+                key = tuple(a + b for a, b in zip(ka, kb))
+                terms[key] = terms.get(key, 0) + va * vb
+        return _ReferencePoly(self.nvars, terms)
+
+    def partial(self, i):
+        terms = {}
+        for exps, coeff in self.terms.items():
+            if exps[i] == 0:
+                continue
+            new = list(exps)
+            new[i] -= 1
+            terms[tuple(new)] = terms.get(tuple(new), 0) + coeff * exps[i]
+        return _ReferencePoly(self.nvars, terms)
+
+
+def _reference_unit(n, i):
+    return _ReferencePoly(n, {tuple(1 if t == i else 0 for t in range(n)): Fraction(1)})
+
+
+def reference_poly_mul(f, g):
+    return (_ReferencePoly.of(f) * _ReferencePoly.of(g)).to_observable()
+
+
+def reference_substitute_linear(f, forms):
+    n = f.nvars
+    linears = [
+        _ReferencePoly(n, {
+            tuple(1 if j == t else 0 for t in range(n)): c for j, c in enumerate(form) if c != 0
+        })
+        for form in forms
+    ]
+    result = _ReferencePoly(n)
+    for exps, coeff in f.terms.items():
+        term = coeff * _ReferencePoly(n, {(0,) * n: Fraction(1)})
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                term = term * linears[i]
+        result = result + term
+    return result.to_observable()
+
+
+def reference_poisson_bracket(algebra, f, g, sign=1):
+    n = algebra.dim
+    grad0 = [f.terms.get(tuple(1 if t == i else 0 for t in range(n)), Fraction(0))
+             for i in range(n)]
+    partials = [_ReferencePoly.of(g).partial(j) for j in range(n)]
+    result = _ReferencePoly(n)
+    for a_i, plane in zip(grad0, algebra.sparse):
+        if a_i == 0:
+            continue
+        for j, row in plane:
+            if not partials[j].terms:
+                continue
+            for k, c in row:
+                result = result + (sign * c * a_i) * (partials[j] * _reference_unit(n, k))
+    return result.to_observable()
