@@ -285,9 +285,6 @@ class Element:
     def to_float(self):
         return Element(self.algebra, [float(c) for c in self.coords], FLOAT)
 
-    def to_exact(self):
-        return Element(self.algebra, [Fraction(c) for c in self.coords], EXACT)
-
 
 class Endomorphism:
     """A linear self-map of the algebra, stored as a matrix acting on coordinates."""
@@ -381,22 +378,8 @@ class Endomorphism:
 
     def morphism_residual(self):
         """Largest defect of a[x,y] = [ax, ay] over basis pairs."""
-        n = self.algebra.dim
-        c = self.algebra.table
-        a = self.matrix
-        worst = 0
-        for i in range(n):
-            for j in range(n):
-                for m in range(n):
-                    rhs = sum(
-                        a[p][i] * a[q][j] * c[p][q][m]
-                        for p in range(n)
-                        for q in range(n)
-                        if c[p][q][m] != 0
-                    )
-                    lhs = sum(c[i][j][l] * a[m][l] for l in range(n))
-                    worst = max(worst, abs(lhs - rhs))
-        return worst
+        defects = bracket_defects(self.algebra, self.algebra, self.matrix)
+        return max((max(map(abs, defect)) for _, defect in defects), default=0)
 
     def is_endomorphism(self, tol=0):
         """True when the map preserves the bracket on basis pairs."""
@@ -404,6 +387,30 @@ class Endomorphism:
 
     def is_automorphism(self, tol=0):
         return self.is_endomorphism(tol) and linalg.det(self.matrix) != 0
+
+
+def bracket_defects(source, target, matrix):
+    """Basis pairs where a linear map a : source -> target breaks a[x,y] = [ax, ay].
+
+    ``matrix`` is target.dim x source.dim.  Returns ``((i, j), defect)`` for
+    every pair with a nonzero defect a[e_i, e_j] - [a e_i, a e_j], 0-based,
+    summing nonzero terms only: a[e_i, e_j] over ``source.sparse`` and the
+    nonzero entries of a, [a e_i, a e_j] by ``target.bracket_coords``.
+    """
+    columns = [[row[i] for row in matrix] for i in range(source.dim)]
+    support = [[(r, a) for r, a in enumerate(column) if a] for column in columns]
+    defects = []
+    for i, plane in enumerate(source.sparse):
+        brackets = dict(plane)
+        for j in range(source.dim):
+            image = [0] * target.dim
+            for k, c in brackets.get(j, ()):
+                for r, a in support[k]:
+                    image[r] += c * a
+            defect = linalg.vec_sub(image, target.bracket_coords(columns[i], columns[j]))
+            if any(defect):
+                defects.append(((i, j), defect))
+    return defects
 
 
 class Subspace:

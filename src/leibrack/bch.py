@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .reports import CheckReport
+from .reports import check_law, samples
 
 MAX_ORDER = 8
 
@@ -108,15 +108,8 @@ def verify_conj_identity(algebra, pairs, order=MAX_ORDER, tol=0, float_exp_order
     """
     from .racks import bass_product
 
-    violations = []
-    worst = 0
-    for idx, (x, y) in enumerate(pairs):
-        lhs = conj_star(x, y, order)
-        rhs = bass_product(x, y, float_exp_order)
-        r = lhs.distance(rhs)
-        worst = max(worst, r)
-        if r > tol:
-            violations.append({"axiom": "conj-vs-exp-ad", "sample": idx, "residual": r})
-    return CheckReport(
-        name="conj-identity", checked=len(pairs), violations=violations, max_residual=worst
-    )
+    def residual(pair):
+        x, y = pair
+        return conj_star(x, y, order).distance(bass_product(x, y, float_exp_order))
+
+    return check_law("conj-identity", samples(pairs, "conj-vs-exp-ad"), residual, tol)

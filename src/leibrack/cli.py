@@ -49,11 +49,11 @@ from .racks import (
     conjugation_lemma_violations,
     pair_rack_closure_violations,
 )
-from .reports import CheckReport
+from .reports import check_law, samples
 from .sampling import (
     rational_vector,
-    sample_elements,
     sample_observables,
+    sample_pairs,
     sample_triples,
 )
 from .tangent import max_table_error, tangent_recover
@@ -77,19 +77,10 @@ def parse_fraction_csv(text, expected_len, flag):
 
 
 def serialize_violation(violation):
-    out = {}
-    for key, value in violation.items():
-        if key == "residual":
-            out[key] = (
-                [scalar_repr(v) for v in value]
-                if isinstance(value, (list, tuple))
-                else scalar_repr(value)
-            )
-        elif isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
+    residual = violation["residual"]
+    if isinstance(residual, (list, tuple)):
+        return {**violation, "residual": [scalar_repr(v) for v in residual]}
+    return {**violation, "residual": scalar_repr(residual)}
 
 
 def serialize_check(report, status=None):
@@ -165,19 +156,14 @@ def sample_scale(mode, for_bch=False):
 # -- commands -------------------------------------------------------------------
 
 
+def basis_defects(defects, key):
+    """A kernel's ``((i, j, ...), defect)`` list as witnesses named by 1-based indices."""
+    return [({key: [i + 1 for i in idx]}, defect) for idx, defect in defects]
+
+
 def cmd_validate(algebra, args):
-    violations = [
-        {"triple": [i + 1, j + 1, k + 1], "residual": residual}
-        for (i, j, k), residual in algebra.leibniz_violations()
-    ]
-    report = CheckReport(
-        name="leibniz-identity",
-        checked=algebra.dim ** 3,
-        violations=violations,
-        max_residual=max(
-            (abs(x) for v in violations for x in v["residual"]), default=Fraction(0)
-        ),
-    )
+    defects = basis_defects(algebra.leibniz_violations(), "triple")
+    report = check_law("leibniz-identity", defects, checked=algebra.dim ** 3)
     details = {
         "dim": algebra.dim,
         "basis": list(algebra.basis),
@@ -219,36 +205,18 @@ def cmd_analyze(algebra, args):
         },
     }
 
-    def table_check(name, violations, checked):
-        converted = [
-            {"pair": [i + 1 for i in idx], "residual": vector_repr(res)}
-            for idx, res in violations
-        ]
-        worst = max(
-            (abs(Fraction(x)) for _, res in violations for x in res), default=Fraction(0)
-        )
-        return serialize_check(
-            CheckReport(name=name, checked=checked, violations=converted, max_residual=worst)
-        )
-
     q = ext.quotient.dim
-    checks = [
-        serialize_check(
-            CheckReport(
-                name="quotient-is-lie",
-                checked=1,
-                violations=[] if ext.quotient.is_lie() else [{"residual": Fraction(1)}],
-            )
-        ),
-        table_check("cocycle-identity", cocycle_identity_violations(ext), q ** 3),
-        table_check("reconstruction", reconstruction_violations(ext), (q * (ext.center.dim + 1)) ** 2),
-        table_check(
-            "projection-morphism",
-            projection_morphism_violations(ext),
-            algebra.dim ** 2,
-        ),
+    tables = [
+        ("cocycle-identity", cocycle_identity_violations(ext), q ** 3),
+        ("reconstruction", reconstruction_violations(ext), (q * (ext.center.dim + 1)) ** 2),
+        ("projection-morphism", projection_morphism_violations(ext), algebra.dim ** 2),
     ]
-    return checks, details
+    checks = [check_law("quotient-is-lie", [({}, int(not ext.quotient.is_lie()))])]
+    checks += [
+        check_law(name, basis_defects(found, "pair"), checked=count)
+        for name, found, count in tables
+    ]
+    return [serialize_check(check) for check in checks], details
 
 
 def cmd_rack(algebra, args):
@@ -297,8 +265,7 @@ def cmd_bch(algebra, args):
         details["conj"] = vector_repr(conj_star(x, y, order).coords)
     else:
         scale = sample_scale(mode, for_bch=True)
-        flat = sample_elements(algebra, 2 * args.samples, args.seed, mode, scale)
-        pairs = [(flat[2 * t], flat[2 * t + 1]) for t in range(args.samples)]
+        pairs = sample_pairs(algebra, args.samples, args.seed, mode, scale)
     report = verify_conj_identity(algebra, pairs, order, tol)
     details["order"] = order
     return [serialize_check(report)], details
@@ -314,34 +281,16 @@ def cmd_cocycle(algebra, args):
     order = args.order if args.order is not None else cls
     if order < 1:
         raise UsageError("--order must be at least 1")
-    flat = sample_elements(ext.quotient, 2 * args.samples, args.seed)
-    pairs = [(flat[2 * t], flat[2 * t + 1]) for t in range(args.samples)]
-    mismatch = []
-    escaped = []
-    worst = Fraction(0)
-    for idx, (x, y) in enumerate(pairs):
-        exact = rack_cocycle_exact(ext, x, y)
-        series = rack_cocycle_series(ext, x, y, order)
-        r = exact.distance(series)
-        worst = max(worst, r)
-        if r != 0:
-            mismatch.append({"sample": idx, "residual": r})
-        if not ext.center.contains(exact):
-            escaped.append({"sample": idx, "residual": Fraction(1)})
+    pairs = sample_pairs(ext.quotient, args.samples, args.seed)
+    exact = samples((x, y, rack_cocycle_exact(ext, x, y)) for x, y in pairs)
+
+    def series_gap(w):
+        x, y, value = w
+        return value.distance(rack_cocycle_series(ext, x, y, order))
+
     checks = [
-        serialize_check(
-            CheckReport(
-                name="cocycle-series-vs-exact",
-                checked=len(pairs),
-                violations=mismatch,
-                max_residual=worst,
-            )
-        ),
-        serialize_check(
-            CheckReport(
-                name="cocycle-in-center", checked=len(pairs), violations=escaped
-            )
-        ),
+        check_law("cocycle-series-vs-exact", exact, series_gap),
+        check_law("cocycle-in-center", exact, lambda w: int(not ext.center.contains(w[2]))),
     ]
     details = {
         "order": order,
@@ -349,7 +298,7 @@ def cmd_cocycle(algebra, args):
         "series_sign": SERIES_SIGN,
         "omega_convention": "section defect s([x,y]) - [s(x),s(y)]",
     }
-    return checks, details
+    return [serialize_check(check) for check in checks], details
 
 
 def cmd_quantize(algebra, args):
@@ -370,6 +319,7 @@ def cmd_quantize(algebra, args):
             sample_observables(algebra, args.samples, args.seed + 4),
         )
     )
+    linear_pairs = sample_pairs(algebra, args.samples, args.seed + 5)
     checks = [
         serialize_check(check_rack_axioms(label_rack, label_triples, tol)),
         serialize_check(label_action_compatibility_violations(algebra, pairs, args.order, tol)),
@@ -377,84 +327,46 @@ def cmd_quantize(algebra, args):
             action_left_action_violations(algebra, pairs, observables, args.order, tol)
         ),
         serialize_check(right_leibniz_violations(algebra, triples_obs)),
-        serialize_check(_linear_observable_check(algebra, pairs_exact(algebra, args))),
+        serialize_check(_linear_observable_check(algebra, linear_pairs)),
         serialize_check(_order0_associativity_check(algebra, triples_obs)),
     ]
     if algebra.is_lie() and algebra.is_nilpotent():
         checks.append(serialize_check(_gutt_match_check(algebra, args)))
     else:
-        checks.append(
-            serialize_check(
-                CheckReport(name="gutt-vs-quantum", checked=0),
-                status="skipped",
-            )
-        )
+        checks.append(serialize_check(check_law("gutt-vs-quantum", []), status="skipped"))
     return checks, {"tolerance": scalar_repr(tol)}
 
 
-def pairs_exact(algebra, args):
-    flat = sample_elements(algebra, 2 * args.samples, args.seed + 5)
-    return [(flat[2 * t], flat[2 * t + 1]) for t in range(args.samples)]
-
-
 def _linear_observable_check(algebra, pairs):
-    violations = []
-    for idx, (a, b) in enumerate(pairs):
-        lhs = poisson_bracket(
-            algebra, PolyObservable.from_element(a), PolyObservable.from_element(b)
+    def residual(pair):
+        a, b = (PolyObservable.from_element(x) for x in pair)
+        return poisson_bracket(algebra, a, b).distance(
+            PolyObservable.from_element(algebra.bracket(*pair))
         )
-        rhs = PolyObservable.from_element(algebra.bracket(a, b))
-        diff = lhs - rhs
-        if diff.terms:
-            violations.append(
-                {"sample": idx, "residual": max(abs(c) for c in diff.terms.values())}
-            )
-    return CheckReport(
-        name="linear-observable-bracket",
-        checked=len(pairs),
-        violations=violations,
-        max_residual=max((v["residual"] for v in violations), default=0),
-    )
+
+    return check_law("linear-observable-bracket", samples(pairs), residual)
 
 
 def _order0_associativity_check(algebra, triples):
-    violations = []
-    for idx, (f, g, h) in enumerate(triples):
-        left = semiclassical_leading_terms(
-            algebra, semiclassical_leading_terms(algebra, f, g)[0], h
-        )[0]
-        right = semiclassical_leading_terms(
-            algebra, f, semiclassical_leading_terms(algebra, g, h)[0]
-        )[0]
-        diff = left - right
-        if diff.terms:
-            violations.append(
-                {"sample": idx, "residual": max(abs(c) for c in diff.terms.values())}
-            )
-    return CheckReport(
-        name="order0-associativity",
-        checked=len(triples),
-        violations=violations,
-        max_residual=max((v["residual"] for v in violations), default=0),
-    )
+    def product(f, g):
+        return semiclassical_leading_terms(algebra, f, g)[0]
+
+    def residual(triple):
+        f, g, h = triple
+        return product(product(f, g), h).distance(product(f, product(g, h)))
+
+    return check_law("order0-associativity", samples(triples), residual)
 
 
 def _gutt_match_check(algebra, args):
     from .quantize import ExpLabel, gutt_rack_label, quantum_rack_label
 
-    flat = sample_elements(algebra, 2 * args.samples, args.seed + 6)
-    violations = []
-    worst = Fraction(0)
-    for t in range(args.samples):
-        a, b = ExpLabel(flat[2 * t]), ExpLabel(flat[2 * t + 1])
-        got = gutt_rack_label(a, b)
-        want = quantum_rack_label(a, b)
-        r = got.distance(want)
-        worst = max(worst, r)
-        if r != 0:
-            violations.append({"sample": t, "residual": r})
-    return CheckReport(
-        name="gutt-vs-quantum", checked=args.samples, violations=violations, max_residual=worst
+    pairs = sample_pairs(algebra, args.samples, args.seed + 6)
+    pairs = [(ExpLabel(x), ExpLabel(y)) for x, y in pairs]
+    return check_law(
+        "gutt-vs-quantum",
+        samples(pairs),
+        lambda pair: gutt_rack_label(*pair).distance(quantum_rack_label(*pair)),
     )
 
 
@@ -464,9 +376,10 @@ def cmd_hessian(algebra, args):
     else:
         rng = random.Random(args.seed)
         xi_list = [rational_vector(rng, algebra.dim) for _ in range(args.samples)]
-    violations = []
     results = []
-    for idx, coords in enumerate(xi_list):
+
+    def residual(coords):
+        """Distance of (det, signature) from (1, 0); records the instance."""
         report = hessian_check(algebra, Covector(algebra, coords))
         results.append(
             {
@@ -476,14 +389,9 @@ def cmd_hessian(algebra, args):
                 "inertia": list(report.inertia),
             }
         )
-        if report.determinant != 1 or report.signature != 0:
-            violations.append({"sample": idx, "residual": abs(report.determinant - 1)})
-    check = CheckReport(
-        name="hessian-extremum",
-        checked=len(xi_list),
-        violations=violations,
-        max_residual=max((v["residual"] for v in violations), default=Fraction(0)),
-    )
+        return max(abs(report.determinant - 1), abs(report.signature))
+
+    check = check_law("hessian-extremum", samples(xi_list), residual)
     return [serialize_check(check)], {"instances": results}
 
 
@@ -497,11 +405,8 @@ def cmd_tangent(algebra, args):
 
     table = tangent_recover(product, algebra.dim, args.step)
     err = max_table_error(table, algebra)
-    check = CheckReport(
-        name="tangent-recovery",
-        checked=algebra.dim ** 2,
-        violations=[] if err < args.tol else [{"residual": err}],
-        max_residual=err,
+    check = check_law(
+        "tangent-recovery", [({}, err)], tol=args.tol, checked=algebra.dim ** 2, start=0.0
     )
     return [serialize_check(check)], {"step": args.step, "tolerance": args.tol}
 
@@ -576,7 +481,7 @@ def main(argv=None):
     try:
         check_args(command, args)
         checks, details = HANDLERS[command](algebra, args)
-    except UsageError as err:
+    except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     config = {

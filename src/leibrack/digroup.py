@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .racks import PairElement, hs_rack_product
-from .reports import CheckReport
+from .reports import check_law, samples
 
 
 def dig_left(a, b):
@@ -46,30 +46,22 @@ def digroup_axiom_violations(triples, tol=0):
     the bar-unit laws 1 |- x = x = x -| 1, and one-sided inverses
     x |- x^-1 = 1 = x^-1 -| x.
     """
-    violations = []
-    worst = 0
 
-    def expect(axiom, idx, got, want):
-        nonlocal worst
-        r = got.distance(want)
-        worst = max(worst, r)
-        if r > tol:
-            violations.append({"axiom": axiom, "sample": idx, "residual": r})
+    def laws(triple):
+        x, y, z = triple
+        unit = dig_unit(len(x.vector))
+        sides = {
+            "left-associative": (dig_left(x, dig_left(y, z)), dig_left(dig_left(x, y), z)),
+            "right-associative": (dig_right(x, dig_right(y, z)), dig_right(dig_right(x, y), z)),
+            "mixed-left-over-right": (dig_left(x, dig_right(y, z)), dig_right(dig_left(x, y), z)),
+            "mixed-right-absorbs": (dig_right(x, dig_left(y, z)), dig_right(x, dig_right(y, z))),
+            "mixed-left-ignores": (dig_left(dig_right(x, y), z), dig_left(dig_left(x, y), z)),
+            "bar-unit-left": (dig_left(unit, x), x),
+            "bar-unit-right": (dig_right(x, unit), x),
+            "inverse-left": (dig_left(x, dig_inverse(x)), unit),
+            "inverse-right": (dig_right(dig_inverse(x), x), unit),
+            "rack-matches-conjugation": (digroup_rack_product(x, y), hs_rack_product(x, y)),
+        }
+        return {axiom: got.distance(want) for axiom, (got, want) in sides.items()}
 
-    unit = None
-    for idx, (x, y, z) in enumerate(triples):
-        if unit is None:
-            unit = dig_unit(len(x.vector))
-        expect("left-associative", idx, dig_left(x, dig_left(y, z)), dig_left(dig_left(x, y), z))
-        expect("right-associative", idx, dig_right(x, dig_right(y, z)), dig_right(dig_right(x, y), z))
-        expect("mixed-left-over-right", idx, dig_left(x, dig_right(y, z)), dig_right(dig_left(x, y), z))
-        expect("mixed-right-absorbs", idx, dig_right(x, dig_left(y, z)), dig_right(x, dig_right(y, z)))
-        expect("mixed-left-ignores", idx, dig_left(dig_right(x, y), z), dig_left(dig_left(x, y), z))
-        expect("bar-unit-left", idx, dig_left(unit, x), x)
-        expect("bar-unit-right", idx, dig_right(x, unit), x)
-        expect("inverse-left", idx, dig_left(x, dig_inverse(x)), unit)
-        expect("inverse-right", idx, dig_right(dig_inverse(x), x), unit)
-        expect("rack-matches-conjugation", idx, digroup_rack_product(x, y), hs_rack_product(x, y))
-    return CheckReport(
-        name="digroup-axioms", checked=len(triples), violations=violations, max_residual=worst
-    )
+    return check_law("digroup-axioms", samples(triples), laws, tol)

@@ -15,8 +15,7 @@ algebra q, and h is recovered from q, the Z-module structure, and a
 from fractions import Fraction
 
 from . import linalg
-from .algebra import Element, LeibnizAlgebra, Subspace, left_center
-from .linalg import EXACT
+from .algebra import Element, LeibnizAlgebra, bracket_defects, left_center
 
 
 class ExtensionData:
@@ -29,10 +28,6 @@ class ExtensionData:
         self.pi_matrix = pi_matrix
         self.section_matrix = section_matrix
         self.omega_table = omega_table
-
-    def project(self, x):
-        """pi : h -> q."""
-        return Element(self.quotient, linalg.mat_vec(self.pi_matrix, x.coords), x.mode)
 
     def section(self, x):
         """s : q -> h, linear right inverse of pi."""
@@ -115,17 +110,7 @@ def build_extension(algebra):
 
 def projection_morphism_violations(ext):
     """Basis pairs where pi fails to intertwine the two brackets."""
-    alg, quot = ext.algebra, ext.quotient
-    violations = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            lhs = linalg.mat_vec(ext.pi_matrix, alg.table[i][j])
-            pi_i = [ext.pi_matrix[r][i] for r in range(quot.dim)]
-            pi_j = [ext.pi_matrix[r][j] for r in range(quot.dim)]
-            rhs = quot.bracket_coords(pi_i, pi_j)
-            if lhs != rhs:
-                violations.append(((i, j), linalg.vec_sub(lhs, rhs)))
-    return violations
+    return bracket_defects(ext.algebra, ext.quotient, ext.pi_matrix)
 
 
 def cocycle_identity_violations(ext):

@@ -71,10 +71,6 @@ def vec_dot(u, v):
     return reduce(add, map(mul, u, v), 0)
 
 
-def vec_norm_inf(v):
-    return max((abs(a) for a in v), default=0)
-
-
 def is_zero_vector(v):
     return all(a == 0 for a in v)
 

@@ -135,6 +135,10 @@ class PolyObservable:
     def __sub__(self, other):
         return self + (-other)
 
+    def distance(self, other):
+        """Largest absolute coefficient of self - other (0 when they are equal)."""
+        return max((abs(c) for c in (self - other).terms.values()), default=0)
+
     def __neg__(self):
         return PolyObservable._from_terms(self.nvars, {k: -v for k, v in self.terms.items()})
 

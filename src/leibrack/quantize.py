@@ -27,7 +27,7 @@ from .observables import Covector, PolyObservable
 # exp_endo stays bound here although only exp_ad calls it: the bench tracer
 # (bench/spans.py) wraps every binding of it, and its self-test checks this one.
 from .racks import DEFAULT_FLOAT_ORDER, bass_product, exp_ad, exp_endo  # noqa: F401
-from .reports import CheckReport
+from .reports import check_law, samples
 
 
 class ExpLabel:
@@ -118,19 +118,13 @@ def quantum_rack_action(x, observable, order=DEFAULT_FLOAT_ORDER):
 
 def label_action_compatibility_violations(algebra, pairs, order=DEFAULT_FLOAT_ORDER, tol=0):
     """The action on linear observables must mirror the label rack."""
-    violations = []
-    worst = 0
-    for idx, (x, y) in enumerate(pairs):
+
+    def residual(pair):
+        x, y = pair
         acted = quantum_rack_action(x, PolyObservable.from_element(y), order)
-        expected = PolyObservable.from_element(bass_product(x, y, order))
-        diff = acted - expected
-        r = max((abs(c) for c in diff.terms.values()), default=0)
-        worst = max(worst, r)
-        if r > tol:
-            violations.append({"axiom": "action-on-linear", "sample": idx, "residual": r})
-    return CheckReport(
-        name="label-vs-action", checked=len(pairs), violations=violations, max_residual=worst
-    )
+        return acted.distance(PolyObservable.from_element(bass_product(x, y, order)))
+
+    return check_law("label-vs-action", samples(pairs, "action-on-linear"), residual, tol)
 
 
 def action_left_action_violations(algebra, pairs, observables, order=DEFAULT_FLOAT_ORDER, tol=0):
@@ -139,20 +133,15 @@ def action_left_action_violations(algebra, pairs, observables, order=DEFAULT_FLO
     Acting by y then x equals acting by x > y then x, mirroring the
     coadjoint law on covectors.
     """
-    violations = []
-    worst = 0
-    for idx, ((x, y), f) in enumerate(zip(pairs, observables)):
+
+    def residual(w):
+        (x, y), f = w
         lhs = quantum_rack_action(x, quantum_rack_action(y, f, order), order)
         acted_by_x = quantum_rack_action(x, f, order)
-        rhs = quantum_rack_action(bass_product(x, y, order), acted_by_x, order)
-        diff = lhs - rhs
-        r = max((abs(c) for c in diff.terms.values()), default=0)
-        worst = max(worst, r)
-        if r > tol:
-            violations.append({"axiom": "action-left-action", "sample": idx, "residual": r})
-    return CheckReport(
-        name="action-left-action", checked=len(pairs), violations=violations, max_residual=worst
-    )
+        return lhs.distance(quantum_rack_action(bass_product(x, y, order), acted_by_x, order))
+
+    witnesses = samples(zip(pairs, observables), "action-left-action")
+    return check_law("action-left-action", witnesses, residual, tol, len(pairs))
 
 
 # -- Poisson-type bracket -------------------------------------------------------
@@ -187,20 +176,14 @@ def poisson_bracket(algebra, f, g, sign=1):
 
 def right_leibniz_violations(algebra, triples, sign=1):
     """Defects of {f, gh} = {f, g} h + g {f, h} on observable triples."""
-    violations = []
-    for idx, (f, g, h) in enumerate(triples):
+
+    def residual(triple):
+        f, g, h = triple
         lhs = poisson_bracket(algebra, f, g * h, sign)
         rhs = poisson_bracket(algebra, f, g, sign) * h + g * poisson_bracket(algebra, f, h, sign)
-        diff = lhs - rhs
-        if diff.terms:
-            residual = max(abs(c) for c in diff.terms.values())
-            violations.append({"sample": idx, "residual": residual})
-    return CheckReport(
-        name="right-leibniz",
-        checked=len(triples),
-        violations=violations,
-        max_residual=max((v["residual"] for v in violations), default=0),
-    )
+        return lhs.distance(rhs)
+
+    return check_law("right-leibniz", samples(triples), residual)
 
 
 def semiclassical_leading_terms(algebra, f, g, sign=1):

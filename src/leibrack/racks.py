@@ -27,12 +27,13 @@ exponential is computed.
 """
 
 from fractions import Fraction
+from math import isfinite
 
 from . import linalg
-from .algebra import Element, Endomorphism
+from .algebra import Element, Endomorphism, bracket_defects
 from .linalg import EXACT, FLOAT
 from .observables import Covector
-from .reports import CheckReport
+from .reports import check_law, samples
 from .sampling import rational_vector, sample_invertible_matrix
 
 DEFAULT_FLOAT_ORDER = 12
@@ -69,7 +70,8 @@ def exp_endo(endo, order=DEFAULT_FLOAT_ORDER):
     raises when A^n fails to vanish (n the dimension) and returns the
     identity on a 0-dimensional algebra.  Float mode truncates the series
     at the given order, after scaling-and-squaring whenever the matrix
-    1-norm exceeds 1.
+    1-norm exceeds 1, and raises ValueError when the result overflows to a
+    non-finite entry.
     """
     n = endo.algebra.dim
     if endo.mode == EXACT:
@@ -94,6 +96,11 @@ def exp_endo(endo, order=DEFAULT_FLOAT_ORDER):
         total = linalg.mat_add(total, power)
     for _ in range(squarings):
         total = linalg.mat_mul(total, total)
+    if not all(isfinite(x) for row in total for x in row):
+        raise ValueError(
+            f"float exponential overflowed: exp of a matrix with 1-norm "
+            f"{linalg.mat_norm_1(endo.matrix)} has a non-finite entry"
+        )
     return Endomorphism(endo.algebra, total, FLOAT)
 
 
@@ -296,34 +303,25 @@ def check_rack_axioms(rack, triples, tol=0):
     """Check self-distributivity, left injectivity, and pointedness on a sample.
 
     Returns a CheckReport whose violations carry the axiom name, the sample
-    index, and the residual.
+    index, and the residual.  Left injectivity is tested only where y and z
+    differ, fails when x > y and x > z coincide within tol, and stays out
+    of the worst residual; the unit laws follow all triple laws.
     """
-    violations = []
-    worst = 0
-    for idx, (x, y, z) in enumerate(triples):
-        lhs = rack.product(x, rack.product(y, z))
-        rhs = rack.product(rack.product(x, y), rack.product(x, z))
-        r = rack.distance(lhs, rhs)
-        worst = max(worst, r)
-        if r > tol:
-            violations.append({"axiom": "self-distributivity", "sample": idx, "residual": r})
-        if rack.distance(y, z) > tol:
-            r_inj = rack.distance(rack.product(x, y), rack.product(x, z))
-            if r_inj <= tol:
-                violations.append(
-                    {"axiom": "left-injectivity", "sample": idx, "residual": r_inj}
-                )
-    unit = rack.unit()
-    for idx, (x, _, _) in enumerate(triples):
-        r_left = rack.distance(rack.product(unit, x), x)
-        r_right = rack.distance(rack.product(x, unit), unit)
-        worst = max(worst, r_left, r_right)
-        if r_left > tol:
-            violations.append({"axiom": "unit-acts-trivially", "sample": idx, "residual": r_left})
-        if r_right > tol:
-            violations.append({"axiom": "unit-is-fixed", "sample": idx, "residual": r_right})
-    return CheckReport(
-        name="rack-axioms", checked=len(triples), violations=violations, max_residual=worst
+    p, d, unit = rack.product, rack.distance, rack.unit()
+
+    def laws(w):
+        kind, (x, y, z) = w
+        if kind == "unit":
+            return {"unit-acts-trivially": d(p(unit, x), x), "unit-is-fixed": d(p(x, unit), unit)}
+        return {
+            "self-distributivity": d(p(x, p(y, z)), p(p(x, y), p(x, z))),
+            "left-injectivity": d(p(x, y), p(x, z)) if d(y, z) > tol else None,
+        }
+
+    witnesses = [(where, ("triple", t)) for where, t in samples(triples)]
+    witnesses += [(where, ("unit", t)) for where, t in samples(triples)]
+    return check_law(
+        "rack-axioms", witnesses, laws, tol, len(triples), apart=("left-injectivity",)
     )
 
 
@@ -333,19 +331,13 @@ def conjugation_lemma_violations(algebra, pairs, order=DEFAULT_FLOAT_ORDER, tol=
     ``pairs`` is a list of (z, x) element pairs; the automorphism is built
     from z so the identity can be tested without hand-made automorphisms.
     """
-    violations = []
-    worst = 0
-    for idx, (z, x) in enumerate(pairs):
+
+    def residual(pair):
+        z, x = pair
         a = exp_ad(z, order)
-        lhs = a @ exp_ad(x, order) @ a.inverse()
-        rhs = exp_ad(a(x), order)
-        r = lhs.distance(rhs)
-        worst = max(worst, r)
-        if r > tol:
-            violations.append({"axiom": "conjugation", "sample": idx, "residual": r})
-    return CheckReport(
-        name="conjugation-lemma", checked=len(pairs), violations=violations, max_residual=worst
-    )
+        return (a @ exp_ad(x, order) @ a.inverse()).distance(exp_ad(a(x), order))
+
+    return check_law("conjugation-lemma", samples(pairs, "conjugation"), residual, tol)
 
 
 def coadjoint_action_violations(algebra, pairs, xis, order=DEFAULT_FLOAT_ORDER, tol=0):
@@ -353,19 +345,15 @@ def coadjoint_action_violations(algebra, pairs, xis, order=DEFAULT_FLOAT_ORDER, 
 
     For all x, y and covectors xi:  Ad*_x (Ad*_y xi) = Ad*_{x>y} (Ad*_x xi).
     """
-    violations = []
-    worst = 0
-    for idx, ((x, y), xi) in enumerate(zip(pairs, xis)):
+
+    def residual(w):
+        (x, y), xi = w
         lhs = coadjoint(x, coadjoint(y, xi, order), order)
-        xy = bass_product(x, y, order)
-        rhs = coadjoint(xy, coadjoint(x, xi, order), order)
-        r = lhs.distance(rhs)
-        worst = max(worst, r)
-        if r > tol:
-            violations.append({"axiom": "coadjoint-left-action", "sample": idx, "residual": r})
-    return CheckReport(
-        name="coadjoint-action", checked=len(pairs), violations=violations, max_residual=worst
-    )
+        rhs = coadjoint(bass_product(x, y, order), coadjoint(x, xi, order), order)
+        return lhs.distance(rhs)
+
+    witnesses = samples(zip(pairs, xis), "coadjoint-left-action")
+    return check_law("coadjoint-action", witnesses, residual, tol, len(pairs))
 
 
 def pair_rack_closure_violations(algebra, pairs, order=DEFAULT_FLOAT_ORDER, tol=0):
@@ -375,32 +363,18 @@ def pair_rack_closure_violations(algebra, pairs, order=DEFAULT_FLOAT_ORDER, tol=
     be an embedded point, namely the one over x > y; this is the matrix
     form of conjugation-invariance of exponentials of inner derivations.
     """
-    violations = []
-    worst = 0
-    for idx, (x, y) in enumerate(pairs):
+
+    def residual(pair):
+        x, y = pair
         got = rh_product(rh_embed(x, order), rh_embed(y, order))
-        want = rh_embed(bass_product(x, y, order), order)
-        r = got.distance(want)
-        worst = max(worst, r)
-        if r > tol:
-            violations.append({"axiom": "pair-rack-closure", "sample": idx, "residual": r})
-    return CheckReport(
-        name="pair-rack-closure", checked=len(pairs), violations=violations, max_residual=worst
-    )
+        return got.distance(rh_embed(bass_product(x, y, order), order))
+
+    return check_law("pair-rack-closure", samples(pairs, "pair-rack-closure"), residual, tol)
 
 
 def linear_map_bracket_violations(source, target, matrix):
     """Basis pairs where a linear map fails to preserve the brackets."""
-    violations = []
-    for i in range(source.dim):
-        for j in range(source.dim):
-            img = linalg.mat_vec(matrix, source.table[i][j])
-            col_i = [matrix[r][i] for r in range(target.dim)]
-            col_j = [matrix[r][j] for r in range(target.dim)]
-            rhs = target.bracket_coords(col_i, col_j)
-            if [Fraction(a) for a in img] != [Fraction(b) for b in rhs]:
-                violations.append(((i, j), linalg.vec_sub(img, rhs)))
-    return violations
+    return bracket_defects(source, target, matrix)
 
 
 def rack_morphism_check(source, target, matrix, pairs, order=DEFAULT_FLOAT_ORDER, tol=0):
@@ -409,29 +383,24 @@ def rack_morphism_check(source, target, matrix, pairs, order=DEFAULT_FLOAT_ORDER
     ``matrix`` is a target.dim x source.dim rational matrix; ``pairs`` are
     (x, y) samples in the source.  The map must preserve brackets on basis
     pairs, and phi(x) = (a(x), exp(ad_{a(x)})) must send x > y to
-    phi(x) > phi(y) in the pair rack of the target.
+    phi(x) > phi(y) in the pair rack of the target.  Both laws are judged
+    against ``tol``; the bracket defects come first.
     """
-    bracket_bad = linear_map_bracket_violations(source, target, matrix)
-    violations = [
-        {"axiom": "bracket-morphism", "pair": ij, "residual": max(map(abs, res))}
-        for ij, res in bracket_bad
-    ]
-    worst = max((v["residual"] for v in violations), default=0)
 
     def push(x):
-        coords = linalg.mat_vec(matrix, list(x.coords))
-        return target.element(coords, x.mode)
+        return target.element(linalg.mat_vec(matrix, list(x.coords)), x.mode)
 
-    for idx, (x, y) in enumerate(pairs):
+    def residual(w):
+        kind, value = w
+        if kind == "pair":
+            return max(map(abs, value))
+        x, y = value
         left = rh_embed(push(bass_product(x, y, order)), order)
-        right = rh_product(rh_embed(push(x), order), rh_embed(push(y), order))
-        r = left.distance(right)
-        worst = max(worst, r)
-        if r > tol:
-            violations.append({"axiom": "rack-morphism", "sample": idx, "residual": r})
-    return CheckReport(
-        name="rack-morphism",
-        checked=source.dim * source.dim + len(pairs),
-        violations=violations,
-        max_residual=worst,
-    )
+        return left.distance(rh_product(rh_embed(push(x), order), rh_embed(push(y), order)))
+
+    witnesses = [
+        ({"axiom": "bracket-morphism", "pair": ij}, ("pair", defect))
+        for ij, defect in bracket_defects(source, target, matrix)
+    ]
+    witnesses += [(where, ("sample", p)) for where, p in samples(pairs, "rack-morphism")]
+    return check_law("rack-morphism", witnesses, residual, tol, source.dim ** 2 + len(pairs))

@@ -30,6 +30,11 @@ def sample_elements(algebra, count, seed, mode=EXACT, scale=Fraction(1)):
     return out
 
 
+def sample_pairs(algebra, count, seed, mode=EXACT, scale=Fraction(1)):
+    flat = sample_elements(algebra, 2 * count, seed, mode, scale)
+    return [(flat[2 * t], flat[2 * t + 1]) for t in range(count)]
+
+
 def sample_triples(algebra, count, seed, mode=EXACT, scale=Fraction(1)):
     flat = sample_elements(algebra, 3 * count, seed, mode, scale)
     return [tuple(flat[3 * t : 3 * t + 3]) for t in range(count)]

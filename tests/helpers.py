@@ -110,6 +110,29 @@ def sl2_semidirect(sl2, m):
     return hemi_semi_direct(sl2, action, d, name=f"sl2xV{m}")
 
 
+def reference_morphism_residual(algebra, a):
+    """Largest defect of a[x,y] = [ax, ay] over basis pairs, by the dense n^5 sum.
+
+    The former ``Endomorphism.morphism_residual``, kept as the oracle for the
+    sparse ``bracket_defects`` kernel.
+    """
+    n = algebra.dim
+    c = algebra.table
+    worst = 0
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                rhs = sum(
+                    a[p][i] * a[q][j] * c[p][q][m]
+                    for p in range(n)
+                    for q in range(n)
+                    if c[p][q][m] != 0
+                )
+                lhs = sum(c[i][j][l] * a[m][l] for l in range(n))
+                worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
 # -- reference eliminations over Fraction -------------------------------------
 # Plain Fraction Gauss(-Jordan) and Lagrange congruence, kept as the oracle for
 # the integer kernels in leibrack.linalg.

@@ -304,6 +304,21 @@ def test_float_mode_rejected_for_exact_only_commands(command):
     assert_usage_error(proc, "exact-only")
 
 
+@pytest.mark.parametrize("command", ["rack", "quantize", "bch", "tangent"])
+def test_non_finite_float_exponential_exits_two(tmp_path, command):
+    # sl2 with its structure constants scaled by 10^6: exp(ad_x) overflows.
+    doc = json.loads(corpus_path("sl2").read_text())
+    for entry in doc["brackets"]:
+        entry["value"] = [[num * 10**6, den] for num, den in entry["value"]]
+    big = tmp_path / "sl2big.json"
+    big.write_text(json.dumps(doc))
+    proc = run_cli(command, big, "--mode", "float", "--samples", 3)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: float exponential overflowed")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 COMMANDS = ["validate", "analyze", "rack", "bch", "cocycle", "quantize", "hessian", "tangent"]
 # Default runs whose precondition does not hold: BCH needs a Lie algebra and
 # an exact exponential a nilpotent one.

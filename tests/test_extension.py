@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from leibrack import linalg
 from leibrack.algebra import LeibnizAlgebra
 from leibrack.corpus import CORPUS_NAMES
 from leibrack.extension import (
@@ -52,7 +53,7 @@ def test_projection_is_bracket_morphism(corpus, name):
 def test_projection_inverts_section(corpus, name):
     ext = build_extension(corpus[name])
     for q in ext.quotient.basis_elements():
-        assert ext.project(ext.section(q)) == q
+        assert linalg.mat_vec(ext.pi_matrix, ext.section(q).coords) == list(q.coords)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -100,7 +101,8 @@ def test_trivial_center_gives_back_the_algebra(sl2):
     assert ext.quotient.table == sl2.table
     # projection and section are mutually inverse identities here
     for i, x in enumerate(sl2.basis_elements()):
-        assert ext.project(x).coords == ext.quotient.basis_element(i).coords
+        unit = ext.quotient.basis_element(i)
+        assert linalg.mat_vec(ext.pi_matrix, x.coords) == list(unit.coords)
         assert ext.section(ext.quotient.basis_element(i)) == x
     for x in ext.quotient.basis_elements():
         for y in ext.quotient.basis_elements():

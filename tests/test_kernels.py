@@ -13,7 +13,13 @@ from math import factorial
 import pytest
 
 from leibrack import cli, linalg, racks
-from leibrack.algebra import LeibnizAlgebra, derivation_algebra, left_center
+from leibrack.algebra import (
+    Endomorphism,
+    LeibnizAlgebra,
+    bracket_defects,
+    derivation_algebra,
+    left_center,
+)
 from leibrack.corpus import CORPUS_NAMES, corpus_path, load_corpus
 from leibrack.observables import Covector
 from leibrack.quantize import hessian_matrix
@@ -25,6 +31,7 @@ from helpers import (
     n_k,
     random_invertible,
     rebase,
+    reference_morphism_residual,
     reference_rref,
     sl2_semidirect,
 )
@@ -290,6 +297,49 @@ def test_exp_endo_on_zero_dimensional_algebra():
     assert exp.matrix == ()
     assert exp == type(exp).identity(point)
     assert bass_product(point.zero(), point.zero()) == point.zero()
+
+
+# -- the bracket-morphism kernel --------------------------------------------------
+
+
+def _maps(alg, rng):
+    """The identity, a scaling, a random invertible map and, on nilpotent algebras, exp(ad_x)."""
+    n = alg.dim
+    maps = [linalg.identity_matrix(n), random_invertible(rng, n)]
+    maps.append([[Fraction(i + 2) if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+    if alg.is_nilpotent():
+        maps.append([list(row) for row in exp_endo(alg.ad(rational_vector(rng, n))).matrix])
+    return maps
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_morphism_residual_matches_the_dense_loop(name):
+    alg = ALGEBRAS[name]
+    for a in _maps(alg, random.Random(name + "morphism")):
+        got = Endomorphism(alg, a).morphism_residual()
+        want = reference_morphism_residual(alg, a)
+        assert got == want
+        assert type(got) is type(want)
+        # float sums run in another order than the dense loop: close, not bit-equal
+        floats = [[float(x) for x in row] for row in a]
+        got = Endomorphism(alg, floats, "float").morphism_residual()
+        assert got == pytest.approx(float(want), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_bracket_defects_list_every_failing_basis_pair(name):
+    alg = ALGEBRAS[name]
+    n = alg.dim
+    for a in _maps(alg, random.Random(name + "defects")):
+        found = dict(bracket_defects(alg, alg, a))
+        for i in range(n):
+            for j in range(n):
+                col_i = [a[r][i] for r in range(n)]
+                col_j = [a[r][j] for r in range(n)]
+                want = linalg.vec_sub(
+                    linalg.mat_vec(a, alg.table[i][j]), alg.bracket_coords(col_i, col_j)
+                )
+                assert found.get((i, j), [0] * n) == want
 
 
 # -- the per-algebra exp(ad_x) cache ---------------------------------------------

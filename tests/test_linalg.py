@@ -144,7 +144,6 @@ def test_vector_helpers():
     assert linalg.vec_sub([F(1), F(2)], [F(3), F(4)]) == [F(-2), F(-2)]
     assert linalg.vec_scale(F(1, 2), [F(2), F(4)]) == [F(1), F(2)]
     assert linalg.vec_dot([F(1), F(2)], [F(3), F(4)]) == 11
-    assert linalg.vec_norm_inf([F(1), F(-5)]) == 5
 
 
 def test_empty_matrix_products():

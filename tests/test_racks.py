@@ -50,6 +50,15 @@ def test_exp_endo_exact_rejects_non_nilpotent(sl2):
         exp_endo(sl2.ad(h))
 
 
+def test_exp_endo_float_rejects_an_overflowed_result():
+    from leibrack.algebra import Endomorphism
+
+    plane = LeibnizAlgebra(make_table(2, {}))
+    huge = Endomorphism(plane, [[0.0, 1e6], [1e6, 0.0]], mode="float")
+    with pytest.raises(ValueError, match="overflowed"):
+        exp_endo(huge)
+
+
 def test_exp_endo_float_matches_closed_form():
     from leibrack.algebra import Endomorphism
 

@@ -1,0 +1,73 @@
+"""The law runner: judging, violation records and the worst-residual fold."""
+
+import math
+
+from leibrack.reports import check_law, samples
+
+
+def test_nan_residual_fails_and_is_reported():
+    report = check_law("law", samples([0.0, float("nan"), 1e-10]), lambda r: r, tol=1e-9)
+    assert not report.passed
+    assert report.violations == [{"sample": 1, "residual": report.violations[0]["residual"]}]
+    assert math.isnan(report.violations[0]["residual"])
+    assert math.isnan(report.max_residual)
+    assert report.checked == 3
+
+
+def test_residual_equal_to_tol_passes():
+    report = check_law("law", samples([1e-9, 0.5e-9]), lambda r: r, tol=1e-9)
+    assert report.passed
+    assert report.max_residual == 1e-9
+
+
+def test_all_zero_float_residuals_report_int_zero():
+    report = check_law("law", samples([0.0, 0.0]), lambda r: r, tol=1e-9)
+    assert report.max_residual == 0 and type(report.max_residual) is int
+    report = check_law("law", samples([0.0]), lambda r: r, tol=1e-9, start=0.0)
+    assert type(report.max_residual) is float
+
+
+def test_first_of_equal_residuals_is_kept():
+    report = check_law("law", samples([1, 1.0]), lambda r: r, tol=2)
+    assert type(report.max_residual) is int
+
+
+def test_axiom_dicts_are_judged_in_order_and_none_is_skipped():
+    def laws(w):
+        return {"first": w, "second": None if w == 0 else 2 * w}
+
+    report = check_law("law", samples([0, 1]), laws, checked=7)
+    assert report.violations == [
+        {"axiom": "first", "sample": 1, "residual": 1},
+        {"axiom": "second", "sample": 1, "residual": 2},
+    ]
+    assert report.max_residual == 2
+    assert report.checked == 7
+
+
+def test_apart_axioms_fail_when_points_collide_and_stay_out_of_the_fold():
+    report = check_law(
+        "law", samples([0, 5]), lambda w: {"apart": w}, tol=1, apart=("apart",)
+    )
+    assert report.violations == [{"axiom": "apart", "sample": 0, "residual": 0}]
+    assert report.max_residual == 0
+    report = check_law("law", samples([float("nan")]), lambda w: {"apart": w}, apart=("apart",))
+    assert not report.passed
+
+
+def test_vector_residuals_are_judged_by_their_largest_entry_and_shown_whole():
+    report = check_law("law", [({"pair": [1, 2]}, [0, -3, 1])], checked=4)
+    assert report.violations == [{"pair": [1, 2], "residual": [0, -3, 1]}]
+    assert report.max_residual == 3
+    assert report.checked == 4
+
+
+def test_no_witnesses_pass_with_zero_checked():
+    report = check_law("law", [])
+    assert report.passed
+    assert (report.checked, report.max_residual) == (0, 0)
+
+
+def test_samples_label_by_index_and_axiom():
+    assert samples("ab") == [({"sample": 0}, "a"), ({"sample": 1}, "b")]
+    assert samples("a", "ax") == [({"axiom": "ax", "sample": 0}, "a")]
