@@ -9,6 +9,11 @@ Besides the corpus, the cases read the algebras in ``tests/data``.
 ``freenil3-perturbed`` is freenil3 with e2 added to [e1, e1]: still nilpotent
 but no longer Leibniz, so its validate, rack and quantize reports fail (exit
 1), and their digests pin the violation lists, not only passing reports.
+``n5`` (strictly upper-triangular 5 x 5 matrices) and ``n4-rebased`` (n_4 in
+the basis of ``random_invertible(random.Random(1), 6)``) have non-trivial
+extensions; in the rebased one the left center is not a coordinate axis, so
+the projection carries a center correction.  Their analyze and cocycle
+reports pin the extension data on inputs beyond the corpus.
 
 Regenerate the digests (only when a report change is intended) with
 
@@ -20,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -27,12 +33,16 @@ import pytest
 
 from leibrack import cli
 from leibrack.corpus import CORPUS_NAMES, corpus_path
+from leibrack.io import load_algebra
+
+from helpers import n_k, random_invertible, rebase
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_PATH = os.path.join(HERE, "golden_reports.json")
 FAILING = "freenil3-perturbed"
 NILPOTENT = ("abelian3", "leib2", "heisenberg", "freenil3")
 NILPOTENT_LIE = ("abelian3", "heisenberg", "freenil3")
+EXTENSIONS = ("n5", "n4-rebased")
 
 
 def _cases():
@@ -53,6 +63,9 @@ def _cases():
     cases.append(("bch", "sl2", "float"))
     for command in ("validate", "rack", "quantize"):
         cases.append((command, FAILING))
+    for name in EXTENSIONS:
+        for command in ("analyze", "cocycle"):
+            cases.append((command, name))
     return cases
 
 
@@ -94,6 +107,12 @@ def test_report_bytes_match_golden(case):
     want = load_golden()[case_id(case)]
     code, digest = run_case(case)
     assert [code, digest] == want
+
+
+def test_extension_data_files_follow_their_recipe():
+    assert load_algebra(algebra_path("n5")).table == n_k(5).table
+    g = random_invertible(random.Random(1), 6)
+    assert load_algebra(algebra_path("n4-rebased")).table == rebase(n_k(4), g).table
 
 
 def test_golden_file_covers_exactly_the_cases():
