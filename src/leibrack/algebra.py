@@ -20,7 +20,9 @@ dense loop would, so float results are bit-for-bit those of the dense sums.
 """
 
 from fractions import Fraction
-from math import lcm
+from functools import reduce
+from math import gcd, lcm
+from operator import add
 
 from . import linalg
 from .linalg import EXACT, FLOAT, check_mode
@@ -277,7 +279,7 @@ class Element:
         return self.algebra.bracket(self, other)
 
     def distance(self, other):
-        return max(abs(a - b) for a, b in zip(self.coords, other.coords)) if self.coords else 0
+        return linalg.max_abs(a - b for a, b in zip(self.coords, other.coords))
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
@@ -345,8 +347,8 @@ class Endomorphism:
         return hash((self.matrix, self.mode))
 
     def distance(self, other):
-        return max(
-            abs(a - b) for ra, rb in zip(self.matrix, other.matrix) for a, b in zip(ra, rb)
+        return linalg.max_abs(
+            a - b for ra, rb in zip(self.matrix, other.matrix) for a, b in zip(ra, rb)
         )
 
     def inverse(self):
@@ -358,20 +360,15 @@ class Endomorphism:
     # -- structural predicates -------------------------------------------------
 
     def derivation_residual(self):
-        """Largest defect of D[x,y] = [Dx,y] + [x,Dy] over basis pairs."""
-        n = self.algebra.dim
-        c = self.algebra.table
-        d = self.matrix
-        worst = 0
-        for i in range(n):
-            for j in range(n):
-                for m in range(n):
-                    r = sum(
-                        c[i][j][l] * d[m][l] - d[l][i] * c[l][j][m] - d[l][j] * c[i][l][m]
-                        for l in range(n)
-                    )
-                    worst = max(worst, abs(r))
-        return worst
+        """Largest defect of D[x,y] = [Dx,y] + [x,Dy] over basis pairs.
+
+        Each defect entry is a row of the derivation system times vec(D).
+        """
+        flat = [x for row in self.matrix for x in row]
+        return linalg.max_abs(
+            reduce(add, (c * flat[col] for col, c in row.items()), 0)
+            for row in _derivation_rows(self.algebra)
+        )
 
     def is_derivation(self, tol=0):
         return self.derivation_residual() <= tol
@@ -379,7 +376,7 @@ class Endomorphism:
     def morphism_residual(self):
         """Largest defect of a[x,y] = [ax, ay] over basis pairs."""
         defects = bracket_defects(self.algebra, self.algebra, self.matrix)
-        return max((max(map(abs, defect)) for _, defect in defects), default=0)
+        return linalg.max_abs(c for _, defect in defects for c in defect)
 
     def is_endomorphism(self, tol=0):
         """True when the map preserves the bracket on basis pairs."""
@@ -427,13 +424,25 @@ class Subspace:
     def dim(self):
         return len(self.basis_rows)
 
+    def coefficients(self, coords):
+        """Coefficients of a coordinate vector on ``basis_rows``, or None outside the span.
+
+        The rows are in reduced echelon form, so the coefficient of a row is
+        the coordinate at its pivot, and the vector lies in the span iff
+        v - sum_b v[p_b] * row_b is 0.
+        """
+        rest = [Fraction(c) for c in coords]
+        coeffs = [rest[p] for p in self.pivots]
+        for a, row in zip(coeffs, self.basis_rows):
+            if a:
+                rest = [x - a * y for x, y in zip(rest, row)]
+        return None if any(rest) else coeffs
+
     def contains(self, element):
-        coords = [Fraction(c) for c in element.coords]
-        return linalg.coordinates_in_rowspan(self.basis_rows, coords) is not None
+        return self.coefficients(element.coords) is not None
 
     def coordinates(self, element):
-        coords = [Fraction(c) for c in element.coords]
-        got = linalg.coordinates_in_rowspan(self.basis_rows, coords)
+        got = self.coefficients(element.coords)
         if got is None:
             raise ValueError("element does not lie in the subspace")
         return got
@@ -474,13 +483,13 @@ class DerivationSummary:
         )
 
 
-def derivation_algebra(algebra):
-    """Solve the linear system cutting out all derivations.
+def _derivation_rows(algebra):
+    """The linear system cutting out the derivations, one sparse row per entry.
 
-    The unknown is the matrix D; for every basis pair (i, j) the identity
-    D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] is linear in the entries of D.
-    Returns a DerivationSummary whose basis matrices are the reduced-echelon
-    representatives of der(h); inner derivations are the span of the ad_x.
+    The unknown is D, flattened to vec(D) with D[m][l] at m * n + l.  For
+    every basis pair (i, j) and coordinate m whose identity has a term,
+    yields the dict ``{column: coefficient}`` with row . vec(D) equal to
+    the m-th entry of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].
     """
     n = algebra.dim
     # With c = c[p][q][m] != 0: left[q][m] holds (p, c) and right[p][m] holds (q, c).
@@ -491,7 +500,6 @@ def derivation_algebra(algebra):
             for m, c in entries:
                 left[q][m].append((p, c))
                 right[p][m].append((q, c))
-    rows = []
     for i in range(n):
         brackets = dict(algebra.sparse[i])
         for j in range(n):
@@ -499,15 +507,50 @@ def derivation_algebra(algebra):
             for m in range(n):
                 if not (bracket or left[j][m] or right[i][m]):
                     continue
-                row = [Fraction(0)] * (n * n)
-                for l, c in bracket:
-                    row[m * n + l] += c
-                for l, c in left[j][m]:
-                    row[l * n + i] -= c
-                for l, c in right[i][m]:
-                    row[l * n + j] -= c
-                if any(row):
-                    rows.append(row)
+                row = {}
+                terms = [(m * n + l, c) for l, c in bracket]
+                terms += [(l * n + i, -c) for l, c in left[j][m]]
+                terms += [(l * n + j, -c) for l, c in right[i][m]]
+                for col, c in terms:
+                    row[col] = row.get(col, 0) + c
+                yield row
+
+
+def _primitive(row):
+    """A sparse rational row as its primitive int multiple, leading entry positive.
+
+    Two rows that are scalar multiples of each other give the same tuple of
+    ``(column, entry)``; the zero row gives ().
+    """
+    entries = sorted((col, c) for col, c in row.items() if c)
+    if not entries:
+        return ()
+    scale = lcm(*(c.denominator for _, c in entries))
+    ints = [c.numerator * (scale // c.denominator) for _, c in entries]
+    g = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
+    return tuple((col, x // g) for (col, _), x in zip(entries, ints))
+
+
+def derivation_algebra(algebra):
+    """Solve the linear system cutting out all derivations.
+
+    The unknown is the matrix D; for every basis pair (i, j) the identity
+    D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] is linear in the entries of D.
+    Rows of ``_derivation_rows`` that repeat up to a scalar are eliminated
+    once (first occurrence, as a primitive int row): the reduced echelon
+    basis of the nullspace depends only on the row space.  Returns a
+    DerivationSummary whose basis matrices are the reduced-echelon
+    representatives of der(h); inner derivations are the span of the ad_x.
+    """
+    n = algebra.dim
+    unique = dict.fromkeys(map(_primitive, _derivation_rows(algebra)))
+    unique.pop((), None)
+    rows = []
+    for entries in unique:
+        row = [0] * (n * n)
+        for col, x in entries:
+            row[col] = x
+        rows.append(row)
     flat_basis = linalg.nullspace(rows, cols=n * n)
     basis = [
         Endomorphism(algebra, [row[k * n : (k + 1) * n] for k in range(n)]) for row in flat_basis

@@ -2,52 +2,61 @@
 
 Quotienting a left Leibniz algebra h by its left center Z gives a Lie
 algebra q, and h is recovered from q, the Z-module structure, and a
-2-cocycle.  This module builds all of that data explicitly:
+2-cocycle.  This module builds all of that data as index maps on the
+complement: the coordinates of h that are not pivot columns of the
+reduced-echelon basis of Z, one per basis vector of q.
 
-* a section s : q -> h picked on the coordinate complement of the pivot
-  columns of the reduced-echelon basis of Z,
-* the projection pi with pi(s(x)) = x,
-* the cocycle table omega(x, y) = s([x, y]) - [s(x), s(y)], taking values
-  in Z (the "section defect" sign convention; the bracket that rebuilds h
-  uses its negative, exposed as ``extension_omega``).
+* the section s : q -> h scatters the coordinates of x onto the complement,
+* the projection pi, with pi(s(x)) = x, reads the complement coordinates
+  of the center-corrected v - sum_b v[p_b] row_b (row_b the center basis
+  row with pivot p_b); ``pi_matrix`` holds it as a matrix, and the quotient
+  table is pi of the nonzero entries of ``algebra.sparse``,
+* the cocycle table omega(x, y) = s([x, y]) - [s(x), s(y)] takes values in
+  Z, which the pivot test of ``Subspace.coefficients`` checks (the "section
+  defect" sign convention; the bracket that rebuilds h uses its negative,
+  exposed as ``extension_omega``).
+
+The cocycle identity and the reconstruction of h are evaluated straight
+from ``omega_table``, the sparse tables of h and q and the center basis
+rows, read at call time; no Element is built per basis triple.
 """
 
 from fractions import Fraction
 
-from . import linalg
 from .algebra import Element, LeibnizAlgebra, bracket_defects, left_center
 
 
 class ExtensionData:
     """Left center, quotient Lie algebra, section, projection, and cocycle."""
 
-    def __init__(self, algebra, center, quotient, pi_matrix, section_matrix, omega_table):
+    def __init__(self, algebra, center, quotient, pi_matrix, omega_table):
         self.algebra = algebra
         self.center = center
         self.quotient = quotient
         self.pi_matrix = pi_matrix
-        self.section_matrix = section_matrix
         self.omega_table = omega_table
+        self.complement = [k for k in range(algebra.dim) if k not in center.pivots]
 
     def section(self, x):
         """s : q -> h, linear right inverse of pi."""
-        return Element(self.algebra, linalg.mat_vec(self.section_matrix, x.coords), x.mode)
+        coords = [0] * self.algebra.dim
+        for k, c in zip(self.complement, x.coords):
+            coords[k] = c
+        return Element(self.algebra, coords, x.mode)
 
     def omega(self, x, y):
         """Bilinear extension of the cocycle table to quotient elements."""
-        q = self.quotient.dim
         coords = [0] * self.algebra.dim
-        for a in range(q):
-            xa = x.coords[a]
+        for xa, row in zip(x.coords, self.omega_table):
             if xa == 0:
                 continue
-            for b in range(q):
-                yb = y.coords[b]
+            for yb, cell in zip(y.coords, row):
                 if yb == 0:
                     continue
                 w = xa * yb
-                cell = self.omega_table[a][b]
-                coords = [acc + w * c for acc, c in zip(coords, cell)]
+                for k, c in enumerate(cell):
+                    if c:
+                        coords[k] = coords[k] + w * c
         return Element(self.algebra, coords, x.mode)
 
     def extension_omega(self, x, y):
@@ -65,47 +74,45 @@ def build_extension(algebra):
         raise ValueError("input does not satisfy the Leibniz identity")
     n = algebra.dim
     center = left_center(algebra)
-    pivots = center.pivots
-    complement = [q for q in range(n) if q not in pivots]
-    dim_q = len(complement)
+    complement = [k for k in range(n) if k not in center.pivots]
+    # pi(e_k): a unit at the complement index k, minus row_b at the pivot p_b = k
+    pi_columns = [[Fraction(int(k == j)) for j in complement] for k in range(n)]
+    for p, row in zip(center.pivots, center.basis_rows):
+        pi_columns[p] = [-row[j] for j in complement]
+    pi_matrix = [list(row) for row in zip(*pi_columns)]
 
-    # section: s(q-th quotient basis vector) = e_{complement[q]}
-    section_matrix = [[Fraction(0)] * dim_q for _ in range(n)]
-    for col, q in enumerate(complement):
-        section_matrix[q][col] = Fraction(1)
+    def project(entries):
+        """pi of the vector with nonzero entries ``(k, c)``."""
+        out = [Fraction(0)] * len(complement)
+        for k, c in entries:
+            out = [x + c * y for x, y in zip(out, pi_columns[k])]
+        return out
 
-    # projection: strip the center component, read off complement coordinates
-    pi_matrix = [[Fraction(0)] * n for _ in range(dim_q)]
-    for row, q in enumerate(complement):
-        pi_matrix[row][q] = Fraction(1)
-        for b, p in enumerate(pivots):
-            pi_matrix[row][p] = -center.basis_rows[b][q]
-
-    quotient_table = [[[Fraction(0)] * dim_q for _ in range(dim_q)] for _ in range(dim_q)]
-    for a, qa in enumerate(complement):
-        for b, qb in enumerate(complement):
-            quotient_table[a][b] = linalg.mat_vec(pi_matrix, algebra.table[qa][qb])
+    brackets = [dict(algebra.sparse[k]) for k in complement]
+    quotient_table = [[project(plane.get(k, ())) for k in complement] for plane in brackets]
     quotient = LeibnizAlgebra(
         quotient_table,
-        basis=tuple(algebra.basis[q] + "~" for q in complement),
+        basis=tuple(algebra.basis[k] + "~" for k in complement),
         name=(algebra.name + "/leftcenter") if algebra.name else "quotient",
     )
     if not quotient.is_lie():
         raise ValueError("quotient by the left center is not a Lie algebra")
 
     omega_table = []
-    for a, qa in enumerate(complement):
+    for plane, q_row in zip(brackets, quotient_table):
         row = []
-        for b, qb in enumerate(complement):
-            q_bracket = quotient_table[a][b]
-            s_of = linalg.mat_vec(section_matrix, q_bracket)
-            value = linalg.vec_sub(s_of, algebra.table[qa][qb])
-            if linalg.coordinates_in_rowspan(center.basis_rows, value) is None:
+        for k, q_bracket in zip(complement, q_row):
+            value = [Fraction(0)] * n
+            for r, c in zip(complement, q_bracket):
+                value[r] = c
+            for m, c in plane.get(k, ()):
+                value[m] -= c
+            if center.coefficients(value) is None:
                 raise ValueError("cocycle value escaped the left center")
             row.append(value)
         omega_table.append(row)
 
-    return ExtensionData(algebra, center, quotient, pi_matrix, section_matrix, omega_table)
+    return ExtensionData(algebra, center, quotient, pi_matrix, omega_table)
 
 
 def projection_morphism_violations(ext):
@@ -121,46 +128,81 @@ def cocycle_identity_violations(ext):
         x.omega(y, z) - y.omega(x, z)
           - omega([x, y], z) + omega(x, [y, z]) - omega(y, [x, z]) = 0
 
-    on all quotient basis triples.
+    on all quotient basis triples (a, b, c).  The actions are the planes of
+    ``algebra.sparse`` at the complement indices of a and b applied to the
+    nonzero entries of an omega cell; each omega of a bracket sums the
+    q-coefficients of ``quotient.sparse`` times omega cells.  Returns
+    ``((a, b, c), residual)`` for every triple with a nonzero residual.
     """
-    quot = ext.quotient
+    n = ext.algebra.dim
+    # omega[a][b]: the nonzero (k, c) of the cell
+    omega = [[[(k, c) for k, c in enumerate(v) if c] for v in row] for row in ext.omega_table]
+    by_column = list(zip(*omega))  # by_column[c][d] = omega[d][c]
+    lifts = [dict(ext.algebra.sparse[k]) for k in ext.complement]
+    q_brackets = [dict(plane) for plane in ext.quotient.sparse]
+    q = ext.quotient.dim
     violations = []
-    basis = quot.basis_elements()
-    for a, x in enumerate(basis):
-        sx = ext.section(x)
-        for b, y in enumerate(basis):
-            sy = ext.section(y)
-            for c, z in enumerate(basis):
-                term1 = ext.algebra.bracket(sx, ext.omega(y, z))
-                term2 = ext.algebra.bracket(sy, ext.omega(x, z))
-                term3 = ext.omega(quot.bracket(x, y), z)
-                term4 = ext.omega(x, quot.bracket(y, z))
-                term5 = ext.omega(y, quot.bracket(x, z))
-                residual = term1 - term2 - term3 + term4 - term5
-                if not residual.is_zero():
-                    violations.append(((a, b, c), residual.coords))
+    for a in range(q):
+        for b in range(q):
+            for c in range(q):
+                residual = [0] * n
+                # x.omega(y, z) - y.omega(x, z)
+                for sign, plane, cell in ((1, lifts[a], omega[b][c]), (-1, lifts[b], omega[a][c])):
+                    for l, w in cell:
+                        for k, coef in plane.get(l, ()):
+                            residual[k] += sign * w * coef
+                # - omega([x, y], z) + omega(x, [y, z]) - omega(y, [x, z])
+                for sign, coeffs, cells in (
+                    (-1, q_brackets[a].get(b, ()), by_column[c]),
+                    (1, q_brackets[b].get(c, ()), omega[a]),
+                    (-1, q_brackets[a].get(c, ()), omega[b]),
+                ):
+                    for d, coef in coeffs:
+                        for k, w in cells[d]:
+                            residual[k] += sign * coef * w
+                if any(residual):
+                    violations.append(((a, b, c), tuple(map(Fraction, residual))))
     return violations
 
 
 def reconstruction_violations(ext):
     """Check the bracket of h against its extension form on basis data.
 
-    For quotient basis vectors x, y and center basis vectors a, b:
+    For quotient basis vectors x, y and center basis vectors a, b (or 0):
 
         [s(x) + a, s(y) + b] = s([x, y]) - omega(x, y) + [s(x), b].
+
+    By bilinearity the residual of (x, y, a, b) is D(x, y) + [a, s(y)] +
+    [a, b], with D(x, y) = [s(x), s(y)] - s([x, y]) + omega(x, y); the three
+    tables are built once and summed in the (x, y, a, b) order.  Returns
+    ``((i, j), residual)`` for every nonzero residual.
     """
-    alg = ext.algebra
-    quot = ext.quotient
+    alg, quot = ext.algebra, ext.quotient
+    n = alg.dim
+    complement = ext.complement
+    defects = []
+    for i, plane in enumerate(ext.omega_table):
+        lift = dict(alg.sparse[complement[i]])
+        row = []
+        for j, cell in enumerate(plane):
+            d = list(cell)
+            for k, c in lift.get(complement[j], ()):
+                d[k] += c
+            for k, c in zip(complement, quot.table[i][j]):
+                d[k] -= c
+            row.append(d)
+        defects.append(row)
+    centers = ext.center.basis_rows + [[0] * n]
+    units = [[int(m == k) for m in range(n)] for k in complement]
+    acts = [[alg.bracket_coords(a, unit) for unit in units] for a in centers]
+    squares = [[alg.bracket_coords(a, b) for b in centers] for a in centers]
     violations = []
-    center_elements = ext.center.elements() + [alg.zero()]
-    for i, x in enumerate(quot.basis_elements()):
-        sx = ext.section(x)
-        for j, y in enumerate(quot.basis_elements()):
-            sy = ext.section(y)
-            for a in center_elements:
-                for b in center_elements:
-                    lhs = alg.bracket(sx + a, sy + b)
-                    rhs = ext.section(quot.bracket(x, y)) - ext.omega(x, y) + alg.bracket(sx, b)
-                    if lhs != rhs:
-                        violations.append(((i, j), (lhs - rhs).coords))
+    for i, row in enumerate(defects):
+        for j, d in enumerate(row):
+            for act, products in zip(acts, squares):
+                base = [x + y for x, y in zip(d, act[j])]
+                for ab in products:
+                    residual = [x + y for x, y in zip(base, ab)]
+                    if any(residual):
+                        violations.append(((i, j), tuple(map(Fraction, residual))))
     return violations

@@ -71,6 +71,23 @@ def vec_dot(u, v):
     return reduce(add, map(mul, u, v), 0)
 
 
+def max_abs(values):
+    """The largest abs(v), picked as ``max`` picks it, except that a NaN sticks.
+
+    ``max`` keeps the first largest value and drops a NaN met after the
+    first item (nan > x and x > nan are both False); here a NaN, once met,
+    is the result, so a distance with a NaN coordinate fails every check.
+    An empty input gives the int 0.
+    """
+    values = iter(values)
+    worst = abs(next(values, 0))
+    for v in values:
+        v = abs(v)
+        if v > worst or v != v:
+            worst = v
+    return worst
+
+
 def is_zero_vector(v):
     return all(a == 0 for a in v)
 
@@ -114,11 +131,13 @@ def mat_norm_1(a):
 def _int_rows(matrix):
     """Each row times the lcm of its denominators, as ints; returns (rows, lcms).
 
-    Scaling a row by a positive constant keeps the row space.
+    Scaling a row by a positive constant keeps the row space.  Ints and
+    Fractions are read as they are; any other entry (a float) goes through
+    ``Fraction`` first.
     """
     rows, scales = [], []
     for row in matrix:
-        row = [Fraction(x) for x in row]
+        row = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in row]
         d = lcm(*(x.denominator for x in row))
         rows.append([x.numerator * (d // x.denominator) for x in row])
         scales.append(d)
@@ -205,25 +224,6 @@ def inverse(matrix):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in reduced]
-
-
-def coordinates_in_rowspan(basis_rows, v):
-    """Coefficients expressing v as a combination of the basis rows, or None.
-
-    The rows must be linearly independent.
-    """
-    if not basis_rows:
-        return [] if is_zero_vector(v) else None
-    cols = len(v)
-    k = len(basis_rows)
-    augmented = [[Fraction(basis_rows[i][j]) for i in range(k)] + [Fraction(v[j])] for j in range(cols)]
-    reduced, pivots = rref(augmented)
-    if k in pivots:
-        return None
-    coeffs = [Fraction(0)] * k
-    for row, p in zip(reduced, pivots):
-        coeffs[p] = row[k]
-    return coeffs
 
 
 def symmetric_signature(matrix):

@@ -17,7 +17,7 @@ result dict, and builds a single observable at the end.
 from fractions import Fraction
 from operator import add
 
-from .linalg import EXACT, check_mode, scalar, vec_dot
+from .linalg import EXACT, check_mode, max_abs, scalar, vec_dot
 
 
 class Covector:
@@ -54,7 +54,7 @@ class Covector:
         return vec_dot(self.coords, element.coords)
 
     def distance(self, other):
-        return max(abs(a - b) for a, b in zip(self.coords, other.coords)) if self.coords else 0
+        return max_abs(a - b for a, b in zip(self.coords, other.coords))
 
     def to_float(self):
         return Covector(self.algebra, [float(c) for c in self.coords], "float")
@@ -137,7 +137,7 @@ class PolyObservable:
 
     def distance(self, other):
         """Largest absolute coefficient of self - other (0 when they are equal)."""
-        return max((abs(c) for c in (self - other).terms.values()), default=0)
+        return max_abs((self - other).terms.values())
 
     def __neg__(self):
         return PolyObservable._from_terms(self.nvars, {k: -v for k, v in self.terms.items()})

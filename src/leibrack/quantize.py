@@ -167,10 +167,18 @@ def poisson_bracket(algebra, f, g, sign=1):
                 continue
             for k, c in row:
                 scale = sign * c * a_i
-                # add scale * (d_j g) * xi_k, term by term
+                # add scale * (d_j g) * xi_k, term by term.  Zero products and
+                # zero sums are dropped at once, as a sum of observables does,
+                # so a float 0.0 never turns a later exact coefficient float.
                 for key, v in partial.items():
-                    bumped = key[:k] + (key[k] + 1,) + key[k + 1:]
-                    result[bumped] = result.get(bumped, 0) + scale * v
+                    term = scale * v
+                    if term:
+                        bumped = key[:k] + (key[k] + 1,) + key[k + 1:]
+                        total = result.get(bumped, 0) + term
+                        if total:
+                            result[bumped] = total
+                        else:
+                            del result[bumped]
     return PolyObservable(n, result)
 
 

@@ -191,16 +191,11 @@ class PairElement:
         return f"PairElement({self.vector}, {self.matrix})"
 
     def distance(self, other):
-        dv = max((abs(a - b) for a, b in zip(self.vector, other.vector)), default=0)
-        dm = max(
-            (
-                abs(a - b)
-                for ra, rb in zip(self.matrix, other.matrix)
-                for a, b in zip(ra, rb)
-            ),
-            default=0,
+        dv = linalg.max_abs(a - b for a, b in zip(self.vector, other.vector))
+        dm = linalg.max_abs(
+            a - b for ra, rb in zip(self.matrix, other.matrix) for a, b in zip(ra, rb)
         )
-        return max(dv, dm)
+        return linalg.max_abs((dv, dm))
 
 
 def hs_rack_product(a, b):
@@ -258,7 +253,7 @@ class RhElement:
         return f"RhElement({self.point!r}, {self.aut!r})"
 
     def distance(self, other):
-        return max(self.point.distance(other.point), self.aut.distance(other.aut))
+        return linalg.max_abs((self.point.distance(other.point), self.aut.distance(other.aut)))
 
 
 def rh_embed(x, order=DEFAULT_FLOAT_ORDER):
@@ -393,7 +388,7 @@ def rack_morphism_check(source, target, matrix, pairs, order=DEFAULT_FLOAT_ORDER
     def residual(w):
         kind, value = w
         if kind == "pair":
-            return max(map(abs, value))
+            return linalg.max_abs(value)
         x, y = value
         left = rh_embed(push(bass_product(x, y, order)), order)
         return left.distance(rh_product(rh_embed(push(x), order), rh_embed(push(y), order)))

@@ -8,6 +8,8 @@ a NaN residual fails.
 
 from dataclasses import dataclass, field
 
+from .linalg import max_abs
+
 
 @dataclass
 class CheckReport:
@@ -67,7 +69,7 @@ def check_law(name, witnesses, residual=None, tol=0, checked=None, apart=(), sta
                 continue
             shown = r
             if isinstance(r, (list, tuple)):
-                r = max((abs(c) for c in r), default=0)
+                r = max_abs(r)
             if axiom in apart:
                 failed = not r > tol
             else:

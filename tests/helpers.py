@@ -133,6 +133,71 @@ def reference_morphism_residual(algebra, a):
     return worst
 
 
+def reference_derivation_residual(endo):
+    """Largest defect of D[x,y] = [Dx,y] + [x,Dy] over basis pairs, by the dense n^4 sum.
+
+    The former ``Endomorphism.derivation_residual``, kept as the oracle for
+    the sparse derivation-system rows.
+    """
+    n = endo.algebra.dim
+    c = endo.algebra.table
+    d = endo.matrix
+    worst = 0
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                r = sum(
+                    c[i][j][l] * d[m][l] - d[l][i] * c[l][j][m] - d[l][j] * c[i][l][m]
+                    for l in range(n)
+                )
+                worst = max(worst, abs(r))
+    return worst
+
+
+# -- reference extension checks -------------------------------------------------
+# The Element-per-basis-triple loops kept as the oracle for the direct kernels
+# in leibrack.extension.  They read the same ExtensionData (section, omega,
+# center rows), so a corrupted table shows in both.
+
+
+def reference_cocycle_identity_violations(ext):
+    quot = ext.quotient
+    violations = []
+    basis = quot.basis_elements()
+    for a, x in enumerate(basis):
+        sx = ext.section(x)
+        for b, y in enumerate(basis):
+            sy = ext.section(y)
+            for c, z in enumerate(basis):
+                term1 = ext.algebra.bracket(sx, ext.omega(y, z))
+                term2 = ext.algebra.bracket(sy, ext.omega(x, z))
+                term3 = ext.omega(quot.bracket(x, y), z)
+                term4 = ext.omega(x, quot.bracket(y, z))
+                term5 = ext.omega(y, quot.bracket(x, z))
+                residual = term1 - term2 - term3 + term4 - term5
+                if not residual.is_zero():
+                    violations.append(((a, b, c), residual.coords))
+    return violations
+
+
+def reference_reconstruction_violations(ext):
+    alg = ext.algebra
+    quot = ext.quotient
+    violations = []
+    center_elements = ext.center.elements() + [alg.zero()]
+    for i, x in enumerate(quot.basis_elements()):
+        sx = ext.section(x)
+        for j, y in enumerate(quot.basis_elements()):
+            sy = ext.section(y)
+            for a in center_elements:
+                for b in center_elements:
+                    lhs = alg.bracket(sx + a, sy + b)
+                    rhs = ext.section(quot.bracket(x, y)) - ext.omega(x, y) + alg.bracket(sx, b)
+                    if lhs != rhs:
+                        violations.append(((i, j), (lhs - rhs).coords))
+    return violations
+
+
 # -- reference eliminations over Fraction -------------------------------------
 # Plain Fraction Gauss(-Jordan) and Lagrange congruence, kept as the oracle for
 # the integer kernels in leibrack.linalg.

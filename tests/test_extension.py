@@ -1,5 +1,7 @@
 """Left-center extensions: quotient, section, and the defect 2-cocycle."""
 
+import copy
+import os
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from leibrack import linalg
 from leibrack.algebra import LeibnizAlgebra
 from leibrack.corpus import CORPUS_NAMES
+from leibrack.io import load_algebra
 from leibrack.extension import (
     build_extension,
     cocycle_identity_violations,
@@ -14,7 +17,13 @@ from leibrack.extension import (
     reconstruction_violations,
 )
 
-from helpers import make_table
+from helpers import (
+    make_table,
+    reference_cocycle_identity_violations,
+    reference_reconstruction_violations,
+)
+
+N4_REBASED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "n4-rebased.json")
 
 CENTER_DIMS = {
     "abelian3": 3,
@@ -136,3 +145,57 @@ def test_build_extension_requires_leibniz():
     broken = LeibnizAlgebra(make_table(1, {(0, 0): {0: 1}}))
     with pytest.raises(ValueError):
         build_extension(broken)
+
+
+# -- the direct kernels against the Element loops ---------------------------------
+
+
+def exact(violations):
+    """Witnesses with the repr of each coordinate: equal means equal values and types."""
+    return [(where, [repr(c) for c in residual]) for where, residual in violations]
+
+
+def kernels_and_references(ext):
+    return [
+        (cocycle_identity_violations(ext), reference_cocycle_identity_violations(ext)),
+        (reconstruction_violations(ext), reference_reconstruction_violations(ext)),
+    ]
+
+
+@pytest.fixture(scope="module")
+def extensions(corpus):
+    algebras = dict(corpus)
+    algebras["n4-rebased"] = load_algebra(N4_REBASED)
+    return {name: build_extension(alg) for name, alg in algebras.items()}
+
+
+def test_rebased_center_is_not_a_coordinate_axis(extensions):
+    ext = extensions["n4-rebased"]
+    # pi carries a center correction: some entry at a pivot column is nonzero
+    assert any(row[p] for row in ext.pi_matrix for p in ext.center.pivots)
+
+
+MUTATED = ("heisenberg", "freenil3", "n4-rebased")
+
+
+@pytest.mark.parametrize("name", MUTATED)
+def test_corrupted_omega_cell_gives_the_reference_violations(extensions, name):
+    ext = copy.deepcopy(extensions[name])
+    cell = ext.omega_table[0][-1]
+    ext.omega_table[0][-1] = [c + Fraction(k + 1, 2) for k, c in enumerate(cell)]
+    for got, want in kernels_and_references(ext):
+        assert got
+        assert exact(got) == exact(want)
+
+
+# In a Lie algebra [a, b] = -[b, a] vanishes when b is central, so only the
+# non-Lie leib2 and hs1 show the [a, b] term of a corrupted center row a.
+@pytest.mark.parametrize("name", MUTATED + ("leib2", "hs1"))
+def test_corrupted_center_row_gives_the_reference_violations(extensions, name):
+    ext = copy.deepcopy(extensions[name])
+    ext.center.basis_rows[0][ext.complement[0]] += Fraction(1, 2)
+    (cocycle, cocycle_want), (rebuilt, rebuilt_want) = kernels_and_references(ext)
+    # the cocycle identity does not read the center rows
+    assert cocycle == cocycle_want == []
+    assert rebuilt
+    assert exact(rebuilt) == exact(rebuilt_want)

@@ -11,6 +11,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leibrack import cli, linalg, racks
 from leibrack.algebra import (
@@ -31,6 +33,7 @@ from helpers import (
     n_k,
     random_invertible,
     rebase,
+    reference_derivation_residual,
     reference_morphism_residual,
     reference_rref,
     sl2_semidirect,
@@ -340,6 +343,49 @@ def test_bracket_defects_list_every_failing_basis_pair(name):
                     linalg.mat_vec(a, alg.table[i][j]), alg.bracket_coords(col_i, col_j)
                 )
                 assert found.get((i, j), [0] * n) == want
+
+
+# -- the derivation residual -------------------------------------------------------
+
+
+def assert_derivation_residual_matches(alg, matrix):
+    got = Endomorphism(alg, matrix).derivation_residual()
+    want = reference_derivation_residual(Endomorphism(alg, matrix))
+    assert got == want
+    # float rows sum in another order than the dense loop: close, not bit-equal
+    floats = Endomorphism(alg, matrix, "float")
+    got = floats.derivation_residual()
+    assert got == pytest.approx(reference_derivation_residual(floats), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_derivation_residual_matches_the_dense_loop(name):
+    alg = ALGEBRAS[name]
+    matrices = [d.matrix for d in derivation_algebra(alg).basis[:4]]
+    matrices += _maps(alg, random.Random(name + "derivation"))
+    for matrix in matrices:
+        assert_derivation_residual_matches(alg, matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(name for name, alg in ALGEBRAS.items() if alg.dim <= 6)),
+    st.data(),
+    st.lists(
+        st.tuples(st.integers(0, 99), st.integers(0, 99), st.fractions(-3, 3, max_denominator=4)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_derivation_residual_on_perturbed_inner_derivations(name, data, changes):
+    alg = ALGEBRAS[name]
+    n = alg.dim
+    x = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    matrix = [list(row) for row in alg.ad(x).matrix]
+    assert Endomorphism(alg, matrix).derivation_residual() == 0
+    for i, j, delta in changes:
+        matrix[i % n][j % n] += delta
+    assert_derivation_residual_matches(alg, matrix)
 
 
 # -- the per-algebra exp(ad_x) cache ---------------------------------------------

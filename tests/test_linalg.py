@@ -1,5 +1,6 @@
 """Exact linear algebra kernel."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibrack import linalg
+from leibrack.algebra import Subspace
 from leibrack.corpus import load_corpus
 from leibrack.observables import Covector
 from leibrack.quantize import hessian_matrix
@@ -99,10 +101,24 @@ def test_inverse_rejects_singular():
 
 
 def test_coordinates_in_rowspan():
-    rows = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
-    coords = linalg.coordinates_in_rowspan(rows, [F(2), F(3), F(5)])
-    assert coords == [F(2), F(3)]
-    assert linalg.coordinates_in_rowspan(rows, [F(0), F(0), F(1)]) is None
+    span = Subspace(None, [[F(1), F(0), F(1)], [F(0), F(1), F(1)]])
+    assert span.coefficients([F(2), F(3), F(5)]) == [F(2), F(3)]
+    assert span.coefficients([F(0), F(0), F(1)]) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.integers(-3, 3), st.floats(-3, 3), st.fractions(-3, 3)), min_size=1))
+def test_max_abs_picks_what_max_picks(values):
+    got = linalg.max_abs(values)
+    want = max(abs(v) for v in values)
+    assert repr(got) == repr(want)
+
+
+def test_max_abs_keeps_a_nan_anywhere():
+    nan = float("nan")
+    for values in ([nan, 1.0], [1.0, nan], [0, 2, nan, 1]):
+        assert math.isnan(linalg.max_abs(values))
+    assert linalg.max_abs([]) == 0 and type(linalg.max_abs([])) is int
 
 
 def test_signature_diagonal():

@@ -22,6 +22,7 @@ from leibrack.racks import exp_ad
 from leibrack.sampling import sample_elements, sample_observables
 
 from helpers import (
+    make_table,
     n_k,
     reference_poisson_bracket,
     reference_poly_mul,
@@ -168,6 +169,33 @@ def cases(draw):
     table = [[[draw(st.sampled_from((0, 0, 1, -1, Fraction(1, 2)))) for _ in range(n)]
               for _ in range(n)] for _ in range(n)]
     return draw(polynomials(n)), draw(polynomials(n)), forms, LeibnizAlgebra(table)
+
+
+POISSON_MIXED = {
+    # 1e-200 * 1e-200 underflows to 0.0 on the key the exact 1 * 1 lands on
+    "underflowed product": (
+        {(0, 0): {0: 1}, (1, 1): {0: 1}},
+        {(1, 0): 1e-200, (0, 1): Fraction(1)},
+        {(1, 0): 1e-200, (0, 1): Fraction(1)},
+    ),
+    # 1.0 - 1.0 cancels to 0.0 before an exact 1 lands on the same key
+    "cancelled sum": (
+        {(0, 0): {0: 1}, (1, 0): {0: 1}, (2, 0): {0: 1}},
+        {(1, 0, 0): 1.0, (0, 1, 0): -1.0, (0, 0, 1): Fraction(1)},
+        {(1, 0, 0): Fraction(1)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(POISSON_MIXED))
+def test_poisson_bracket_keeps_exact_coefficients_exact(name):
+    entries, f_terms, g_terms = POISSON_MIXED[name]
+    n = len(next(iter(f_terms)))
+    algebra = LeibnizAlgebra(make_table(n, entries))
+    f, g = PolyObservable(n, f_terms), PolyObservable(n, g_terms)
+    got = poisson_bracket(algebra, f, g)
+    assert same_bits(got, reference_poisson_bracket(algebra, f, g))
+    assert got.terms and all(type(c) is Fraction for c in got.terms.values())
 
 
 @settings(max_examples=80, deadline=None)

@@ -2,7 +2,14 @@
 
 import math
 
+import pytest
+
+from leibrack.algebra import Endomorphism
+from leibrack.observables import Covector, PolyObservable
+from leibrack.racks import PairElement, RhElement
 from leibrack.reports import check_law, samples
+
+NAN = float("nan")
 
 
 def test_nan_residual_fails_and_is_reported():
@@ -71,3 +78,46 @@ def test_no_witnesses_pass_with_zero_checked():
 def test_samples_label_by_index_and_axiom():
     assert samples("ab") == [({"sample": 0}, "a"), ({"sample": 1}, "b")]
     assert samples("a", "ax") == [({"axiom": "ax", "sample": 0}, "a")]
+
+
+def test_nan_coordinate_after_the_first_fails_the_law(heisenberg):
+    x = heisenberg.element([1.0, NAN, 0.0], "float")
+    y = heisenberg.element([1.0, 2.0, 0.0], "float")
+    report = check_law("law", samples([(x, y)]), lambda w: w[0].distance(w[1]), tol=1e-9)
+    assert not report.passed
+    assert math.isnan(report.max_residual)
+
+
+def test_vector_residual_with_a_later_nan_fails():
+    report = check_law("law", [({}, [0.0, NAN, 1.0])], tol=1e-9)
+    assert not report.passed
+    assert math.isnan(report.max_residual)
+
+
+def _nan_pairs(alg):
+    """(point, point with a NaN after the first coordinate) for every distance."""
+    floats = [float(k) for k in range(alg.dim)]
+    spoiled = floats[:1] + [NAN] + floats[2:]
+    ident = [[float(i == j) for j in range(alg.dim)] for i in range(alg.dim)]
+    bad = [row[:] for row in ident]
+    bad[1][0] = NAN
+    x, y = alg.element(floats, "float"), alg.element(spoiled, "float")
+    a, b = Endomorphism(alg, ident, "float"), Endomorphism(alg, bad, "float")
+    return {
+        "element": (x, y),
+        "covector": (Covector(alg, floats, "float"), Covector(alg, spoiled, "float")),
+        "endomorphism": (a, b),
+        "pair": (PairElement(floats, ident), PairElement(floats, bad)),
+        "poly": (
+            PolyObservable(2, {(0, 1): 1.0, (1, 0): 2.0}),
+            PolyObservable(2, {(0, 1): 3.0, (1, 0): NAN}),
+        ),
+        "rh": (RhElement(x, a), RhElement(x, b)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["element", "covector", "endomorphism", "pair", "poly", "rh"])
+def test_every_distance_keeps_a_later_nan(heisenberg, kind):
+    p, q = _nan_pairs(heisenberg)[kind]
+    assert math.isnan(p.distance(q))
+    assert math.isnan(q.distance(p))
