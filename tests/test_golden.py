@@ -15,6 +15,10 @@ extensions; in the rebased one the left center is not a coordinate axis, so
 the projection carries a center correction.  Their analyze and cocycle
 reports pin the extension data on inputs beyond the corpus.
 
+The ``bch`` cases with flags pin the BCH word sum at every truncation order
+1..8, on sampled pairs and on the fixed ``--x``/``--y`` pairs below, in exact
+mode on heisenberg and freenil3 and in float mode on sl2.
+
 Regenerate the digests (only when a report change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -43,6 +47,11 @@ FAILING = "freenil3-perturbed"
 NILPOTENT = ("abelian3", "leib2", "heisenberg", "freenil3")
 NILPOTENT_LIE = ("abelian3", "heisenberg", "freenil3")
 EXTENSIONS = ("n5", "n4-rebased")
+BCH_POINTS = {
+    ("heisenberg", "exact"): ("1/2,-3,2", "2,1/3,-1"),
+    ("freenil3", "exact"): ("1/2,-1,3,2/3,-5", "-2,1/3,1,0,7/4"),
+    ("sl2", "float"): ("1/12,-1/6,1/8", "1/10,1/7,-1/9"),
+}
 
 
 def _cases():
@@ -66,6 +75,10 @@ def _cases():
     for name in EXTENSIONS:
         for command in ("analyze", "cocycle"):
             cases.append((command, name))
+    for (name, mode), (x, y) in BCH_POINTS.items():
+        for order in range(1, 9):
+            cases.append(("bch", name, mode, "--order", str(order)))
+            cases.append(("bch", name, mode, "--order", str(order), f"--x={x}", f"--y={y}"))
     return cases
 
 
@@ -84,11 +97,14 @@ def algebra_path(name):
 
 
 def run_case(case):
-    """(exit code, SHA-256 of the JSON report) for one golden case."""
+    """(exit code, SHA-256 of the JSON report) for one golden case.
+
+    A case is (command, algebra[, mode[, further flags...]]).
+    """
     command, name = case[:2]
     argv = [command, algebra_path(name), "--seed", "1", "--samples", "5"]
-    if len(case) == 3:
-        argv += ["--mode", case[2]]
+    if len(case) >= 3:
+        argv += ["--mode", case[2], *case[3:]]
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
         with contextlib.redirect_stdout(io.StringIO()):
