@@ -228,6 +228,16 @@ def _join_modes(a, b):
     return a
 
 
+def join_elements(x, y):
+    """The algebra and scalar mode two elements share; ValueError if they differ.
+
+    Algebras are compared by identity, as ``LeibnizAlgebra.bracket`` does.
+    """
+    if x.algebra is not y.algebra:
+        raise ValueError("elements belong to a different algebra")
+    return x.algebra, _join_modes(x.mode, y.mode)
+
+
 class Element:
     """An algebra element: coordinates in the defining basis plus a scalar mode."""
 
@@ -251,12 +261,12 @@ class Element:
         return " + ".join(terms) if terms else "0"
 
     def __add__(self, other):
-        mode = _join_modes(self.mode, other.mode)
-        return Element(self.algebra, linalg.vec_add(self.coords, other.coords), mode)
+        alg, mode = join_elements(self, other)
+        return Element(alg, linalg.vec_add(self.coords, other.coords), mode)
 
     def __sub__(self, other):
-        mode = _join_modes(self.mode, other.mode)
-        return Element(self.algebra, linalg.vec_sub(self.coords, other.coords), mode)
+        alg, mode = join_elements(self, other)
+        return Element(alg, linalg.vec_sub(self.coords, other.coords), mode)
 
     def __neg__(self):
         return Element(self.algebra, [-c for c in self.coords], self.mode)

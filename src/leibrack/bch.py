@@ -5,14 +5,22 @@ log(exp X exp Y) in the free associative algebra on two letters, keeping
 words up to degree 8 with exact rational coefficients.  The Dynkin-Specht-
 Wever projection turns the word expansion into a Lie element: a word
 w = a1 a2 .. ad of degree d contributes coefficient c_w / d on the
-right-nested bracket [a1, [a2, [.., ad]]].  Evaluation against a structure
-table then just walks those nested brackets, sharing suffixes.
+right-nested bracket [a1, [a2, [.., ad]]].
+
+The same cached call lays the words out as a suffix tree: a node is a
+suffix of some table word, and its children prepend one letter, so the
+value of a child is one bracket of that letter with the node's value.
+Evaluation walks the tree on coordinate lists, taking each bracket at most
+once, and drops a subtree as soon as its value is zero or it holds no word
+of degree <= order.  The nonzero terms are then added in table order, so
+exact and float results are the sums of the plain word-by-word loop.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .algebra import join_elements
 from .reports import check_law, samples
 
 MAX_ORDER = 8
@@ -29,9 +37,41 @@ def _truncated_product(a, b, max_degree):
     return {w: c for w, c in out.items() if c != 0}
 
 
+class WordTable(dict):
+    """The word -> coefficient dict of ``log_word_table``, plus its suffix tree.
+
+    ``tree`` holds the degree-1 nodes.  A node is a tuple
+    ``(letter, reach, position, weight, children)``: ``letter`` is the first
+    letter of its word, ``reach`` the lowest degree of a table word in its
+    subtree (the word itself included), and ``position`` and ``weight`` the
+    word's index in table order and c_w / |w|, or None off the table.
+    """
+
+    __slots__ = ("tree",)
+
+
+def _suffix_tree(table):
+    reach = {}
+    for word in table:  # ascending degree: the first word met is the lowest
+        for i in range(len(word)):
+            reach.setdefault(word[i:], len(word))
+    position = {word: i for i, word in enumerate(table)}
+    nodes = {}
+    for word in sorted(reach, key=len, reverse=True):
+        children = tuple(nodes[(a,) + word] for a in (0, 1) if (a,) + word in nodes)
+        i = position.get(word)
+        weight = None if i is None else table[word] / len(word)
+        nodes[word] = (word[0], reach[word], i, weight, children)
+    return tuple(nodes[(a,)] for a in (0, 1) if (a,) in nodes)
+
+
 @lru_cache(maxsize=1)
 def log_word_table():
-    """Coefficients of log(exp X exp Y) on words over {0: X, 1: Y}, degree <= 8."""
+    """Coefficients of log(exp X exp Y) on words over {0: X, 1: Y}, degree <= 8.
+
+    A ``WordTable``: the dict in (degree, word) order, with the words as a
+    suffix tree in ``.tree``.
+    """
     series = {}
     for p in range(MAX_ORDER + 1):
         for q in range(MAX_ORDER + 1 - p):
@@ -46,40 +86,45 @@ def log_word_table():
         for word, coeff in power.items():
             table[word] = table.get(word, Fraction(0)) + Fraction(sign, m) * coeff
         sign = -sign
-    return {w: c for w, c in sorted(table.items(), key=lambda kv: (len(kv[0]), kv[0])) if c != 0}
+    words = WordTable(
+        (w, c) for w, c in sorted(table.items(), key=lambda kv: (len(kv[0]), kv[0])) if c != 0
+    )
+    words.tree = _suffix_tree(words)
+    return words
 
 
 def evaluate_word_table(table, x, y, order):
     """Sum c_w/|w| [w_1,[w_2,[..]]] over table words of degree <= order.
 
-    A word whose suffix evaluates to zero is zero, so its bracket is never
-    taken; zero values are memoised as None.
+    ``table`` is a ``WordTable``.  Brackets are taken on coordinate lists
+    with ``bracket_coords``, one per tree node, and never below a zero value
+    or for a node with no word of degree <= order under it.  Each nonzero
+    term is added in table order as ``total_k + weight * v_k``, skipping
+    zero coordinates: a sum that starts at +0 is never -0, so adding a
+    signed zero would leave it as it is.  One Element is built at the end.
     """
-    alg = x.algebra
-    values = (x, y)
-    memo = {}
+    alg, mode = join_elements(x, y)
+    bracket = alg.bracket_coords
+    letters = (x.coords, y.coords)
+    terms = []
 
-    def nested(word):
-        if word in memo:
-            return memo[word]
-        if len(word) == 1:
-            value = values[word[0]]
-        else:
-            inner = nested(word[1:])
-            value = None if inner is None else alg.bracket(values[word[0]], inner)
-        if value is not None and value.is_zero():
-            value = None
-        memo[word] = value
-        return value
+    def walk(nodes, inner):
+        for letter, reach, position, weight, children in nodes:
+            if reach > order:
+                continue
+            value = letters[letter] if inner is None else bracket(letters[letter], inner)
+            if any(value):
+                if position is not None:
+                    terms.append((position, weight, value))
+                walk(children, value)
 
-    total = alg.zero(x.mode)
-    for word, coeff in table.items():
-        if len(word) > order:
-            continue
-        term = nested(word)
-        if term is not None:
-            total = total + (coeff / len(word)) * term
-    return total
+    walk(table.tree, None)
+    total = list(alg.zero(mode).coords)
+    for _, weight, value in sorted(terms):
+        for k, v in enumerate(value):
+            if v:
+                total[k] = total[k] + weight * v
+    return alg.element(total, mode)
 
 
 def bch(x, y, order=MAX_ORDER):

@@ -35,8 +35,14 @@ def check_mode(mode):
 
 
 def scalar(value, mode):
-    """Coerce a number to the scalar type of the given mode."""
-    return float(value) if mode == FLOAT else Fraction(value)
+    """Coerce a number to the scalar type of the given mode.
+
+    An exact-mode Fraction is returned as it is: Fractions are immutable, so
+    a copy would only cost a constructor call per coordinate.
+    """
+    if mode == FLOAT:
+        return float(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def zero_vector(n, mode=EXACT):

@@ -110,6 +110,39 @@ def sl2_semidirect(sl2, m):
     return hemi_semi_direct(sl2, action, d, name=f"sl2xV{m}")
 
 
+def reference_evaluate_word_table(table, x, y, order):
+    """The BCH word sum as a memoised loop over Elements, word by word.
+
+    Sum c_w/|w| [w_1,[w_2,[..]]] over table words of degree <= order; a word
+    whose suffix evaluates to zero is zero, so its bracket is never taken.
+    """
+    alg = x.algebra
+    values = (x, y)
+    memo = {}
+
+    def nested(word):
+        if word in memo:
+            return memo[word]
+        if len(word) == 1:
+            value = values[word[0]]
+        else:
+            inner = nested(word[1:])
+            value = None if inner is None else alg.bracket(values[word[0]], inner)
+        if value is not None and value.is_zero():
+            value = None
+        memo[word] = value
+        return value
+
+    total = alg.zero(x.mode)
+    for word, coeff in table.items():
+        if len(word) > order:
+            continue
+        term = nested(word)
+        if term is not None:
+            total = total + (coeff / len(word)) * term
+    return total
+
+
 def reference_morphism_residual(algebra, a):
     """Largest defect of a[x,y] = [ax, ay] over basis pairs, by the dense n^5 sum.
 

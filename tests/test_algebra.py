@@ -157,6 +157,19 @@ def test_mode_mixing_rejected(heisenberg):
         exact.bracket(floaty)
 
 
+@pytest.mark.parametrize("other", ["freenil3", "heisenberg-copy"])
+def test_element_sum_rejects_other_algebras(heisenberg, freenil3, other):
+    # a second heisenberg object has an equal table but is still another algebra
+    alg = freenil3 if other == "freenil3" else LeibnizAlgebra(heisenberg.table)
+    x = heisenberg.basis_element(0)
+    y = alg.basis_element(1)
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(ValueError, match="different algebra"):
+            a + b
+        with pytest.raises(ValueError, match="different algebra"):
+            a - b
+
+
 def test_float_round_trip(heisenberg):
     e1, e2, _ = heisenberg.basis_elements()
     fx = (e1 + 2 * e2).to_float()

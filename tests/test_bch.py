@@ -5,9 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from leibrack.bch import MAX_ORDER, bch, conj_star, log_word_table, verify_conj_identity
+from leibrack.algebra import LeibnizAlgebra
+from leibrack.bch import (
+    MAX_ORDER,
+    bch,
+    conj_star,
+    evaluate_word_table,
+    log_word_table,
+    verify_conj_identity,
+)
+from leibrack.cli import BCH_FLOAT_SCALE
+from leibrack.corpus import load_corpus
+from leibrack.linalg import EXACT, FLOAT
 from leibrack.racks import bass_product
-from leibrack.sampling import sample_elements, sample_triples
+from leibrack.sampling import sample_elements, sample_pairs, sample_triples
+
+from helpers import n_k, reference_evaluate_word_table
 
 
 def test_word_table_low_degree_coefficients():
@@ -172,3 +185,111 @@ def test_verify_conj_identity_exact(freenil3):
     report = verify_conj_identity(freenil3, list(zip(els[::2], els[1::2])))
     assert report.passed
     assert report.max_residual == 0
+
+
+# ---------------------------------------------------------------------------
+# The suffix-tree kernel against the word-by-word Element loop it replaced.
+# Exact results must be equal, float results equal bit for bit, and both must
+# take the same number of brackets: a lost zero prune or a bracket taken for
+# a word above the order changes the count.
+# ---------------------------------------------------------------------------
+
+ORDERS = range(1, MAX_ORDER + 1)
+EXACT_ALGEBRAS = {
+    "abelian3": lambda: load_corpus("abelian3"),
+    "heisenberg": lambda: load_corpus("heisenberg"),
+    "freenil3": lambda: load_corpus("freenil3"),
+    "n4": lambda: n_k(4),
+    "n5": lambda: n_k(5),
+}
+FLOAT_ALGEBRAS = ("sl2", "heisenberg", "freenil3")
+
+
+def word_table_pairs(alg, mode=EXACT, scale=Fraction(1)):
+    """Sampled pairs plus the edge cases x = 0, y = 0, both zero and x = y."""
+    pairs = sample_pairs(alg, 4, seed=31, mode=mode, scale=scale)
+    x, y = pairs[0]
+    zero = alg.zero(mode)
+    return pairs + [(zero, y), (x, zero), (zero, zero), (x, x), (y, y)]
+
+
+def counted_evaluations(monkeypatch, pairs, order):
+    """(new, reference, new bracket count, reference bracket count) per pair."""
+    calls = [0]
+    original = LeibnizAlgebra.bracket_coords
+
+    def counting(self, u, v):
+        calls[0] += 1
+        return original(self, u, v)
+
+    monkeypatch.setattr(LeibnizAlgebra, "bracket_coords", counting)
+    table = log_word_table()
+    out = []
+    for x, y in pairs:
+        calls[0] = 0
+        got = evaluate_word_table(table, x, y, order)
+        got_calls = calls[0]
+        calls[0] = 0
+        want = reference_evaluate_word_table(table, x, y, order)
+        out.append((got, want, got_calls, calls[0]))
+    return out
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("name", list(EXACT_ALGEBRAS))
+def test_word_tree_matches_reference_exact(monkeypatch, name, order):
+    alg = EXACT_ALGEBRAS[name]()
+    for got, want, got_calls, want_calls in counted_evaluations(
+        monkeypatch, word_table_pairs(alg), order
+    ):
+        assert got == want
+        assert got.mode == EXACT and all(type(c) is Fraction for c in got.coords)
+        assert got_calls == want_calls
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("name", FLOAT_ALGEBRAS)
+def test_word_tree_matches_reference_float_bits(monkeypatch, name, order):
+    alg = load_corpus(name)
+    pairs = word_table_pairs(alg, FLOAT, BCH_FLOAT_SCALE)
+    for got, want, got_calls, want_calls in counted_evaluations(monkeypatch, pairs, order):
+        assert [repr(c) for c in got.coords] == [repr(c) for c in want.coords]
+        assert got.mode == FLOAT
+        assert got_calls == want_calls
+
+
+def test_word_tree_is_built_with_the_table():
+    table = log_word_table()
+    assert table is log_word_table()
+    seen = {}
+
+    def visit(nodes, suffix):
+        for letter, reach, position, weight, children in nodes:
+            word = (letter,) + suffix
+            assert word not in seen
+            seen[word] = (reach, position, weight)
+            visit(children, word)
+
+    visit(table.tree, ())
+    words = list(table)
+    suffixes = {w[i:] for w in words for i in range(len(w))}
+    assert set(seen) == suffixes
+    for word, (reach, position, weight) in seen.items():
+        assert reach == min(len(w) for w in words if w[-len(word):] == word)
+        if word in table:
+            assert words[position] == word and weight == table[word] / len(word)
+        else:
+            assert position is None and weight is None
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_bch_rejects_mixed_algebras_and_modes(heisenberg, freenil3, order):
+    x = heisenberg.basis_element(0)
+    y = freenil3.basis_element(1)
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(ValueError, match="different algebra"):
+            bch(a, b, order)
+        with pytest.raises(ValueError, match="different algebra"):
+            evaluate_word_table(log_word_table(), a, b, order)
+    with pytest.raises(ValueError, match="mixed scalar modes"):
+        bch(x, heisenberg.basis_element(1).to_float(), order)

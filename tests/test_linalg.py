@@ -30,6 +30,17 @@ def F(n, d=1):
     return Fraction(n, d)
 
 
+def test_scalar_keeps_exact_fractions_and_converts_the_rest():
+    f = F(3, 7)
+    assert linalg.scalar(f, "exact") is f
+    for value in (1, True, "2/5", 0.5):
+        got = linalg.scalar(value, "exact")
+        assert type(got) is Fraction and got == Fraction(value)
+    for value in (f, 1, True):
+        got = linalg.scalar(value, "float")
+        assert type(got) is float and got == float(value)
+
+
 def test_rref_collapses_dependent_rows():
     rows, pivots = linalg.rref([[F(2), F(4)], [F(1), F(2)]])
     assert rows == [[F(1), F(2)]]
