@@ -229,7 +229,7 @@ def _join_modes(a, b):
 
 
 def join_elements(x, y):
-    """The algebra and scalar mode two elements share; ValueError if they differ.
+    """The algebra and mode two elements, maps or covectors share; ValueError if not.
 
     Algebras are compared by identity, as ``LeibnizAlgebra.bracket`` does.
     """
@@ -289,6 +289,7 @@ class Element:
         return self.algebra.bracket(self, other)
 
     def distance(self, other):
+        join_elements(self, other)
         return linalg.max_abs(a - b for a, b in zip(self.coords, other.coords))
 
     def is_zero(self):
@@ -325,20 +326,20 @@ class Endomorphism:
         return cls(algebra, linalg.identity_matrix(algebra.dim, mode), mode)
 
     def __call__(self, x):
-        mode = _join_modes(self.mode, x.mode)
-        return Element(self.algebra, linalg.mat_vec(self.matrix, x.coords), mode)
+        alg, mode = join_elements(self, x)
+        return Element(alg, linalg.mat_vec(self.matrix, x.coords), mode)
 
     def __matmul__(self, other):
-        mode = _join_modes(self.mode, other.mode)
-        return Endomorphism(self.algebra, linalg.mat_mul(self.matrix, other.matrix), mode)
+        alg, mode = join_elements(self, other)
+        return Endomorphism(alg, linalg.mat_mul(self.matrix, other.matrix), mode)
 
     def __add__(self, other):
-        mode = _join_modes(self.mode, other.mode)
-        return Endomorphism(self.algebra, linalg.mat_add(self.matrix, other.matrix), mode)
+        alg, mode = join_elements(self, other)
+        return Endomorphism(alg, linalg.mat_add(self.matrix, other.matrix), mode)
 
     def __sub__(self, other):
-        mode = _join_modes(self.mode, other.mode)
-        return Endomorphism(self.algebra, linalg.mat_sub(self.matrix, other.matrix), mode)
+        alg, mode = join_elements(self, other)
+        return Endomorphism(alg, linalg.mat_sub(self.matrix, other.matrix), mode)
 
     def __neg__(self):
         return Endomorphism(self.algebra, linalg.mat_scale(-1, self.matrix), self.mode)
@@ -357,6 +358,7 @@ class Endomorphism:
         return hash((self.matrix, self.mode))
 
     def distance(self, other):
+        join_elements(self, other)
         return linalg.max_abs(
             a - b for ra, rb in zip(self.matrix, other.matrix) for a, b in zip(ra, rb)
         )

@@ -12,50 +12,43 @@ defect has a closed series form in the linear 2-cocycle omega,
 
 with sign = -1 against the section-defect convention omega(x, y) =
 s([x, y]) - [s(x), s(y)] used by ExtensionData (equivalently, sign = +1
-against its negative ``extension_omega``).  The sign and the 1/(p+q+1)!
+against its negative ``extension_omega``).  The sum is the corner of the
+block exponential exp([[ad_{s(x)}, omega(x, .)], [0, ad_x]]) (0, y), which
+``racks.block_exp_action`` computes.  The sign and the 1/(p+q+1)!
 coefficient law are pinned by comparing against the exact defect on the
 nilpotent bundled algebras; see ``tests/test_cocycle.py``.
 """
 
-from fractions import Fraction
-from math import factorial
+from functools import partial
 
-from .racks import bass_product
+from .racks import bass_product, block_exp_action
 
 SERIES_SIGN = -1
 
 
-def rack_cocycle_exact(ext, x, y, float_exp_order=12):
+def rack_cocycle_exact(ext, x, y):
     """The exact section defect of the rack products, as an element of h.
 
     ``x`` and ``y`` are quotient elements.  Exact mode needs both the
     algebra and its quotient nilpotent (the exponentials must terminate).
     """
-    lifted = bass_product(ext.section(x), ext.section(y), float_exp_order)
-    pushed = ext.section(bass_product(x, y, float_exp_order))
+    lifted = bass_product(ext.section(x), ext.section(y))
+    pushed = ext.section(bass_product(x, y))
     return lifted - pushed
 
 
 def rack_cocycle_series(ext, x, y, order, sign=SERIES_SIGN):
     """Truncated series form of the rack cocycle.
 
-    Sums sign/(p+q+1)! * ad_{s(x)}^p omega(x, ad_x^q y) over p+q+1 <= order.
-    On nilpotent algebras the series terminates and equals the exact defect
-    once the order reaches the nilpotency class.
+    Sums sign/(p+q+1)! * ad_{s(x)}^p omega(x, ad_x^q y) over p+q+1 <= order,
+    as a block exponential.  On nilpotent algebras the series terminates and
+    equals the exact defect once the order reaches the nilpotency class.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     alg, quot = ext.algebra, ext.quotient
-    ad_q = quot.ad(x)
-    ad_h = alg.ad(ext.section(x))
-    total = alg.zero(x.mode)
-    inner = y
-    for q in range(order):
-        if q:
-            inner = ad_q(inner)
-        vec = ext.omega(x, inner)
-        for p in range(order - q):
-            k = p + q + 1
-            total = total + (Fraction(sign, factorial(k)) * vec)
-            vec = ad_h(vec)
-    return total
+    lift = partial(alg.bracket_coords, ext.section(x).coords)
+    omega = lambda v: ext.omega(x, quot.element(v, x.mode)).coords  # noqa: E731
+    ad_x = partial(quot.bracket_coords, x.coords)
+    corner = block_exp_action(lift, omega, ad_x, alg.dim, y.coords, order)
+    return sign * alg.element(corner, x.mode)

@@ -10,7 +10,7 @@ denominators, and ``rref`` (fraction-free Gauss-Jordan, each updated row
 divided by its content), ``det`` and ``symmetric_signature`` (Bareiss steps,
 whose divisions by the previous pivot are exact) turn their results back
 into canonical Fractions only at the end.  ``inverse`` is the right half of
-``rref([matrix | I])``.
+``rref([matrix | I])``; ``rank`` and ``nullspace`` read the int rows.
 
 Every inner product is a plain left fold, ``reduce(add, map(mul, u, v), 0)``:
 the terms in index order, added one by one onto an ``int`` 0.  ``sum()``
@@ -150,12 +150,8 @@ def _int_rows(matrix):
     return rows, scales
 
 
-def rref(matrix):
-    """Reduced row echelon form over the rationals.
-
-    Returns ``(rows, pivot_columns)`` where zero rows are dropped.
-    """
-    a = _int_rows(matrix)[0]
+def _echelon(a):
+    """Fraction-free Gauss-Jordan on int rows, in place: ``(nonzero rows, pivots)``."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots = []
@@ -177,33 +173,42 @@ def rref(matrix):
         r += 1
         if r == rows:
             break
-    return [[Fraction(x, row[p]) for x in row] for row, p in zip(a[:r], pivots)], pivots
+    return a[:r], pivots
+
+
+def rref(matrix):
+    """Reduced row echelon form over the rationals.
+
+    Returns ``(rows, pivot_columns)`` where zero rows are dropped.
+    """
+    rows, pivots = _echelon(_int_rows(matrix)[0])
+    return [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)], pivots
 
 
 def rank(matrix):
-    if not matrix:
-        return 0
-    return len(rref(matrix)[0])
+    return len(_echelon(_int_rows(matrix)[0])[1])
 
 
 def nullspace(matrix, cols=None):
-    """Canonical basis of the right nullspace, rows in reduced echelon form."""
+    """Canonical basis of the right nullspace, rows in reduced echelon form.
+
+    Free column f gives L at f and -row[f] * (L // pivot) at each pivot of
+    the int echelon rows, L the lcm of the pivots; ``rref`` makes it canonical.
+    """
     if cols is None:
         cols = len(matrix[0]) if matrix else 0
     if not matrix:
         return [r[:] for r in identity_matrix(cols)]
-    reduced, pivots = rref(matrix)
-    free = [c for c in range(cols) if c not in pivots]
+    rows, pivots = _echelon(_int_rows(matrix)[0])
+    scale = lcm(*(row[p] for row, p in zip(rows, pivots)))
     basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
+    for f in sorted(set(range(cols)) - set(pivots)):
+        v = [0] * cols
+        v[f] = scale
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f] * (scale // row[p])
         basis.append(v)
-    if not basis:
-        return []
-    return rref(basis)[0]
+    return rref(basis)[0] if basis else []
 
 
 def det(matrix):

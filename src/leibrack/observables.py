@@ -17,6 +17,7 @@ result dict, and builds a single observable at the end.
 from fractions import Fraction
 from operator import add
 
+from .algebra import join_elements
 from .linalg import EXACT, check_mode, max_abs, scalar, vec_dot
 
 
@@ -51,9 +52,11 @@ class Covector:
 
     def pair(self, element):
         """Natural pairing <xi, x> in dual coordinates."""
+        join_elements(self, element)
         return vec_dot(self.coords, element.coords)
 
     def distance(self, other):
+        join_elements(self, other)
         return max_abs(a - b for a, b in zip(self.coords, other.coords))
 
     def to_float(self):
@@ -186,9 +189,6 @@ class PolyObservable:
             raise ValueError("observables live on duals of different dimensions")
 
     # -- calculus --------------------------------------------------------------
-
-    def degree(self):
-        return max((sum(k) for k in self.terms), default=0)
 
     def evaluate(self, point):
         coords = point.coords if isinstance(point, Covector) else point

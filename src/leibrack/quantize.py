@@ -14,19 +14,23 @@ Four layers, all driven by the same structure constants:
   its gradients, and the bordered extremum Hessian whose determinant is 1
   and signature 0 at the critical point (0, 0, 0, xi).
 
+The graded pieces of S pair xi with ``racks.exp_terms``, and its x-gradient
+with the corner of a block exponential, ``racks.block_exp_action``.
+
 The semiclassical parameter stays formal throughout: expansions are
 returned as per-order polynomial coefficients, never numbers.
 """
 
 from fractions import Fraction
-from math import factorial
+from functools import partial
 
 from . import linalg
 from .bch import MAX_ORDER, bch, conj_star
 from .observables import Covector, PolyObservable
 # exp_endo stays bound here although only exp_ad calls it: the bench tracer
 # (bench/spans.py) wraps every binding of it, and its self-test checks this one.
-from .racks import DEFAULT_FLOAT_ORDER, bass_product, exp_ad, exp_endo  # noqa: F401
+from .racks import DEFAULT_FLOAT_ORDER, bass_product, coadjoint, exp_ad, exp_endo  # noqa: F401
+from .racks import block_exp_action, exp_terms
 from .reports import check_law, samples
 
 
@@ -220,27 +224,12 @@ def generating_series_terms(x, y, xi, order=DEFAULT_FLOAT_ORDER):
 
     In exact mode the list stops when the powers vanish; term 0 is the
     pairing <xi, y>, and every later term has total degree k+1 >= 2 in
-    (x, y) jointly.
+    (x, y) jointly.  In float mode it has the ``order + 1`` terms k <= order.
     """
-    alg = x.algebra
-    ad = alg.ad(x)
-    exact = x.mode == "exact"
-    terms = []
-    current = y
-    k = 0
-    while True:
-        weight = Fraction(1, factorial(k)) if exact else 1.0 / factorial(k)
-        terms.append(weight * xi.pair(current))
-        current = ad(current)
-        k += 1
-        if exact:
-            if current.is_zero():
-                break
-            if k > alg.dim:
-                raise ValueError("exact series needs a nilpotent ad; use float mode")
-        elif k > order:
-            break
-    return terms
+    limit = None if x.mode == "exact" else order
+    series = exp_terms(partial(x.algebra.bracket_coords, x.coords), y.coords, limit)
+    terms = [linalg.vec_dot(xi.coords, term) for term in series]
+    return terms if limit is None else terms + [0.0] * (order + 1 - len(terms))
 
 
 def generating_gradients(x, y, xi, order=DEFAULT_FLOAT_ORDER):
@@ -250,35 +239,20 @@ def generating_gradients(x, y, xi, order=DEFAULT_FLOAT_ORDER):
     * d/dy: the covector xi o exp(ad_x);
     * d/dx: the covector whose i-th entry differentiates the exponential
       series term by term,
-      sum_{k>=1} 1/k! sum_{p+q=k-1} <xi, ad_x^p ad_{e_i} ad_x^q y>.
+      sum_{k>=1} 1/k! sum_{p+q=k-1} <xi, ad_x^p ad_{e_i} ad_x^q y>, to k <= n
+      (exact) or k <= order (float): a corner of exp([[ad_x, ad_{e_i}], [0, ad_x]]).
     """
     alg = x.algebra
-    n = alg.dim
-    exact = x.mode == "exact"
-    exp_mat = exp_ad(x, order).matrix
-    d_xi = alg.element(linalg.mat_vec(exp_mat, list(y.coords)), x.mode)
-    d_y = Covector(alg, linalg.vec_mat(list(xi.coords), exp_mat), xi.mode)
+    bound = alg.dim if x.mode == "exact" else order
+    ad_x = partial(alg.bracket_coords, x.coords)
 
-    ad_x = alg.ad(x).matrix
-    bound = n if exact else order
-    powers = [linalg.identity_matrix(n, x.mode)]
-    for _ in range(bound):
-        powers.append(linalg.mat_mul(powers[-1], ad_x))
-    d_x_entries = []
-    for i in range(n):
-        ad_ei = alg.ad(alg.basis_element(i, x.mode)).matrix
-        total = 0
-        for p in range(bound):
-            mid = linalg.vec_mat(linalg.vec_mat(list(xi.coords), powers[p]), ad_ei)
-            for q in range(bound - p):
-                k = p + q + 1
-                value = linalg.vec_dot(linalg.vec_mat(mid, powers[q]), list(y.coords))
-                if value != 0:
-                    weight = Fraction(1, factorial(k)) if exact else 1.0 / factorial(k)
-                    total = total + weight * value
-        d_x_entries.append(total)
-    d_x = Covector(alg, d_x_entries, xi.mode)
-    return {"x": d_x, "y": d_y, "xi": d_xi}
+    def corner(e):
+        ad_e = partial(alg.bracket_coords, e)
+        return block_exp_action(ad_x, ad_e, ad_x, alg.dim, y.coords, bound)
+
+    d_x = [linalg.vec_dot(xi.coords, corner(e)) for e in linalg.identity_matrix(alg.dim, x.mode)]
+    d_y, d_xi = coadjoint(-x, xi, order), bass_product(x, y, order)
+    return {"x": Covector(alg, d_x, xi.mode), "y": d_y, "xi": d_xi}
 
 
 class HessianReport:

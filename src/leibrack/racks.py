@@ -9,13 +9,16 @@ Three carriers share one binary operation shape x > y:
 All are pointed racks: self-distributive, with invertible left translations,
 and unital against the distinguished base point.
 
-Exact exponentials never form matrix powers.  ``exp_action`` sums
-A^k v / k! on one vector, applying A by a sparse product (a bracket with x
-for ad_x, its transpose for a covector), and stops at the first vanishing
-term, so exact ``bass_product`` and ``coadjoint`` cost a few brackets.
-``exp_endo`` builds the exact matrix, where a caller needs one, column by
-column from the same routine.  Float mode keeps the truncated Taylor
-matrix series with scaling and squaring.
+Exact exponentials never form matrix powers.  ``exp_terms``, the one
+exact series loop, yields A^k v / k! on one vector, applying A by a sparse
+product (a bracket with x for ad_x, its transpose for a covector), up to
+the first vanishing term or a limit; ``exp_action`` sums them, so exact
+``bass_product`` and ``coadjoint`` cost a few brackets, and ``exp_endo``
+builds the exact matrix column by column.  ``block_exp_action`` runs it on
+[[A, M], [0, B]], whose exponential holds sum A^p M B^q / (p+q+1)! in its
+corner: the rack cocycle series and the x-gradient of the generating
+function.  Float mode keeps the truncated Taylor matrix series with
+scaling and squaring.
 
 Every caller that needs the matrix exp(ad_x) asks ``exp_ad(x, order)``.  It
 computes ``exp_endo(ad_x)`` once and keeps it in a dict on the algebra
@@ -40,27 +43,51 @@ DEFAULT_FLOAT_ORDER = 12
 DEFAULT_FLOAT_TOL = 1e-9
 
 
-def exp_action(apply, v):
-    """Exact exp(A) v = sum_k A^k v / k! for a nilpotent linear map A.
+def exp_terms(apply, v, limit=None):
+    """Yield A^k v / k!, k = 0, 1, ..., on coordinate lists; ``apply`` applies A.
 
-    ``apply`` maps a coordinate list to its image under A.  The sum stops at
-    the first vanishing term; raises ValueError when A^n v is still nonzero
-    for n = len(v), since then A is not nilpotent.
+    Term 0 is v; the terms stop before the first zero one or after term
+    ``limit``.  With no limit, a nonzero term n = len(v) raises ValueError:
+    A is not nilpotent.  ``Fraction(1, k)`` keeps int and Fraction input exact.
     """
     n = len(v)
-    total = list(v)
-    term = total
+    term = list(v)
+    yield term
     k = 0
-    while any(term):
+    while k != limit and any(term):
         k += 1
-        if k > n:
+        if limit is None and k > n:
             raise ValueError(
-                f"exact exponential needs a nilpotent matrix: no power up to {n} vanishes"
+                f"exact exponential needs a nilpotent matrix: no power up to {n} "
+                "vanishes; use float mode"
             )
         inv = Fraction(1, k)
         term = [inv * t if t else t for t in apply(term)]
+        if any(term):
+            yield term
+
+
+def exp_action(apply, v, limit=None):
+    """exp(A) v, the sum of ``exp_terms(apply, v, limit)``."""
+    terms = exp_terms(apply, v, limit)
+    total = next(terms)
+    for term in terms:
         total = [a + t if t else a for a, t in zip(total, term)]
     return total
+
+
+def block_exp_action(a, m, b, dim, v, limit):
+    """sum_{k<=limit} 1/k! sum_{p+q=k-1} A^p M B^q v: the top of exp([[A, M], [0, B]]) (0, v).
+
+    A acts on lists of length ``dim``, B on those of ``len(v)``, M maps the
+    second to the first (Van Loan, IEEE TAC 23(3), 1978).
+    """
+
+    def apply(u):
+        top, bottom = u[:dim], u[dim:]
+        return [s + t for s, t in zip(a(top), m(bottom))] + b(bottom)
+
+    return exp_action(apply, [0] * dim + list(v), limit)[:dim]
 
 
 def exp_endo(endo, order=DEFAULT_FLOAT_ORDER):

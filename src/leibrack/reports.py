@@ -25,10 +25,6 @@ class CheckReport:
     def passed(self):
         return not self.violations
 
-    def summary(self):
-        status = "pass" if self.passed else "fail"
-        return f"{self.name}: {status} ({self.checked} checked, max residual {self.max_residual})"
-
 
 def samples(items, axiom=None):
     """Witnesses labelled by their index, ``({"sample": i}, item)``.

@@ -1,10 +1,12 @@
 """Shared builders for the test suite."""
 
 from fractions import Fraction
+from math import factorial
 
 from leibrack import linalg
 from leibrack.algebra import LeibnizAlgebra, hemi_semi_direct
-from leibrack.observables import PolyObservable
+from leibrack.observables import Covector, PolyObservable
+from leibrack.racks import exp_ad
 
 
 def make_table(dim, entries):
@@ -260,6 +262,26 @@ def reference_rref(matrix):
     return a[:r], pivots
 
 
+def reference_nullspace(matrix, cols=None):
+    """Right nullspace read off the Fraction rref, then put in echelon form."""
+    if cols is None:
+        cols = len(matrix[0]) if matrix else 0
+    if not matrix:
+        return [r[:] for r in linalg.identity_matrix(cols)]
+    reduced, pivots = linalg.rref(matrix)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    if not basis:
+        return []
+    return linalg.rref(basis)[0]
+
+
 def reference_det(matrix):
     a = [[Fraction(x) for x in row] for row in matrix]
     n = len(a)
@@ -429,3 +451,81 @@ def reference_poisson_bracket(algebra, f, g, sign=1):
             for k, c in row:
                 result = result + (sign * c * a_i) * (partials[j] * _reference_unit(n, k))
     return result.to_observable()
+
+
+# -- reference exponential series ------------------------------------------------
+# One loop per series, each with its own factorial weights and stopping rule,
+# kept as the oracle for the block exponentials in leibrack.racks.
+
+
+def reference_rack_cocycle_series(ext, x, y, order, sign=-1):
+    """sign/(p+q+1)! * ad_{s(x)}^p omega(x, ad_x^q y), p+q+1 <= order, by Elements."""
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    alg, quot = ext.algebra, ext.quotient
+    ad_q = quot.ad(x)
+    ad_h = alg.ad(ext.section(x))
+    total = alg.zero(x.mode)
+    inner = y
+    for q in range(order):
+        if q:
+            inner = ad_q(inner)
+        vec = ext.omega(x, inner)
+        for p in range(order - q):
+            k = p + q + 1
+            total = total + (Fraction(sign, factorial(k)) * vec)
+            vec = ad_h(vec)
+    return total
+
+
+def reference_generating_series_terms(x, y, xi, order=12):
+    """<xi, ad_x^k y>/k! by repeated ad; exact stops when the powers vanish."""
+    alg = x.algebra
+    ad = alg.ad(x)
+    exact = x.mode == "exact"
+    terms = []
+    current = y
+    k = 0
+    while True:
+        weight = Fraction(1, factorial(k)) if exact else 1.0 / factorial(k)
+        terms.append(weight * xi.pair(current))
+        current = ad(current)
+        k += 1
+        if exact:
+            if current.is_zero():
+                break
+            if k > alg.dim:
+                raise ValueError("exact series needs a nilpotent ad; use float mode")
+        elif k > order:
+            break
+    return terms
+
+
+def reference_generating_gradients(x, y, xi, order=12):
+    """The three gradients of <xi, exp(ad_x) y>, d/dx by dense powers of ad_x."""
+    alg = x.algebra
+    n = alg.dim
+    exact = x.mode == "exact"
+    exp_mat = exp_ad(x, order).matrix
+    d_xi = alg.element(linalg.mat_vec(exp_mat, list(y.coords)), x.mode)
+    d_y = Covector(alg, linalg.vec_mat(list(xi.coords), exp_mat), xi.mode)
+    ad_x = alg.ad(x).matrix
+    bound = n if exact else order
+    powers = [linalg.identity_matrix(n, x.mode)]
+    for _ in range(bound):
+        powers.append(linalg.mat_mul(powers[-1], ad_x))
+    d_x_entries = []
+    for i in range(n):
+        ad_ei = alg.ad(alg.basis_element(i, x.mode)).matrix
+        total = 0
+        for p in range(bound):
+            mid = linalg.vec_mat(linalg.vec_mat(list(xi.coords), powers[p]), ad_ei)
+            for q in range(bound - p):
+                k = p + q + 1
+                value = linalg.vec_dot(linalg.vec_mat(mid, powers[q]), list(y.coords))
+                if value != 0:
+                    weight = Fraction(1, factorial(k)) if exact else 1.0 / factorial(k)
+                    total = total + weight * value
+        d_x_entries.append(total)
+    d_x = Covector(alg, d_x_entries, xi.mode)
+    return {"x": d_x, "y": d_y, "xi": d_xi}

@@ -13,6 +13,7 @@ from leibrack.algebra import (
     left_center,
 )
 from leibrack.corpus import CORPUS_NAMES
+from leibrack.observables import Covector
 from leibrack.racks import exp_endo
 
 from helpers import make_table, sl2_module_action
@@ -271,3 +272,35 @@ def test_subspace_membership(heisenberg):
     assert not center.contains(heisenberg.basis_element(0))
     with pytest.raises(ValueError):
         center.coordinates(heisenberg.basis_element(0))
+
+
+# -- every binary op joins its operands: same algebra (by identity), same mode -------
+
+
+def _cross(heisenberg, freenil3):
+    """heisenberg ad(e1), e1 and a covector; freenil3 ad(e2), e1, e2 and a covector."""
+    h1 = heisenberg.basis_element(0)
+    f1, f2 = freenil3.basis_element(0), freenil3.basis_element(1)
+    return {
+        "h_ad": heisenberg.ad(h1), "h1": h1, "h_xi": Covector(heisenberg, h1.coords),
+        "f_ad": freenil3.ad(f2), "f1": f1, "f2": f2, "f_xi": Covector(freenil3, f1.coords),
+    }
+
+
+CROSS_ALGEBRA_OPS = {
+    "endomorphism-call": lambda c: c["h_ad"](c["f1"]),
+    "endomorphism-matmul": lambda c: c["h_ad"] @ c["f_ad"],
+    "endomorphism-add": lambda c: c["h_ad"] + c["f_ad"],
+    "endomorphism-sub": lambda c: c["h_ad"] - c["f_ad"],
+    "endomorphism-distance": lambda c: c["h_ad"].distance(c["f_ad"]),
+    "element-distance": lambda c: c["h1"].distance(c["f2"]),
+    "covector-distance": lambda c: c["h_xi"].distance(c["f_xi"]),
+    "covector-pair": lambda c: c["h_xi"].pair(c["f1"]),
+}
+
+
+@pytest.mark.parametrize("op", list(CROSS_ALGEBRA_OPS))
+def test_binary_ops_reject_operands_of_another_algebra(heisenberg, freenil3, op):
+    operands = _cross(heisenberg, freenil3)
+    with pytest.raises(ValueError, match="elements belong to a different algebra"):
+        CROSS_ALGEBRA_OPS[op](operands)

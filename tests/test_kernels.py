@@ -35,6 +35,7 @@ from helpers import (
     rebase,
     reference_derivation_residual,
     reference_morphism_residual,
+    reference_nullspace,
     reference_rref,
     sl2_semidirect,
 )
@@ -242,6 +243,26 @@ def test_derivation_system_matches_dense_rows(name):
     rows = dense_derivation_rows(alg)
     got = [[x for row in d.matrix for x in row] for d in derivation_algebra(alg).basis]
     assert got == linalg.nullspace(rows, cols=n * n)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_derivation_system_nullspace_matches_reference(k):
+    alg = n_k(k)
+    rows = dense_derivation_rows(alg)
+    cols = alg.dim ** 2
+    assert linalg.nullspace(rows, cols=cols) == reference_nullspace(rows, cols=cols)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_left_center_nullspace_matches_reference(name):
+    alg = ALGEBRAS[name]
+    n = alg.dim
+    rows = [
+        [alg.table[i][j][k] for i in range(n)]
+        for j in range(n) for k in range(n)
+        if any(alg.table[i][j][k] != 0 for i in range(n))
+    ]
+    assert linalg.nullspace(rows, cols=n) == reference_nullspace(rows, cols=n)
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "freenil3", "n4", "n4-rebased"])

@@ -21,6 +21,7 @@ from helpers import (
     rebase,
     reference_det,
     reference_inverse,
+    reference_nullspace,
     reference_rref,
     reference_symmetric_signature,
 )
@@ -308,6 +309,13 @@ def outcome(fn, matrix):
 @given(matrices())
 def test_rref_matches_reference(m):
     assert linalg.rref(m) == reference_rref(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_nullspace_and_rank_match_reference(m):
+    assert linalg.nullspace(m) == reference_nullspace(m)
+    assert linalg.rank(m) == len(reference_rref(m)[0])
 
 
 @settings(max_examples=100, deadline=None)
