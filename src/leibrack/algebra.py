@@ -352,6 +352,7 @@ class Endomorphism:
             isinstance(other, Endomorphism)
             and self.mode == other.mode
             and self.matrix == other.matrix
+            and self.algebra == other.algebra
         )
 
     def __hash__(self):

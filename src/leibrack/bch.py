@@ -2,10 +2,12 @@
 
 The coefficient table is produced once per process: expand
 log(exp X exp Y) in the free associative algebra on two letters, keeping
-words up to degree 8 with exact rational coefficients.  The Dynkin-Specht-
-Wever projection turns the word expansion into a Lie element: a word
-w = a1 a2 .. ad of degree d contributes coefficient c_w / d on the
-right-nested bracket [a1, [a2, [.., ad]]].
+words up to degree 8 with exact rational coefficients.  The expansion runs
+on ints: a word of degree d carries d! times its coefficient in each power
+of exp X exp Y - 1, and each table entry becomes one Fraction at the end.
+The Dynkin-Specht-Wever projection turns the word expansion into a Lie
+element: a word w = a1 a2 .. ad of degree d contributes coefficient
+c_w / d on the right-nested bracket [a1, [a2, [.., ad]]].
 
 The same cached call lays the words out as a suffix tree: a node is a
 suffix of some table word, and its children prepend one letter, so the
@@ -18,7 +20,7 @@ exact and float results are the sums of the plain word-by-word loop.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, lcm
 
 from .algebra import join_elements
 from .reports import check_law, samples
@@ -27,14 +29,20 @@ MAX_ORDER = 8
 
 
 def _truncated_product(a, b, max_degree):
+    """Product of two word series on ints, dropping words above ``max_degree``.
+
+    An int c on a word of degree d stands for the coefficient c / d!, so
+    words of degree i and j multiply with the factor C(i + j, i).
+    """
     out = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
-            if len(wa) + len(wb) > max_degree:
+            degree = len(wa) + len(wb)
+            if degree > max_degree:
                 continue
             key = wa + wb
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return {w: c for w, c in out.items() if c != 0}
+            out[key] = out.get(key, 0) + ca * cb * comb(degree, len(wa))
+    return out
 
 
 class WordTable(dict):
@@ -72,22 +80,27 @@ def log_word_table():
     A ``WordTable``: the dict in (degree, word) order, with the words as a
     suffix tree in ``.tree``.
     """
-    series = {}
-    for p in range(MAX_ORDER + 1):
-        for q in range(MAX_ORDER + 1 - p):
-            if p + q == 0:
-                continue
-            series[(0,) * p + (1,) * q] = Fraction(1, factorial(p) * factorial(q))
-    table = {}
-    power = {(): Fraction(1)}
+    # X^p Y^q / (p! q!) is C(p + q, p) / (p + q)!; every power of the series
+    # keeps that form, and the weights (-1)^(m+1) / m, m <= 8, are ints / 840
+    series = {
+        (0,) * p + (1,) * q: comb(p + q, p)
+        for p in range(MAX_ORDER + 1)
+        for q in range(MAX_ORDER + 1 - p)
+        if p + q
+    }
+    scale = lcm(*range(1, MAX_ORDER + 1))
+    sums = {}
+    power = {(): 1}
     sign = 1
     for m in range(1, MAX_ORDER + 1):
         power = _truncated_product(power, series, MAX_ORDER)
-        for word, coeff in power.items():
-            table[word] = table.get(word, Fraction(0)) + Fraction(sign, m) * coeff
+        for word, c in power.items():
+            sums[word] = sums.get(word, 0) + sign * (scale // m) * c
         sign = -sign
     words = WordTable(
-        (w, c) for w, c in sorted(table.items(), key=lambda kv: (len(kv[0]), kv[0])) if c != 0
+        (w, Fraction(c, scale * factorial(len(w))))
+        for w, c in sorted(sums.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        if c
     )
     words.tree = _suffix_tree(words)
     return words

@@ -125,8 +125,8 @@ def emit(command, algebra, checks, config, seed, json_path, extra_details=None):
 EXACT_ONLY = ("cocycle", "hessian")
 
 
-def check_args(command, args):
-    """Reject flag values that would fail obscurely or pass vacuously."""
+def check_args(command, args, algebra):
+    """Reject flag values and tables that would fail obscurely or pass vacuously."""
     if args.samples <= 0:
         raise UsageError(f"--samples must be positive, got {args.samples}")
     if command in EXACT_ONLY and args.mode == FLOAT:
@@ -138,6 +138,28 @@ def check_args(command, args):
         raise UsageError(f"--step must be a positive finite number, got {args.step}")
     if command == "tangent" and not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError(f"--tol must be a positive finite number, got {args.tol}")
+    if float_exp or (command == "bch" and args.mode == FLOAT):
+        require_float_table(algebra)
+
+
+def require_float(value, what):
+    """Reject an exact number that has no float value (beyond about 1.8e308)."""
+    try:
+        float(value)
+    except OverflowError:
+        raise UsageError(f"float mode: {what} is too large for a float") from None
+
+
+def require_float_table(algebra):
+    names = algebra.basis
+    for i, plane in enumerate(algebra.sparse):
+        for j, row in plane:
+            for k, c in row:
+                require_float(
+                    c,
+                    f"the coefficient of {names[k]} in [{names[i]}, {names[j]}] "
+                    f"(bracket i={i + 1}, j={j + 1})",
+                )
 
 
 def require_nilpotent(algebra, mode, what):
@@ -259,6 +281,9 @@ def cmd_bch(algebra, args):
         x = algebra.element(coords_x, EXACT)
         y = algebra.element(coords_y, EXACT)
         if mode == FLOAT:
+            for flag, coords in (("--x", coords_x), ("--y", coords_y)):
+                for k, c in enumerate(coords):
+                    require_float(c, f"{flag} coordinate {k + 1}")
             x, y = x.to_float(), y.to_float()
         pairs = [(x, y)]
         details["bch"] = vector_repr(bch(x, y, order).coords)
@@ -479,7 +504,7 @@ def main(argv=None):
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:
-        check_args(command, args)
+        check_args(command, args, algebra)
         checks, details = HANDLERS[command](algebra, args)
     except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

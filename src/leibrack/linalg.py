@@ -12,16 +12,31 @@ whose divisions by the previous pivot are exact) turn their results back
 into canonical Fractions only at the end.  ``inverse`` is the right half of
 ``rref([matrix | I])``; ``rank`` and ``nullspace`` read the int rows.
 
-Every inner product is a plain left fold, ``reduce(add, map(mul, u, v), 0)``:
-the terms in index order, added one by one onto an ``int`` 0.  ``sum()``
-would compute the same thing up to Python 3.11, but from 3.12 it adds floats
-with compensated summation, which moves float results (and the reports built
-on them) between interpreter versions.
+Every inner product has the bits of a plain left fold,
+``reduce(add, map(mul, u, v), 0)``: the terms in index order, added one by
+one onto an ``int`` 0.  ``sum()`` would compute the same thing up to Python
+3.11, but from 3.12 it adds floats with compensated summation, which moves
+float results (and the reports built on them) between interpreter versions.
+``vec_dot``, ``mat_vec`` and ``vec_mat`` are that fold.  ``mat_mul`` picks
+its path from its input:
+
+* all entries finite floats: ``float_product``, which adds x * v into an
+  accumulator row that starts at 0.0, k ascending, for the nonzero x = a[i][k]
+  and the nonzero (j, v) of row k of b only.  The bits are the fold's: 0 + p
+  and 0.0 + p agree for every float p, an accumulator that starts at +0.0 is
+  never -0.0, so a skipped term (a signed zero, as both factors are finite)
+  would change nothing;
+* all entries ints or Fractions: int rows of a and of the columns of b (each
+  scaled by the lcm of its denominators), an int sum per entry, and one
+  ``Fraction`` per entry, an int where the fold would give an int;
+* anything else (mixed or non-finite input, an empty or ragged operand): the
+  fold.
 """
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm, prod
+from itertools import chain
+from math import gcd, isfinite, lcm, prod
 from operator import add, mul
 
 EXACT = "exact"
@@ -109,8 +124,67 @@ def vec_mat(v, m):
 
 
 def mat_mul(a, b):
+    """Matrix product, with the bits of a left fold per entry (see the module doc)."""
+    kind = _product_kind(a, b)
+    if kind == FLOAT:
+        return float_product(a, nonzero_rows(b), len(b[0]))
     cols = list(zip(*b))
+    if kind == EXACT:
+        rows, row_scales = _int_rows(a)
+        int_cols, col_scales = _int_rows(cols)
+        row_fraction = [Fraction in map(type, row) for row in a]
+        col_fraction = [Fraction in map(type, col) for col in cols]
+        return [
+            [
+                Fraction(sum(map(mul, r, c)), d * e) if fr or fc else sum(map(mul, r, c))
+                for c, e, fc in zip(int_cols, col_scales, col_fraction)
+            ]
+            for r, d, fr in zip(rows, row_scales, row_fraction)
+        ]
     return [[reduce(add, map(mul, row, col), 0) for col in cols] for row in a]
+
+
+def _product_kind(a, b):
+    """FLOAT when a and b hold only finite floats, EXACT when only ints and Fractions.
+
+    None for anything else, and for an empty or ragged operand.
+    """
+    inner = len(b)
+    if not a or not inner or any(len(row) != inner for row in a):
+        return None
+    cols = len(b[0])
+    if any(len(row) != cols for row in b):
+        return None
+    entries = [*chain.from_iterable(a), *chain.from_iterable(b)]
+    types = set(map(type, entries))
+    if types == {float}:
+        return FLOAT if all(map(isfinite, entries)) else None
+    return EXACT if types <= {int, Fraction} else None
+
+
+def nonzero_rows(m):
+    """The nonzero ``(j, v)`` of each row of m, j ascending."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in m]
+
+
+def float_product(a, b_rows, cols):
+    """a times b for finite float matrices, b given as ``nonzero_rows(b)``.
+
+    Row i is an accumulator that starts at 0.0 and takes x * v for k
+    ascending, x = a[i][k] nonzero and (j, v) in ``b_rows[k]``; no product
+    with a zero factor is formed.  On finite input this is the left fold of
+    ``mat_mul`` bit for bit; an infinite or NaN factor would need its
+    products with zeros, so callers check finiteness first.
+    """
+    out = []
+    for row in a:
+        acc = [0.0] * cols
+        for x, entries in zip(row, b_rows):
+            if x:
+                for j, v in entries:
+                    acc[j] += x * v
+        out.append(acc)
+    return out
 
 
 def mat_add(a, b):

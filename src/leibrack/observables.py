@@ -45,6 +45,7 @@ class Covector:
             isinstance(other, Covector)
             and self.mode == other.mode
             and self.coords == other.coords
+            and self.algebra == other.algebra
         )
 
     def __hash__(self):

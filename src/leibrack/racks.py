@@ -18,7 +18,14 @@ builds the exact matrix column by column.  ``block_exp_action`` runs it on
 [[A, M], [0, B]], whose exponential holds sum A^p M B^q / (p+q+1)! in its
 corner: the rack cocycle series and the x-gradient of the generating
 function.  Float mode keeps the truncated Taylor matrix series with
-scaling and squaring.
+scaling and squaring (Moler & Van Loan, SIAM Rev. 45(1), 2003): it rejects
+a matrix with a non-finite entry or 1-norm, halves the matrix until its
+1-norm is at most 1, then runs ``order`` products power <- (power @ A) / k,
+adding each power to the total.  The nonzero rows of the scaled A are
+listed once per call, and each product goes through
+``linalg.float_product``, which forms no product with a zero factor and
+gives ``mat_mul``'s bits; ad_x of sl2 x| V_m is mostly zero blocks.  The
+squarings are ``mat_mul`` calls.
 
 Every caller that needs the matrix exp(ad_x) asks ``exp_ad(x, order)``.  It
 computes ``exp_endo(ad_x)`` once and keeps it in a dict on the algebra
@@ -30,6 +37,7 @@ exponential is computed.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import isfinite
 
 from . import linalg
@@ -97,8 +105,8 @@ def exp_endo(endo, order=DEFAULT_FLOAT_ORDER):
     raises when A^n fails to vanish (n the dimension) and returns the
     identity on a 0-dimensional algebra.  Float mode truncates the series
     at the given order, after scaling-and-squaring whenever the matrix
-    1-norm exceeds 1, and raises ValueError when the result overflows to a
-    non-finite entry.
+    1-norm exceeds 1, and raises ValueError when the input has a non-finite
+    entry or 1-norm or the result overflows to a non-finite entry.
     """
     n = endo.algebra.dim
     if endo.mode == EXACT:
@@ -110,25 +118,34 @@ def exp_endo(endo, order=DEFAULT_FLOAT_ORDER):
         columns = [exp_action(apply, unit) for unit in linalg.identity_matrix(n)]
         return Endomorphism(endo.algebra, linalg.transpose(columns), EXACT)
     norm = linalg.mat_norm_1(endo.matrix)
+    if not (isfinite(norm) and all(map(isfinite, chain.from_iterable(endo.matrix)))):
+        raise _overflowed(endo)
     squarings = 0
     while norm > 1.0:
         norm /= 2.0
         squarings += 1
     scaled = linalg.mat_scale(1.0 / (1 << squarings), endo.matrix) if squarings else endo.matrix
     scaled = [[float(x) for x in row] for row in scaled]
+    # ||scaled||_1 <= 1 bounds every power by 1/k!, so all stay finite and
+    # float_product gives mat_mul's bits without checking again
+    entries = linalg.nonzero_rows(scaled)
     total = linalg.identity_matrix(n, FLOAT)
     power = linalg.identity_matrix(n, FLOAT)
     for k in range(1, order + 1):
-        power = linalg.mat_scale(1.0 / k, linalg.mat_mul(power, scaled))
+        power = linalg.mat_scale(1.0 / k, linalg.float_product(power, entries, n))
         total = linalg.mat_add(total, power)
     for _ in range(squarings):
         total = linalg.mat_mul(total, total)
     if not all(isfinite(x) for row in total for x in row):
-        raise ValueError(
-            f"float exponential overflowed: exp of a matrix with 1-norm "
-            f"{linalg.mat_norm_1(endo.matrix)} has a non-finite entry"
-        )
+        raise _overflowed(endo)
     return Endomorphism(endo.algebra, total, FLOAT)
+
+
+def _overflowed(endo):
+    return ValueError(
+        f"float exponential overflowed: exp of a matrix with 1-norm "
+        f"{linalg.mat_norm_1(endo.matrix)} has a non-finite entry"
+    )
 
 
 def exp_ad(x, order=DEFAULT_FLOAT_ORDER):

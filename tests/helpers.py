@@ -1,7 +1,9 @@
 """Shared builders for the test suite."""
 
 from fractions import Fraction
+from functools import reduce
 from math import factorial
+from operator import add, mul
 
 from leibrack import linalg
 from leibrack.algebra import LeibnizAlgebra, hemi_semi_direct
@@ -529,3 +531,68 @@ def reference_generating_gradients(x, y, xi, order=12):
         d_x_entries.append(total)
     d_x = Covector(alg, d_x_entries, xi.mode)
     return {"x": d_x, "y": d_y, "xi": d_xi}
+
+
+def _reference_truncated_product(a, b, max_degree):
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            if len(wa) + len(wb) > max_degree:
+                continue
+            key = wa + wb
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def reference_log_word_table():
+    """``bch.log_word_table`` built on Fractions, one normalisation per term."""
+    from leibrack.bch import MAX_ORDER, WordTable, _suffix_tree
+
+    series = {}
+    for p in range(MAX_ORDER + 1):
+        for q in range(MAX_ORDER + 1 - p):
+            if p + q == 0:
+                continue
+            series[(0,) * p + (1,) * q] = Fraction(1, factorial(p) * factorial(q))
+    table = {}
+    power = {(): Fraction(1)}
+    sign = 1
+    for m in range(1, MAX_ORDER + 1):
+        power = _reference_truncated_product(power, series, MAX_ORDER)
+        for word, coeff in power.items():
+            table[word] = table.get(word, Fraction(0)) + Fraction(sign, m) * coeff
+        sign = -sign
+    words = WordTable(
+        (w, c) for w, c in sorted(table.items(), key=lambda kv: (len(kv[0]), kv[0])) if c != 0
+    )
+    words.tree = _suffix_tree(words)
+    return words
+
+
+def reference_mat_mul(a, b):
+    """``linalg.mat_mul`` as a left fold per entry, whatever the input."""
+    cols = list(zip(*b))
+    return [[reduce(add, map(mul, row, col), 0) for col in cols] for row in a]
+
+
+def reference_exp_endo_float(matrix, order):
+    """The float Taylor loop of ``racks.exp_endo`` on dense products, as a matrix.
+
+    For finite input only: the scaling loop never ends on an infinite norm.
+    """
+    n = len(matrix)
+    norm = linalg.mat_norm_1(matrix)
+    squarings = 0
+    while norm > 1.0:
+        norm /= 2.0
+        squarings += 1
+    scaled = linalg.mat_scale(1.0 / (1 << squarings), matrix) if squarings else matrix
+    scaled = [[float(x) for x in row] for row in scaled]
+    total = linalg.identity_matrix(n, linalg.FLOAT)
+    power = linalg.identity_matrix(n, linalg.FLOAT)
+    for k in range(1, order + 1):
+        power = linalg.mat_scale(1.0 / k, reference_mat_mul(power, scaled))
+        total = linalg.mat_add(total, power)
+    for _ in range(squarings):
+        total = reference_mat_mul(total, total)
+    return total

@@ -304,3 +304,17 @@ def test_binary_ops_reject_operands_of_another_algebra(heisenberg, freenil3, op)
     operands = _cross(heisenberg, freenil3)
     with pytest.raises(ValueError, match="elements belong to a different algebra"):
         CROSS_ALGEBRA_OPS[op](operands)
+
+
+def test_endomorphism_equality_compares_the_algebra(heisenberg, abelian3):
+    assert Endomorphism.identity(heisenberg) != Endomorphism.identity(abelian3)
+    assert Endomorphism.identity(heisenberg) == Endomorphism.identity(heisenberg)
+    copy = LeibnizAlgebra(heisenberg.table)
+    assert Endomorphism.identity(heisenberg) == Endomorphism.identity(copy)
+
+
+def test_covector_equality_compares_the_algebra(heisenberg, abelian3):
+    assert Covector(heisenberg, [1, 0, 0]) != Covector(abelian3, [1, 0, 0])
+    assert Covector(heisenberg, [1, 0, 0]) == Covector(heisenberg, [1, 0, 0])
+    copy = LeibnizAlgebra(heisenberg.table)
+    assert Covector(heisenberg, [1, 0, 0]) == Covector(copy, [1, 0, 0])

@@ -20,7 +20,7 @@ from leibrack.linalg import EXACT, FLOAT
 from leibrack.racks import bass_product
 from leibrack.sampling import sample_elements, sample_pairs, sample_triples
 
-from helpers import n_k, reference_evaluate_word_table
+from helpers import n_k, reference_evaluate_word_table, reference_log_word_table
 
 
 def test_word_table_low_degree_coefficients():
@@ -280,6 +280,13 @@ def test_word_tree_is_built_with_the_table():
             assert words[position] == word and weight == table[word] / len(word)
         else:
             assert position is None and weight is None
+
+
+def test_word_table_on_ints_equals_the_fraction_build():
+    table, want = log_word_table(), reference_log_word_table()
+    assert list(table.items()) == list(want.items())
+    assert [type(c) for c in table.values()] == [Fraction] * len(want)
+    assert repr(table.tree) == repr(want.tree)
 
 
 @pytest.mark.parametrize("order", ORDERS)

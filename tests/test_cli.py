@@ -319,6 +319,31 @@ def test_non_finite_float_exponential_exits_two(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["rack", "quantize", "bch", "tangent"])
+def test_constants_beyond_float_range_exit_two(tmp_path, command):
+    # sl2 with its structure constants scaled by 10^308: 2 * 10^308 has no
+    # float value, so float mode must refuse the table up front.
+    doc = json.loads(corpus_path("sl2").read_text())
+    for entry in doc["brackets"]:
+        entry["value"] = [[num * 10**308, den] for num, den in entry["value"]]
+    big = tmp_path / "sl2huge.json"
+    big.write_text(json.dumps(doc))
+    proc = run_cli(command, big, "--mode", "float", "--samples", 3)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: float mode: the coefficient of e in [h, e] (bracket i=1, j=2) "
+        "is too large for a float\n"
+    )
+
+
+def test_bch_point_beyond_float_range_exits_two():
+    proc = run_cli(
+        "bch", corpus_file("heisenberg"), "--mode", "float", "--x", "0,1e400,0", "--y", "1,0,0"
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: float mode: --x coordinate 2 is too large for a float\n"
+
+
 COMMANDS = ["validate", "analyze", "rack", "bch", "cocycle", "quantize", "hessian", "tangent"]
 # Default runs whose precondition does not hold: BCH needs a Lie algebra and
 # an exact exponential a nilpotent one.

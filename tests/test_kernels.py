@@ -35,6 +35,7 @@ from helpers import (
     rebase,
     reference_derivation_residual,
     reference_morphism_residual,
+    reference_exp_endo_float,
     reference_nullspace,
     reference_rref,
     sl2_semidirect,
@@ -426,6 +427,38 @@ def test_exp_ad_float_has_the_bits_of_exp_endo(name):
             got = exp_ad(x, order)
             assert exp_ad(x, order) is got
             assert matrix_bits(got) == matrix_bits(exp_endo(alg.ad(x), order))
+
+
+SL2_FAMILY = {"sl2": ALGEBRAS["sl2"]}
+SL2_FAMILY.update({f"sl2xV{m}": sl2_semidirect(ALGEBRAS["sl2"], m) for m in range(1, 5)})
+
+
+@pytest.mark.parametrize("name", list(SL2_FAMILY))
+def test_exp_endo_float_has_the_bits_of_the_dense_taylor_loop(name):
+    alg = SL2_FAMILY[name]
+    rng = random.Random(name + "taylor")
+    for order in (1, 12, 16):
+        for scale in (0.1, 1.0, 7.0):
+            x = alg.element([scale * float(v) for v in rational_vector(rng, alg.dim)], "float")
+            ad = alg.ad(x)
+            want = reference_exp_endo_float(ad.matrix, order)
+            assert matrix_bits(exp_endo(ad, order)) == [exact_bits(row) for row in want]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), order=st.sampled_from([1, 12, 16]))
+def test_exp_endo_float_on_zero_rows_and_columns(data, n, order):
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(-20, 20))
+    matrix = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    index = data.draw(st.integers(0, n - 1))
+    if data.draw(st.booleans()):
+        matrix[index] = [data.draw(st.sampled_from([0.0, -0.0]))] * n
+    else:
+        for row in matrix:
+            row[index] = data.draw(st.sampled_from([0.0, -0.0]))
+    endo = Endomorphism(LeibnizAlgebra(make_table(n, {})), matrix, "float")
+    want = reference_exp_endo_float(matrix, order)
+    assert matrix_bits(exp_endo(endo, order)) == [exact_bits(row) for row in want]
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "freenil3"])

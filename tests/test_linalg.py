@@ -21,6 +21,7 @@ from helpers import (
     rebase,
     reference_det,
     reference_inverse,
+    reference_mat_mul,
     reference_nullspace,
     reference_rref,
     reference_symmetric_signature,
@@ -257,6 +258,83 @@ def test_kernels_do_not_compensate_float_sums():
     assert repr(linalg.vec_mat(row, [[1.0]] * 3)) == "[0.0]"
     assert repr(linalg.mat_mul([row], [[1.0]] * 3)) == "[[0.0]]"
     assert linalg.mat_norm_1([[1.0], [1e16], [1.0]]) == 1e16
+
+
+# -- mat_mul paths against the fold ----------------------------------------------
+
+INF = math.inf
+FINITE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+    st.floats(-1e3, 1e3),
+)
+FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+PRODUCT_ENTRIES = {
+    "finite-float": FINITE_FLOATS,
+    "float": st.one_of(FINITE_FLOATS, st.sampled_from([INF, -INF, math.nan]), st.floats()),
+    "fraction": st.one_of(FRACTIONS, st.integers(-3, 3)),
+    "int": st.integers(-6, 6),
+    "mixed": st.one_of(FINITE_FLOATS, FRACTIONS, st.integers(-3, 3)),
+}
+
+
+def shaped_matrices(entry, rows, cols):
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCT_ENTRIES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mat_mul_has_the_bits_of_the_left_fold(kind, data):
+    rows, inner, cols = data.draw(st.tuples(*[st.integers(0, 4)] * 3), label="shape")
+    a = data.draw(shaped_matrices(PRODUCT_ENTRIES[kind], rows, inner), label="a")
+    b = data.draw(shaped_matrices(PRODUCT_ENTRIES[kind], inner, cols), label="b")
+    assert bits(linalg.mat_mul(a, b)) == bits(reference_mat_mul(a, b))
+
+
+def test_mat_mul_on_signed_zeros_and_overflow():
+    # A row with no nonzero product is +0.0, as 0 + (-0.0) is; an inf
+    # factor meets the zeros it multiplies (inf * 0 is nan); finite
+    # factors may still overflow.
+    cases = [
+        ([[-0.0, 0.0]], [[-1.0, 0.0], [0.0, -0.0]]),
+        ([[INF, 1.0]], [[0.0], [2.0]]),
+        ([[1.0, 0.0]], [[2.0], [math.nan]]),
+        ([[1e308, 1e308]], [[10.0], [-10.0]]),
+        ([[0, Fraction(1, 2)], [3, 0]], [[1, 2], [Fraction(2, 3), 0]]),
+        ([[1, 2]], [[3], [4]]),
+    ]
+    for a, b in cases:
+        assert bits(linalg.mat_mul(a, b)) == bits(reference_mat_mul(a, b))
+    assert bits(linalg.mat_mul([[-0.0]], [[-0.0]])) == [["0.0"]]
+    assert bits(linalg.mat_mul([[1, 2]], [[3], [4]])) == [["11"]]
+    assert bits(linalg.mat_mul([[1, 2]], [[F(1, 2)], [4]])) == [["Fraction(17, 2)"]]
+
+
+class CountingFloat(float):
+    """A float that counts the products it is the right factor of."""
+
+    products = 0
+
+    def __rmul__(self, other):
+        CountingFloat.products += 1
+        return other * float(self)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_float_product_forms_no_product_with_a_zero_factor(data):
+    rows, inner, cols = data.draw(st.tuples(*[st.integers(1, 5)] * 3), label="shape")
+    entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10, 10))
+    a = data.draw(shaped_matrices(entry, rows, inner), label="a")
+    b = data.draw(shaped_matrices(entry, inner, cols), label="b")
+    b_rows = [[(j, CountingFloat(v)) for j, v in row] for row in linalg.nonzero_rows(b)]
+    CountingFloat.products = 0
+    got = linalg.float_product(a, b_rows, cols)
+    assert CountingFloat.products == sum(
+        1 for row in a for x, b_row in zip(row, b) for v in b_row if x and v
+    )
+    assert bits(got) == bits(reference_mat_mul(a, b))
 
 
 # -- integer eliminations against the Fraction references ---------------------------

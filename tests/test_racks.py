@@ -59,6 +59,26 @@ def test_exp_endo_float_rejects_an_overflowed_result():
         exp_endo(huge)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("column", [0, 2])
+def test_exp_endo_float_rejects_a_non_finite_entry(sl2, bad, column):
+    from leibrack.algebra import Endomorphism
+
+    matrix = [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    matrix[0][column] = bad
+    with pytest.raises(ValueError, match="overflowed: exp of a matrix with 1-norm"):
+        exp_endo(Endomorphism(sl2, matrix, "float"))
+
+
+def test_exp_endo_float_rejects_a_norm_beyond_the_float_range(sl2):
+    from leibrack.algebra import Endomorphism
+
+    # finite entries whose column sum overflows to inf
+    matrix = [[1e308, 0.0, 0.0], [1e308, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    with pytest.raises(ValueError, match="1-norm inf"):
+        exp_endo(Endomorphism(sl2, matrix, "float"))
+
+
 def test_exp_endo_float_matches_closed_form():
     from leibrack.algebra import Endomorphism
 
