@@ -51,10 +51,7 @@ from .quantize import (
     semiclassical_leading_terms,
 )
 from .racks import (
-    BassRack,
-    HsRack,
     PairElement,
-    RhRack,
     bass_product,
     check_rack_axioms,
     coadjoint,

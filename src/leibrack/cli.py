@@ -17,6 +17,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .algebra import derivation_algebra, left_center
@@ -32,18 +33,20 @@ from .io import InterchangeError, load_algebra, scalar_repr
 from .linalg import EXACT, FLOAT
 from .observables import Covector, PolyObservable
 from .quantize import (
-    LabelRack,
+    ExpLabel,
     action_left_action_violations,
+    gutt_rack_label,
     hessian_check,
     label_action_compatibility_violations,
     poisson_bracket,
+    quantum_rack_label,
     right_leibniz_violations,
     semiclassical_leading_terms,
 )
 from .racks import (
     DEFAULT_FLOAT_ORDER,
     DEFAULT_FLOAT_TOL,
-    BassRack,
+    bass_product,
     check_rack_axioms,
     coadjoint_action_violations,
     conjugation_lemma_violations,
@@ -122,7 +125,7 @@ def emit(command, algebra, checks, config, seed, json_path, extra_details=None):
     return 0 if doc["status"] == "pass" else 1
 
 
-EXACT_ONLY = ("cocycle", "hessian")
+EXACT_ONLY = ("validate", "analyze", "cocycle", "hessian")
 
 
 def check_args(command, args, algebra):
@@ -246,7 +249,7 @@ def cmd_rack(algebra, args):
     require_nilpotent(algebra, mode, "the exponential rack")
     tol = 0 if mode == EXACT else DEFAULT_FLOAT_TOL
     scale = sample_scale(mode)
-    rack = BassRack(algebra, mode, args.order)
+    product = partial(bass_product, order=args.order)
     triples = sample_triples(algebra, args.samples, args.seed, mode, scale)
     pairs = [(x, y) for x, y, _ in triples]
     zx_pairs = [(z, x) for x, _, z in triples]
@@ -255,7 +258,7 @@ def cmd_rack(algebra, args):
     if mode == FLOAT:
         xis = [xi.to_float() for xi in xis]
     checks = [
-        serialize_check(check_rack_axioms(rack, triples, tol)),
+        serialize_check(check_rack_axioms(product, algebra.zero(mode), triples, tol)),
         serialize_check(conjugation_lemma_violations(algebra, zx_pairs, args.order, tol)),
         serialize_check(coadjoint_action_violations(algebra, pairs, xis, args.order, tol)),
         serialize_check(pair_rack_closure_violations(algebra, pairs, args.order, tol)),
@@ -331,10 +334,10 @@ def cmd_quantize(algebra, args):
     require_nilpotent(algebra, mode, "the exponential-label rack")
     tol = 0 if mode == EXACT else DEFAULT_FLOAT_TOL
     scale = sample_scale(mode)
-    label_rack = LabelRack(algebra, mode, args.order)
-    labels = label_rack.sample(3 * args.samples, args.seed, scale)
-    label_triples = [tuple(labels[3 * t : 3 * t + 3]) for t in range(args.samples)]
     element_triples = sample_triples(algebra, args.samples, args.seed, mode, scale)
+    label_triples = [tuple(map(ExpLabel, triple)) for triple in element_triples]
+    label_product = partial(quantum_rack_label, order=args.order)
+    label_unit = ExpLabel(algebra.zero(mode))
     pairs = [(x, y) for x, y, _ in element_triples]
     observables = sample_observables(algebra, args.samples, args.seed + 2)
     triples_obs = list(
@@ -346,7 +349,7 @@ def cmd_quantize(algebra, args):
     )
     linear_pairs = sample_pairs(algebra, args.samples, args.seed + 5)
     checks = [
-        serialize_check(check_rack_axioms(label_rack, label_triples, tol)),
+        serialize_check(check_rack_axioms(label_product, label_unit, label_triples, tol)),
         serialize_check(label_action_compatibility_violations(algebra, pairs, args.order, tol)),
         serialize_check(
             action_left_action_violations(algebra, pairs, observables, args.order, tol)
@@ -384,8 +387,6 @@ def _order0_associativity_check(algebra, triples):
 
 
 def _gutt_match_check(algebra, args):
-    from .quantize import ExpLabel, gutt_rack_label, quantum_rack_label
-
     pairs = sample_pairs(algebra, args.samples, args.seed + 6)
     pairs = [(ExpLabel(x), ExpLabel(y)) for x, y in pairs]
     return check_law(
@@ -421,12 +422,9 @@ def cmd_hessian(algebra, args):
 
 
 def cmd_tangent(algebra, args):
-    rack = BassRack(algebra, FLOAT, args.order)
-
     def product(xc, yc):
-        return list(
-            rack.product(algebra.element(xc, FLOAT), algebra.element(yc, FLOAT)).coords
-        )
+        x, y = algebra.element(xc, FLOAT), algebra.element(yc, FLOAT)
+        return list(bass_product(x, y, args.order).coords)
 
     table = tangent_recover(product, algebra.dim, args.step)
     err = max_table_error(table, algebra)
@@ -455,40 +453,40 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, aliases=()):
+    def add(name, help_text, aliases=(), samples=50, order=None):
+        """A subcommand; ``order`` is (default, help) for an --order flag, or None."""
         p = sub.add_parser(name, help=help_text, aliases=list(aliases))
         p.add_argument("algebra", help="path to an algebra JSON file")
         p.add_argument("--json", dest="json_out", metavar="OUT", help="write the JSON report here")
         p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-        p.add_argument("--samples", type=int, default=50, help="sample count (default 50)")
+        p.add_argument("--samples", type=int, default=samples,
+                       help=f"sample count (default {samples})")
         p.add_argument(
             "--mode", choices=(EXACT, FLOAT), default=EXACT, help="scalar mode (default exact)"
         )
+        if order is not None:
+            default, text = order
+            if default is not None:
+                text = f"{text} (default {default})"
+            p.add_argument("--order", type=int, default=default, help=text)
         return p
 
+    float_order = (DEFAULT_FLOAT_ORDER, "float exponential truncation order")
     add("validate", "check the Leibniz identity and report basic structure")
     add("analyze", "left center, derivations, quotient, and extension cocycle")
-    rack = add("rack", "rack axioms, conjugation lemma, coadjoint action")
-    rack.add_argument("--order", type=int, default=DEFAULT_FLOAT_ORDER,
-                      help="float exponential truncation order (default 12)")
-    bch_p = add("bch", "BCH product and the conj identity against exp(ad)")
-    bch_p.add_argument("--order", type=int, default=None, help="BCH truncation order (1..8)")
+    add("rack", "rack axioms, conjugation lemma, coadjoint action", order=float_order)
+    bch_p = add("bch", "BCH product and the conj identity against exp(ad)",
+                order=(None, f"BCH truncation order, 1..{MAX_ORDER} (default {MAX_ORDER})"))
     bch_p.add_argument("--x", help="first element, comma-separated fractions")
     bch_p.add_argument("--y", help="second element, comma-separated fractions")
-    coc = add("cocycle", "rack cocycle: exact defect versus its series form")
-    coc.add_argument("--order", type=int, default=None,
-                     help="series truncation order (default: nilpotency class)")
-    quant = add("quantize", "label rack, observable action, Poisson bracket laws",
-                aliases=("quantize-check",))
-    quant.add_argument("--order", type=int, default=DEFAULT_FLOAT_ORDER,
-                       help="float exponential truncation order (default 12)")
-    hess = add("hessian", "exact determinant and signature of the extremum Hessian")
+    add("cocycle", "rack cocycle: exact defect versus its series form",
+        order=(None, "series truncation order (default: nilpotency class)"))
+    add("quantize", "label rack, observable action, Poisson bracket laws",
+        aliases=("quantize-check",), order=float_order)
+    hess = add("hessian", "exact determinant and signature of the extremum Hessian", samples=20)
     hess.add_argument("--xi", help="dual point, comma-separated fractions")
-    hess.set_defaults(samples=20)
-    tang = add("tangent", "recover structure constants from the float rack")
+    tang = add("tangent", "recover structure constants from the float rack", order=float_order)
     tang.add_argument("--step", type=float, default=1e-3, help="difference step (default 1e-3)")
-    tang.add_argument("--order", type=int, default=DEFAULT_FLOAT_ORDER,
-                      help="float exponential truncation order (default 12)")
     tang.add_argument("--tol", type=float, default=1e-5,
                       help="acceptance threshold on the max error (default 1e-5)")
     return parser

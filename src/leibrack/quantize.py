@@ -80,32 +80,6 @@ def gutt_rack_label(a, b, order=MAX_ORDER):
     return ExpLabel(conj_star(a.element, b.element, order))
 
 
-class LabelRack:
-    """Exponential labels under the quantum rack product, for axiom checks."""
-
-    def __init__(self, algebra, mode="exact", order=DEFAULT_FLOAT_ORDER):
-        self.algebra = algebra
-        self.mode = mode
-        self.order = order
-
-    def product(self, a, b):
-        return quantum_rack_label(a, b, self.order)
-
-    def unit(self):
-        return ExpLabel(self.algebra.zero(self.mode))
-
-    def distance(self, a, b):
-        return a.distance(b)
-
-    def sample(self, count, seed, scale=Fraction(1)):
-        from .sampling import sample_elements
-
-        return [
-            ExpLabel(x)
-            for x in sample_elements(self.algebra, count, seed, self.mode, scale)
-        ]
-
-
 # -- observable action ---------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from leibrack import cli
+from leibrack.bch import MAX_ORDER
 from leibrack.corpus import CORPUS_NAMES, corpus_path
 
 
@@ -298,7 +299,7 @@ def test_nonpositive_float_order_rejected(command, order):
     assert_usage_error(proc, "--order must be positive")
 
 
-@pytest.mark.parametrize("command", ["cocycle", "hessian"])
+@pytest.mark.parametrize("command", ["validate", "analyze", "cocycle", "hessian"])
 def test_float_mode_rejected_for_exact_only_commands(command):
     proc = run_cli(command, corpus_file("heisenberg"), "--mode", "float")
     assert_usage_error(proc, "exact-only")
@@ -366,6 +367,23 @@ def test_every_command_on_the_corpus_at_defaults(capsys):
                 assert err.startswith("error: ") and err.count("\n") == 1, (command, name, err)
     expected = {key: 2 if key in PRECONDITION_FAILURES else 0 for key in codes}
     assert codes == expected
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_names_the_real_defaults(capsys, command):
+    args = cli.build_parser().parse_args([command, "algebra.json"])
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"--samples SAMPLES sample count (default {args.samples})" in text
+    if command == "bch":
+        assert f"--order ORDER BCH truncation order, 1..8 (default {MAX_ORDER})" in text
+    elif command == "cocycle":
+        assert "--order ORDER series truncation order (default: nilpotency class)" in text
+    elif hasattr(args, "order"):
+        assert f"--order ORDER float exponential truncation order (default {args.order})" in text
+    else:
+        assert "--order" not in text
 
 
 def test_import_loads_no_third_party_numerics():

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leibrack import cli, linalg, racks
@@ -457,6 +457,42 @@ def test_exp_endo_float_on_zero_rows_and_columns(data, n, order):
         for row in matrix:
             row[index] = data.draw(st.sampled_from([0.0, -0.0]))
     endo = Endomorphism(LeibnizAlgebra(make_table(n, {})), matrix, "float")
+    want = reference_exp_endo_float(matrix, order)
+    assert matrix_bits(exp_endo(endo, order)) == [exact_bits(row) for row in want]
+
+
+def tiny_float(mantissa, exponent, sign):
+    return sign * mantissa * 2.0 ** exponent
+
+
+@settings(max_examples=80, deadline=None)
+@example(matrix=[[2.0 ** -537, 0.0], [0.0, -(2.0 ** -537)]], order=2)
+@given(
+    matrix=st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.one_of(
+                    st.builds(
+                        tiny_float,
+                        st.floats(1, 2),
+                        st.integers(-560, -500),
+                        st.sampled_from([1.0, -1.0]),
+                    ),
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -0.5]),
+                ),
+                min_size=n,
+                max_size=n,
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    order=st.sampled_from([2, 12, 16]),
+)
+def test_exp_endo_float_on_products_that_underflow(matrix, order):
+    # entries near 2^-537 multiply to subnormals around 2^-1074, and dividing
+    # a subnormal product by k can underflow it to a signed zero
+    endo = Endomorphism(LeibnizAlgebra(make_table(len(matrix), {})), matrix, "float")
     want = reference_exp_endo_float(matrix, order)
     assert matrix_bits(exp_endo(endo, order)) == [exact_bits(row) for row in want]
 

@@ -5,17 +5,15 @@ import math
 import pytest
 
 from leibrack.corpus import CORPUS_NAMES
-from leibrack.racks import BassRack
+from leibrack.racks import bass_product
 from leibrack.tangent import max_table_error, tangent_recover
 
 
 def float_product(algebra):
-    rack = BassRack(algebra, mode="float")
-
     def product(a, b):
         x = algebra.element(a, mode="float")
         y = algebra.element(b, mode="float")
-        return rack.product(x, y).coords
+        return bass_product(x, y).coords
 
     return product
 
