@@ -12,11 +12,22 @@ table itself is always exact.
 
 The dense ``table`` is the input and interchange form and the identity of
 an algebra (equality, hashing).  Most tables are almost all zeros, so every
-kernel that walks the bracket (``bracket_coords``, ``ad``, the Leibniz
-check, the left center, the derivation system) reads ``sparse`` instead:
-for each i, the pairs ``(j, ((k, c), ...))`` with ``[e_i, e_j]`` nonzero,
-both indices ascending.  The kernels visit terms in the same order as a
-dense loop would, so float results are bit-for-bit those of the dense sums.
+kernel that walks the bracket reads one of two sparse views built once in
+``__init__`` instead.  ``sparse`` lists, for each i, the pairs
+``(j, ((k, c), ...))`` with ``[e_i, e_j]`` nonzero, both indices ascending.
+``int_sparse`` has the same index structure with each entry c replaced by
+the int ``c * scale``, ``scale`` the lcm of the table's denominators.
+
+* ``int_sparse`` serves the exact kernels whose answer does not depend on
+  the scale, or that divide it out once at the end: the Leibniz check,
+  ``nilpotency_class``, ``left_center``, ``derivation_algebra``, the
+  cocycle identity in ``extension`` and ``quantize.hessian_matrix``.  They
+  sum on ints and make canonical Fractions only for their results.
+* ``sparse`` serves ``bracket_coords``, ``ad``, ``dual_bracket_coords``,
+  ``bracket_defects`` and ``Endomorphism.derivation_residual``, which mix
+  the table with caller scalars, floats too.  They visit terms in the same
+  order as a dense loop would, so float results are bit-for-bit those of
+  the dense sums.
 """
 
 from fractions import Fraction
@@ -51,6 +62,16 @@ class LeibnizAlgebra:
                 if any(row)
             )
             for plane in self.table
+        )
+        self.scale = lcm(
+            *(c.denominator for plane in self.sparse for _, row in plane for _, c in row)
+        )
+        self.int_sparse = tuple(
+            tuple(
+                (j, tuple((k, c.numerator * (self.scale // c.denominator)) for k, c in row))
+                for j, row in plane
+            )
+            for plane in self.sparse
         )
         self._leibniz_violations = None
         self._is_lie = None
@@ -140,20 +161,16 @@ class LeibnizAlgebra:
         indices; the residual [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]]
         is an exact rational vector.
 
-        The sums run on ints: every entry is scaled by the table's common
-        denominator D, and each residual term is a product of two entries, so
-        D**2 times the residual is an int vector, divided back at the end.
+        The sums run on ``int_sparse``: each residual term is a product of two
+        entries, so ``scale**2`` times the residual is an int vector, divided
+        back at the end.
         """
         if self._leibniz_violations is not None:
             return self._leibniz_violations
         n = self.dim
-        scale = lcm(*(c.denominator for plane in self.sparse for _, row in plane for _, c in row))
-        # rows[i][j]: the nonzero (k, scale * c) of [e_i, e_j], as ints
-        rows = [
-            {j: tuple((k, c.numerator * (scale // c.denominator)) for k, c in row)
-             for j, row in plane}
-            for plane in self.sparse
-        ]
+        scale = self.scale
+        # rows[i][j]: the nonzero (k, scale * c) of [e_i, e_j]
+        rows = [dict(plane) for plane in self.int_sparse]
         violations = []
         for i in range(n):
             for j in range(n):
@@ -192,21 +209,27 @@ class LeibnizAlgebra:
 
         Uses the descending chain V_1 = h, V_{k+1} = span of [e_i, V_k]; by the
         Leibniz identity every bracket word of length k lies in the span of
-        such right-nested words.
+        such right-nested words.  A span does not change when the table is
+        scaled, so the chain runs on ``int_sparse`` and int echelon rows.
         """
         if self._nilpotency_class != -2:
             return self._nilpotency_class
-        units = linalg.identity_matrix(self.dim)
-        level = units
+        n = self.dim
+        level = [[int(i == j) for j in range(n)] for i in range(n)]
         k = 1
         while level:
             images = []
-            for unit in units:
+            for plane in self.int_sparse:
                 for w in level:
-                    img = self.bracket_coords(unit, w)
-                    if not linalg.is_zero_vector(img):
+                    img = [0] * n  # scale * [e_i, w]
+                    for j, row in plane:
+                        wj = w[j]
+                        if wj:
+                            for m, c in row:
+                                img[m] += wj * c
+                    if any(img):
                         images.append(img)
-            nxt = linalg.rref(images)[0] if images else []
+            nxt = linalg.echelon(images)[0] if images else []
             if len(nxt) >= len(level):
                 self._nilpotency_class = None
                 return None
@@ -380,7 +403,7 @@ class Endomorphism:
         flat = [x for row in self.matrix for x in row]
         return linalg.max_abs(
             reduce(add, (c * flat[col] for col, c in row.items()), 0)
-            for row in _derivation_rows(self.algebra)
+            for row in _derivation_rows(self.algebra.sparse)
         )
 
     def is_derivation(self, tol=0):
@@ -468,11 +491,13 @@ def left_center(algebra):
     """The left center { x : [x, y] = 0 for all y }, as a Subspace.
 
     For a left Leibniz algebra this is a two-sided ideal containing all
-    squares [x, x], and the quotient by it is a Lie algebra.
+    squares [x, x], and the quotient by it is a Lie algebra.  The nullspace
+    does not change when the table is scaled, so its rows come from
+    ``int_sparse``.
     """
     n = algebra.dim
-    rows = {}  # (j, k) -> the row of c[i][j][k] over i
-    for i, plane in enumerate(algebra.sparse):
+    rows = {}  # (j, k) -> the row of scale * c[i][j][k] over i
+    for i, plane in enumerate(algebra.int_sparse):
         for j, entries in plane:
             for k, c in entries:
                 rows.setdefault((j, k), [0] * n)[i] = c
@@ -496,25 +521,26 @@ class DerivationSummary:
         )
 
 
-def _derivation_rows(algebra):
+def _derivation_rows(sparse):
     """The linear system cutting out the derivations, one sparse row per entry.
 
-    The unknown is D, flattened to vec(D) with D[m][l] at m * n + l.  For
-    every basis pair (i, j) and coordinate m whose identity has a term,
-    yields the dict ``{column: coefficient}`` with row . vec(D) equal to
-    the m-th entry of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].
+    ``sparse`` is ``algebra.sparse``, or ``algebra.int_sparse`` for rows
+    scaled by ``algebra.scale``.  The unknown is D, flattened to vec(D) with
+    D[m][l] at m * n + l.  For every basis pair (i, j) and coordinate m whose
+    identity has a term, yields the dict ``{column: coefficient}`` with
+    row . vec(D) equal to the m-th entry of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].
     """
-    n = algebra.dim
+    n = len(sparse)
     # With c = c[p][q][m] != 0: left[q][m] holds (p, c) and right[p][m] holds (q, c).
     left = [[[] for _ in range(n)] for _ in range(n)]
     right = [[[] for _ in range(n)] for _ in range(n)]
-    for p, plane in enumerate(algebra.sparse):
+    for p, plane in enumerate(sparse):
         for q, entries in plane:
             for m, c in entries:
                 left[q][m].append((p, c))
                 right[p][m].append((q, c))
     for i in range(n):
-        brackets = dict(algebra.sparse[i])
+        brackets = dict(sparse[i])
         for j in range(n):
             bracket = brackets.get(j, ())
             for m in range(n):
@@ -530,7 +556,7 @@ def _derivation_rows(algebra):
 
 
 def _primitive(row):
-    """A sparse rational row as its primitive int multiple, leading entry positive.
+    """A sparse int row divided by its content, leading entry positive.
 
     Two rows that are scalar multiples of each other give the same tuple of
     ``(column, entry)``; the zero row gives ().
@@ -538,10 +564,10 @@ def _primitive(row):
     entries = sorted((col, c) for col, c in row.items() if c)
     if not entries:
         return ()
-    scale = lcm(*(c.denominator for _, c in entries))
-    ints = [c.numerator * (scale // c.denominator) for _, c in entries]
-    g = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
-    return tuple((col, x // g) for (col, _), x in zip(entries, ints))
+    g = gcd(*(c for _, c in entries))
+    if entries[0][1] < 0:
+        g = -g
+    return tuple((col, c // g) for col, c in entries)
 
 
 def derivation_algebra(algebra):
@@ -549,14 +575,15 @@ def derivation_algebra(algebra):
 
     The unknown is the matrix D; for every basis pair (i, j) the identity
     D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] is linear in the entries of D.
-    Rows of ``_derivation_rows`` that repeat up to a scalar are eliminated
-    once (first occurrence, as a primitive int row): the reduced echelon
-    basis of the nullspace depends only on the row space.  Returns a
+    The rows of ``_derivation_rows`` come from ``int_sparse``, and rows that
+    repeat up to a scalar are eliminated once (first occurrence, as a
+    primitive int row): the reduced echelon basis of the nullspace depends
+    only on the row space, which no scaling changes.  Returns a
     DerivationSummary whose basis matrices are the reduced-echelon
     representatives of der(h); inner derivations are the span of the ad_x.
     """
     n = algebra.dim
-    unique = dict.fromkeys(map(_primitive, _derivation_rows(algebra)))
+    unique = dict.fromkeys(map(_primitive, _derivation_rows(algebra.int_sparse)))
     unique.pop((), None)
     rows = []
     for entries in unique:
@@ -568,10 +595,11 @@ def derivation_algebra(algebra):
     basis = [
         Endomorphism(algebra, [row[k * n : (k + 1) * n] for k in range(n)]) for row in flat_basis
     ]
-    ad_flat = []
-    for i in range(n):
-        mat = algebra.ad(algebra.basis_element(i)).matrix
-        ad_flat.append([x for row in mat for x in row])
+    ad_flat = [[0] * (n * n) for _ in range(n)]  # vec(ad_{e_i}) times scale
+    for flat, plane in zip(ad_flat, algebra.int_sparse):
+        for j, row in plane:
+            for k, c in row:
+                flat[k * n + j] = c
     dim_inner = linalg.rank(ad_flat)
     return DerivationSummary(algebra, basis, dim_inner)
 

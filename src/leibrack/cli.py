@@ -461,9 +461,10 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
         p.add_argument("--samples", type=int, default=samples,
                        help=f"sample count (default {samples})")
-        p.add_argument(
-            "--mode", choices=(EXACT, FLOAT), default=EXACT, help="scalar mode (default exact)"
-        )
+        mode_help = "scalar mode (default exact)"
+        if name in EXACT_ONLY:
+            mode_help = f"{name} is exact-only: --mode float exits 2 (default exact)"
+        p.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT, help=mode_help)
         if order is not None:
             default, text = order
             if default is not None:

@@ -18,10 +18,14 @@ reduced-echelon basis of Z, one per basis vector of q.
 
 The cocycle identity and the reconstruction of h are evaluated straight
 from ``omega_table``, the sparse tables of h and q and the center basis
-rows, read at call time; no Element is built per basis triple.
+rows, read at call time; no Element is built per basis triple.  The
+cocycle identity sums on ints, over the ``int_sparse`` tables of h and q
+and omega scaled to ints; ``build_extension``, ``section``, ``omega`` and
+the reconstruction check read the Fraction ``sparse`` tables.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .algebra import Element, LeibnizAlgebra, bracket_defects, left_center
 
@@ -129,18 +133,34 @@ def cocycle_identity_violations(ext):
           - omega([x, y], z) + omega(x, [y, z]) - omega(y, [x, z]) = 0
 
     on all quotient basis triples (a, b, c).  The actions are the planes of
-    ``algebra.sparse`` at the complement indices of a and b applied to the
-    nonzero entries of an omega cell; each omega of a bracket sums the
-    q-coefficients of ``quotient.sparse`` times omega cells.  Returns
-    ``((a, b, c), residual)`` for every triple with a nonzero residual.
+    ``algebra.int_sparse`` at the complement indices of a and b applied to
+    the nonzero entries of an omega cell; each omega of a bracket sums the
+    q-coefficients of ``quotient.int_sparse`` times omega cells.  Every term
+    is a table entry times an omega entry, so the sums run on ints: omega
+    scaled by the lcm dw of its denominators, both tables put on the common
+    denominator D of their scales, and each residual entry is an int over
+    D * dw.  Returns ``((a, b, c), residual)`` for every triple with a
+    nonzero residual.
     """
-    n = ext.algebra.dim
-    # omega[a][b]: the nonzero (k, c) of the cell
-    omega = [[[(k, c) for k, c in enumerate(v) if c] for v in row] for row in ext.omega_table]
+    alg, quot = ext.algebra, ext.quotient
+    n = alg.dim
+    dw = lcm(*(c.denominator for row in ext.omega_table for cell in row for c in cell))
+    den = lcm(alg.scale, quot.scale)
+
+    def int_planes(table, scale):
+        """``int_sparse`` planes as dicts, each entry times den // scale."""
+        f = den // scale
+        return [{j: [(k, c * f) for k, c in row] for j, row in plane} for plane in table]
+
+    # omega[a][b]: the nonzero (k, dw * c) of the cell
+    omega = [
+        [[(k, c.numerator * (dw // c.denominator)) for k, c in enumerate(v) if c] for v in row]
+        for row in ext.omega_table
+    ]
     by_column = list(zip(*omega))  # by_column[c][d] = omega[d][c]
-    lifts = [dict(ext.algebra.sparse[k]) for k in ext.complement]
-    q_brackets = [dict(plane) for plane in ext.quotient.sparse]
-    q = ext.quotient.dim
+    lifts = int_planes([alg.int_sparse[k] for k in ext.complement], alg.scale)
+    q_brackets = int_planes(quot.int_sparse, quot.scale)
+    q = quot.dim
     violations = []
     for a in range(q):
         for b in range(q):
@@ -161,7 +181,9 @@ def cocycle_identity_violations(ext):
                         for k, w in cells[d]:
                             residual[k] += sign * coef * w
                 if any(residual):
-                    violations.append(((a, b, c), tuple(map(Fraction, residual))))
+                    violations.append(
+                        ((a, b, c), tuple(Fraction(r, den * dw) for r in residual))
+                    )
     return violations
 
 

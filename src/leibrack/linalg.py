@@ -6,11 +6,16 @@ works with either scalar type unless it needs exact pivoting (echelon forms,
 determinants, inverses, signatures), which is rational-only.
 
 The eliminations run on Python ints: each row is scaled by the lcm of its
-denominators, and ``rref`` (fraction-free Gauss-Jordan, each updated row
-divided by its content), ``det`` and ``symmetric_signature`` (Bareiss steps,
-whose divisions by the previous pivot are exact) turn their results back
-into canonical Fractions only at the end.  ``inverse`` is the right half of
-``rref([matrix | I])``; ``rank`` and ``nullspace`` read the int rows.
+denominators, and ``rref`` (``echelon``, fraction-free Gauss-Jordan, each
+updated row divided by its content), ``det`` and ``inertia_and_det``
+(Bareiss steps, whose divisions by the previous pivot are exact) turn their
+results back into canonical Fractions only at the end.  ``inverse`` is the
+right half of ``rref([matrix | I])``; ``rank`` and ``nullspace`` read the
+int rows.  ``inertia_and_det`` gives the inertia and the determinant of a
+symmetric matrix from one congruence elimination, which is all
+``quantize.hessian_check`` runs.  ``echelon`` is also the step of
+``LeibnizAlgebra.nilpotency_class``, which hands it int rows built from
+``int_sparse``.
 
 Every inner product has the bits of a plain left fold,
 ``reduce(add, map(mul, u, v), 0)``: the terms in index order, added one by
@@ -107,10 +112,6 @@ def max_abs(values):
         if v > worst or v != v:
             worst = v
     return worst
-
-
-def is_zero_vector(v):
-    return all(a == 0 for a in v)
 
 
 def mat_vec(m, v):
@@ -224,8 +225,12 @@ def _int_rows(matrix):
     return rows, scales
 
 
-def _echelon(a):
-    """Fraction-free Gauss-Jordan on int rows, in place: ``(nonzero rows, pivots)``."""
+def echelon(a):
+    """Fraction-free Gauss-Jordan on int rows, in place: ``(nonzero rows, pivots)``.
+
+    The rows returned span the row space of ``a``; each row that was updated
+    is divided by its content.
+    """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots = []
@@ -255,12 +260,12 @@ def rref(matrix):
 
     Returns ``(rows, pivot_columns)`` where zero rows are dropped.
     """
-    rows, pivots = _echelon(_int_rows(matrix)[0])
+    rows, pivots = echelon(_int_rows(matrix)[0])
     return [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)], pivots
 
 
 def rank(matrix):
-    return len(_echelon(_int_rows(matrix)[0])[1])
+    return len(echelon(_int_rows(matrix)[0])[1])
 
 
 def nullspace(matrix, cols=None):
@@ -273,7 +278,7 @@ def nullspace(matrix, cols=None):
         cols = len(matrix[0]) if matrix else 0
     if not matrix:
         return [r[:] for r in identity_matrix(cols)]
-    rows, pivots = _echelon(_int_rows(matrix)[0])
+    rows, pivots = echelon(_int_rows(matrix)[0])
     scale = lcm(*(row[p] for row, p in zip(rows, pivots)))
     basis = []
     for f in sorted(set(range(cols)) - set(pivots)):
@@ -311,16 +316,21 @@ def inverse(matrix):
     return [row[n:] for row in reduced]
 
 
-def symmetric_signature(matrix):
-    """Inertia (n_plus, n_minus, n_zero) of an exact symmetric matrix.
+def inertia_and_det(matrix):
+    """Inertia (n_plus, n_minus, n_zero) and determinant of an exact symmetric matrix.
 
     Congruence diagonalization in the style of Lagrange's method: symmetric
     row/column operations, with the classic fix-up (add row+column j into
     row+column k) whenever the whole remaining diagonal vanishes.  Plain
-    LDL would break on a zero leading pivot.  It runs on the matrix times
-    the common denominator D > 0, which has the same inertia, and updates
-    the active block by the Bareiss step a_ij <- (d a_ij - a_ik a_kj) // prev;
+    LDL would break on a zero leading pivot.  It runs on A = D * matrix, D
+    the common denominator, which has the same inertia, and updates the
+    active block by the Bareiss step a_ij <- (d a_ij - a_ik a_kj) // prev;
     the LDL pivot is then d / prev.
+
+    A symmetric swap and the fix-up are congruences of determinant 1, so
+    the Bareiss invariants hold across them and the last pivot is det(A):
+    ``det(matrix)`` is that pivot over D**n, or 0 once a zero row is dropped.
+    Returns ``((n_plus, n_minus, n_zero), det)``.
     """
     rows, scales = _int_rows(matrix)
     common = lcm(*scales)
@@ -356,4 +366,5 @@ def symmetric_signature(matrix):
             n_minus += 1
         a = [[(d * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in a[1:]]
         prev = d
-    return n_plus, n_minus, n_zero
+    determinant = Fraction(0) if n_zero else Fraction(prev, common ** n)
+    return (n_plus, n_minus, n_zero), determinant

@@ -23,6 +23,7 @@ returned as per-order polynomial coefficients, never numbers.
 
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
 from . import linalg
 from .bch import MAX_ORDER, bch, conj_star
@@ -259,14 +260,18 @@ def hessian_matrix(algebra, xi):
 
     The only curvature sits in the x-y block, sum_k c[i][j][k] xi_k; the
     multiplier blocks contribute -identities.  Symmetry forces the (y, x)
-    block to be the transpose of the (x, y) block.
+    block to be the transpose of the (x, y) block.  The sums run on ints:
+    ``algebra.int_sparse`` against xi times the lcm of its denominators.
     """
     n = algebra.dim
     coords = [Fraction(x) for x in xi.coords]
+    den = lcm(*(x.denominator for x in coords))
+    ints = [x.numerator * (den // x.denominator) for x in coords]
+    den *= algebra.scale
     b = linalg.zero_matrix(4 * n, 4 * n)
-    for i, plane in enumerate(algebra.sparse):
+    for i, plane in enumerate(algebra.int_sparse):
         for j, row in plane:
-            value = sum((c * coords[k] for k, c in row), Fraction(0))
+            value = Fraction(sum(c * ints[k] for k, c in row), den)
             b[i][n + j] = value
             b[n + j][i] = value
     for i in range(n):
@@ -278,7 +283,7 @@ def hessian_matrix(algebra, xi):
 
 
 def hessian_check(algebra, xi):
-    """Exact determinant and inertia of the extremum Hessian.
+    """Exact determinant and inertia of the extremum Hessian, from one elimination.
 
     The determinant is always 1 and the signature always 0: the multiplier
     blocks pair every direction hyperbolically.  Rejects float input, since
@@ -287,6 +292,5 @@ def hessian_check(algebra, xi):
     if xi.mode != "exact":
         raise ValueError("the Hessian check is exact; pass a rational covector")
     b = hessian_matrix(algebra, xi)
-    determinant = linalg.det(b)
-    inertia = linalg.symmetric_signature(b)
+    inertia, determinant = linalg.inertia_and_det(b)
     return HessianReport(algebra, xi, b, determinant, inertia)

@@ -191,6 +191,67 @@ def reference_derivation_residual(endo):
     return worst
 
 
+def dense_derivation_rows(alg):
+    """The nonzero rows of the linear system D[e_i,e_j] = [De_i,e_j] + [e_i,De_j]."""
+    n = alg.dim
+    c = alg.table
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                row = [Fraction(0)] * (n * n)
+                for l in range(n):
+                    row[m * n + l] += c[i][j][l]
+                    row[l * n + i] -= c[l][j][m]
+                    row[l * n + j] -= c[i][l][m]
+                if any(row):
+                    rows.append(row)
+    return rows
+
+
+def reference_nilpotency_class(algebra):
+    """The descending chain V_{k+1} = span [e_i, V_k] on Fraction brackets.
+
+    The former ``LeibnizAlgebra.nilpotency_class``, with ``reference_rref``
+    for its echelon step, kept as the oracle for the int chain.
+    """
+    units = linalg.identity_matrix(algebra.dim)
+    level = units
+    k = 1
+    while level:
+        images = [algebra.bracket_coords(unit, w) for unit in units for w in level]
+        images = [img for img in images if any(img)]
+        nxt = reference_rref(images)[0] if images else []
+        if len(nxt) >= len(level):
+            return None
+        if not nxt:
+            return k
+        level = nxt
+        k += 1
+    return 0
+
+
+def reference_left_center_rows(algebra):
+    """The left center as Fraction Gauss-Jordan on the dense rows c[.][j][k]."""
+    n = algebra.dim
+    c = algebra.table
+    rows = [[c[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
+    return reference_nullspace(rows, cols=n)
+
+
+def reference_derivations(algebra):
+    """(vec(D) of the reduced-echelon basis of der(h), dim of the inner part).
+
+    Fraction Gauss-Jordan on the dense derivation system and on the flattened
+    ad_{e_i}.
+    """
+    n = algebra.dim
+    basis = reference_nullspace(dense_derivation_rows(algebra), cols=n * n)
+    ads = [algebra.ad(algebra.basis_element(i)).matrix for i in range(n)]
+    inner = reference_rref([[x for row in ad for x in row] for ad in ads])[0]
+    return basis, len(inner)
+
+
 # -- reference extension checks -------------------------------------------------
 # The Element-per-basis-triple loops kept as the oracle for the direct kernels
 # in leibrack.extension.  They read the same ExtensionData (section, omega,

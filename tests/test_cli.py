@@ -386,6 +386,19 @@ def test_help_names_the_real_defaults(capsys, command):
         assert "--order" not in text
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_says_which_commands_are_exact_only(capsys, command):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    if command in cli.EXACT_ONLY:
+        expected = f"{command} is exact-only: --mode float exits 2 (default exact)"
+    else:
+        expected = "scalar mode (default exact)"
+    assert f"--mode {{exact,float}} {expected}" in text
+    assert ("exact-only" in text) == (command in cli.EXACT_ONLY)
+
+
 def test_import_loads_no_third_party_numerics():
     # The runtime is pure standard library; numpy and sympy only serve tests.
     code = (

@@ -1,0 +1,123 @@
+"""The integer structure-constant table and the exact kernels that read it.
+
+``LeibnizAlgebra.int_sparse`` is ``sparse`` with every entry times
+``scale``, the lcm of the table's denominators.  The nilpotency chain, the
+left center, the derivation system and the cocycle identity run on it, and
+must give exactly what their Fraction references give, on tables with
+non-integral constants too: ``n4-rebased`` and a seeded rebase of n_5.
+"""
+
+import copy
+import os
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from leibrack.algebra import derivation_algebra, left_center
+from leibrack.cli import basis_defects
+from leibrack.corpus import CORPUS_NAMES, load_corpus
+from leibrack.extension import build_extension, cocycle_identity_violations
+from leibrack.io import load_algebra
+from leibrack.reports import check_law
+
+from helpers import (
+    n_k,
+    random_invertible,
+    rebase,
+    reference_cocycle_identity_violations,
+    reference_derivations,
+    reference_left_center_rows,
+    reference_nilpotency_class,
+)
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def _table_algebras():
+    algebras = {name: load_corpus(name) for name in CORPUS_NAMES}
+    for file in sorted(os.listdir(DATA)):
+        algebras[file.removesuffix(".json")] = load_algebra(os.path.join(DATA, file))
+    return algebras
+
+
+TABLE_ALGEBRAS = _table_algebras()
+N5 = n_k(5)
+REBASED = {
+    "n4-rebased": TABLE_ALGEBRAS["n4-rebased"],
+    "n5-rebased": rebase(N5, random_invertible(random.Random(5), N5.dim), "n5d"),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_ALGEBRAS))
+def test_int_sparse_over_scale_is_sparse(name):
+    alg = TABLE_ALGEBRAS[name]
+    assert alg.scale == lcm(*(c.denominator for plane in alg.table for row in plane for c in row))
+    assert all(type(c) is int for plane in alg.int_sparse for _, row in plane for _, c in row)
+    rebuilt = tuple(
+        tuple((j, tuple((k, Fraction(c, alg.scale)) for k, c in row)) for j, row in plane)
+        for plane in alg.int_sparse
+    )
+    assert rebuilt == alg.sparse
+
+
+def test_rebased_tables_have_non_integral_constants():
+    assert all(alg.scale > 1 for alg in REBASED.values())
+
+
+@pytest.mark.parametrize("name", list(TABLE_ALGEBRAS) + ["n5-rebased"])
+def test_nilpotency_class_matches_the_fraction_chain(name):
+    alg = {**TABLE_ALGEBRAS, **REBASED}[name]
+    assert alg.nilpotency_class() == reference_nilpotency_class(alg)
+
+
+def test_rebased_nilpotency_classes():
+    assert [alg.nilpotency_class() for alg in REBASED.values()] == [3, 4]
+
+
+@pytest.mark.parametrize("name", list(TABLE_ALGEBRAS) + ["n5-rebased"])
+def test_left_center_matches_the_fraction_nullspace(name):
+    alg = {**TABLE_ALGEBRAS, **REBASED}[name]
+    assert left_center(alg).basis_rows == reference_left_center_rows(alg)
+
+
+@pytest.mark.parametrize("name", list(CORPUS_NAMES) + list(REBASED))
+def test_derivation_algebra_matches_the_fraction_nullspace(name):
+    alg = {**TABLE_ALGEBRAS, **REBASED}[name]
+    got = derivation_algebra(alg)
+    basis, dim_inner = reference_derivations(alg)
+    assert [[x for row in d.matrix for x in row] for d in got.basis] == basis
+    assert got.dim_inner == dim_inner
+
+
+@pytest.fixture(scope="module")
+def extensions():
+    return {name: build_extension(alg) for name, alg in REBASED.items()}
+
+
+def exact(violations):
+    """Witnesses with the repr of each coordinate: equal means equal values and types."""
+    return [(where, [repr(c) for c in residual]) for where, residual in violations]
+
+
+@pytest.mark.parametrize("name", list(REBASED))
+def test_cocycle_identity_matches_the_reference(extensions, name):
+    ext = extensions[name]
+    assert cocycle_identity_violations(ext) == reference_cocycle_identity_violations(ext) == []
+
+
+@pytest.mark.parametrize("name", list(REBASED))
+def test_corrupted_omega_cell_fails_with_the_reference_residual(extensions, name):
+    ext = copy.deepcopy(extensions[name])
+    cell = ext.omega_table[0][-1]
+    ext.omega_table[0][-1] = [c + Fraction(k + 1, 3) for k, c in enumerate(cell)]
+    got = cocycle_identity_violations(ext)
+    want = reference_cocycle_identity_violations(ext)
+    assert got
+    assert exact(got) == exact(want)
+    checked = ext.quotient.dim ** 3
+    report = check_law("cocycle-identity", basis_defects(got, "pair"), checked=checked)
+    reference = check_law("cocycle-identity", basis_defects(want, "pair"), checked=checked)
+    assert not report.passed
+    assert report.max_residual == reference.max_residual > 0

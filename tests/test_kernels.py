@@ -29,6 +29,7 @@ from leibrack.racks import bass_product, coadjoint, exp_ad, exp_endo
 from leibrack.sampling import rational_vector
 
 from helpers import (
+    dense_derivation_rows,
     make_table,
     n_k,
     random_invertible,
@@ -92,24 +93,6 @@ def dense_leibniz_violations(alg):
                 if any(r != 0 for r in residual):
                     violations.append(((i, j, k), residual))
     return violations
-
-
-def dense_derivation_rows(alg):
-    """The nonzero rows of the linear system D[e_i,e_j] = [De_i,e_j] + [e_i,De_j]."""
-    n = alg.dim
-    c = alg.table
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                row = [Fraction(0)] * (n * n)
-                for l in range(n):
-                    row[m * n + l] += c[i][j][l]
-                    row[l * n + i] -= c[l][j][m]
-                    row[l * n + j] -= c[i][l][m]
-                if any(row):
-                    rows.append(row)
-    return rows
 
 
 def dense_hessian(alg, xi):
