@@ -58,6 +58,5 @@ from .racks import (
     exp_endo,
     hs_rack_product,
     rh_embed,
-    rh_product,
 )
 from .tangent import max_table_error, tangent_recover

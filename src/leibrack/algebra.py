@@ -30,6 +30,7 @@ the int ``c * scale``, ``scale`` the lcm of the table's denominators.
   the dense sums.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -261,10 +262,17 @@ def join_elements(x, y):
     return x.algebra, _join_modes(x.mode, y.mode)
 
 
+@dataclass(frozen=True, slots=True)
 class Element:
-    """An algebra element: coordinates in the defining basis plus a scalar mode."""
+    """An algebra element: coordinates in the defining basis plus a scalar mode.
 
-    __slots__ = ("algebra", "coords", "mode")
+    Equality compares coords, mode and then the algebra (by table); the hash
+    leaves the algebra out.  ``Endomorphism`` and ``Covector`` do the same.
+    """
+
+    coords: tuple
+    mode: str
+    algebra: LeibnizAlgebra = field(hash=False)
 
     def __init__(self, algebra, coords, mode=EXACT):
         check_mode(mode)
@@ -273,9 +281,6 @@ class Element:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coords", tuple(linalg.scalar(c, mode) for c in coords))
         object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
 
     def __repr__(self):
         terms = [
@@ -297,17 +302,6 @@ class Element:
     def __rmul__(self, scalar):
         return Element(self.algebra, [scalar * c for c in self.coords], self.mode)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and self.mode == other.mode
-            and self.coords == other.coords
-            and self.algebra == other.algebra
-        )
-
-    def __hash__(self):
-        return hash((self.coords, self.mode))
-
     def bracket(self, other):
         return self.algebra.bracket(self, other)
 
@@ -322,10 +316,13 @@ class Element:
         return Element(self.algebra, [float(c) for c in self.coords], FLOAT)
 
 
+@dataclass(frozen=True, slots=True)
 class Endomorphism:
     """A linear self-map of the algebra, stored as a matrix acting on coordinates."""
 
-    __slots__ = ("algebra", "matrix", "mode")
+    matrix: tuple
+    mode: str
+    algebra: LeibnizAlgebra = field(hash=False)
 
     def __init__(self, algebra, matrix, mode=EXACT):
         check_mode(mode)
@@ -337,9 +334,6 @@ class Endomorphism:
             self, "matrix", tuple(tuple(linalg.scalar(x, mode) for x in row) for row in matrix)
         )
         object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Endomorphism is immutable")
 
     def __repr__(self):
         return f"<Endomorphism {self.mode} on dim {self.algebra.dim}>"
@@ -369,17 +363,6 @@ class Endomorphism:
 
     def __rmul__(self, scalar):
         return Endomorphism(self.algebra, linalg.mat_scale(scalar, self.matrix), self.mode)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Endomorphism)
-            and self.mode == other.mode
-            and self.matrix == other.matrix
-            and self.algebra == other.algebra
-        )
-
-    def __hash__(self):
-        return hash((self.matrix, self.mode))
 
     def distance(self, other):
         join_elements(self, other)

@@ -259,9 +259,9 @@ def cmd_rack(algebra, args):
         xis = [xi.to_float() for xi in xis]
     checks = [
         serialize_check(check_rack_axioms(product, algebra.zero(mode), triples, tol)),
-        serialize_check(conjugation_lemma_violations(algebra, zx_pairs, args.order, tol)),
-        serialize_check(coadjoint_action_violations(algebra, pairs, xis, args.order, tol)),
-        serialize_check(pair_rack_closure_violations(algebra, pairs, args.order, tol)),
+        serialize_check(conjugation_lemma_violations(zx_pairs, args.order, tol)),
+        serialize_check(coadjoint_action_violations(pairs, xis, args.order, tol)),
+        serialize_check(pair_rack_closure_violations(pairs, args.order, tol)),
     ]
     return checks, {"tolerance": scalar_repr(tol)}
 
@@ -350,10 +350,8 @@ def cmd_quantize(algebra, args):
     linear_pairs = sample_pairs(algebra, args.samples, args.seed + 5)
     checks = [
         serialize_check(check_rack_axioms(label_product, label_unit, label_triples, tol)),
-        serialize_check(label_action_compatibility_violations(algebra, pairs, args.order, tol)),
-        serialize_check(
-            action_left_action_violations(algebra, pairs, observables, args.order, tol)
-        ),
+        serialize_check(label_action_compatibility_violations(pairs, args.order, tol)),
+        serialize_check(action_left_action_violations(pairs, observables, args.order, tol)),
         serialize_check(right_leibniz_violations(algebra, triples_obs)),
         serialize_check(_linear_observable_check(algebra, linear_pairs)),
         serialize_check(_order0_associativity_check(algebra, triples_obs)),

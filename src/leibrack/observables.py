@@ -14,17 +14,21 @@ monomial factor by factor in one working dict, adds the expansions into one
 result dict, and builds a single observable at the end.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from .algebra import join_elements
+from .algebra import LeibnizAlgebra, join_elements
 from .linalg import EXACT, check_mode, max_abs, scalar, vec_dot
 
 
+@dataclass(frozen=True, slots=True)
 class Covector:
     """A dual-space point: coordinates against the dual basis."""
 
-    __slots__ = ("algebra", "coords", "mode")
+    coords: tuple
+    mode: str
+    algebra: LeibnizAlgebra = field(hash=False)
 
     def __init__(self, algebra, coords, mode=EXACT):
         check_mode(mode)
@@ -34,22 +38,8 @@ class Covector:
         object.__setattr__(self, "coords", tuple(scalar(c, mode) for c in coords))
         object.__setattr__(self, "mode", mode)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Covector is immutable")
-
     def __repr__(self):
         return f"Covector({list(self.coords)!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Covector)
-            and self.mode == other.mode
-            and self.coords == other.coords
-            and self.algebra == other.algebra
-        )
-
-    def __hash__(self):
-        return hash((self.coords, self.mode))
 
     def pair(self, element):
         """Natural pairing <xi, x> in dual coordinates."""
@@ -74,14 +64,17 @@ def _unit(n, i):
     return (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
+@dataclass(frozen=True, slots=True)
 class PolyObservable:
     """Sparse polynomial in the dual coordinates.
 
     ``terms`` maps exponent tuples to nonzero coefficients, in sorted key
-    order; the zero polynomial has no terms.
+    order; the zero polynomial has no terms.  ``terms`` is a dict, so the
+    hash is written out over its items.
     """
 
-    __slots__ = ("nvars", "terms")
+    nvars: int
+    terms: dict
 
     def __init__(self, nvars, terms=None):
         terms = terms or {}
@@ -102,9 +95,6 @@ class PolyObservable:
         object.__setattr__(poly, "nvars", nvars)
         object.__setattr__(poly, "terms", _normalised(terms))
         return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyObservable is immutable")
 
     # -- constructors ----------------------------------------------------------
 
@@ -161,13 +151,6 @@ class PolyObservable:
                 key = tuple(map(add, ka, kb))
                 terms[key] = terms.get(key, 0) + va * vb
         return PolyObservable._from_terms(self.nvars, terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyObservable)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
 
     def __hash__(self):
         return hash((self.nvars, tuple(sorted(self.terms.items()))))

@@ -21,11 +21,13 @@ The semiclassical parameter stays formal throughout: expansions are
 returned as per-order polynomial coefficients, never numbers.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import lcm
 
 from . import linalg
+from .algebra import Element
 from .bch import MAX_ORDER, bch, conj_star
 from .observables import Covector, PolyObservable
 # exp_endo stays bound here although only exp_ad calls it: the bench tracer
@@ -35,25 +37,14 @@ from .racks import block_exp_action, exp_terms
 from .reports import check_law, samples
 
 
+@dataclass(frozen=True, slots=True)
 class ExpLabel:
     """A formal exponential E_x, tagged by its algebra element."""
 
-    __slots__ = ("element",)
-
-    def __init__(self, element):
-        object.__setattr__(self, "element", element)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExpLabel is immutable")
+    element: Element
 
     def __repr__(self):
         return f"E[{self.element!r}]"
-
-    def __eq__(self, other):
-        return isinstance(other, ExpLabel) and self.element == other.element
-
-    def __hash__(self):
-        return hash(self.element)
 
     def conjugate(self):
         """The adjoint label E_x -> E_{-x}."""
@@ -95,7 +86,7 @@ def quantum_rack_action(x, observable, order=DEFAULT_FLOAT_ORDER):
     return observable.substitute_linear(forms)
 
 
-def label_action_compatibility_violations(algebra, pairs, order=DEFAULT_FLOAT_ORDER, tol=0):
+def label_action_compatibility_violations(pairs, order=DEFAULT_FLOAT_ORDER, tol=0):
     """The action on linear observables must mirror the label rack."""
 
     def residual(pair):
@@ -106,7 +97,7 @@ def label_action_compatibility_violations(algebra, pairs, order=DEFAULT_FLOAT_OR
     return check_law("label-vs-action", samples(pairs, "action-on-linear"), residual, tol)
 
 
-def action_left_action_violations(algebra, pairs, observables, order=DEFAULT_FLOAT_ORDER, tol=0):
+def action_left_action_violations(pairs, observables, order=DEFAULT_FLOAT_ORDER, tol=0):
     """Left-action law of the observable action.
 
     Acting by y then x equals acting by x > y then x, mirroring the

@@ -630,6 +630,17 @@ def reference_log_word_table():
     return words
 
 
+def reference_rh_product(a, b):
+    """(x, A) > (y, B) = (A y, A B A^-1) on (Element, Endomorphism) pairs.
+
+    Computed through the Endomorphism operators, with the float inverse
+    rounded from the exact one; the reference for ``racks.hs_rack_product``
+    on the points of ``racks.rh_embed``.
+    """
+    (_, aut_a), (y, aut_b) = a, b
+    return aut_a(y), aut_a @ aut_b @ aut_a.inverse()
+
+
 def reference_mat_mul(a, b):
     """``linalg.mat_mul`` as a left fold per entry, whatever the input."""
     cols = list(zip(*b))

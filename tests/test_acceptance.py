@@ -202,7 +202,7 @@ def test_criterion_07_quantum_rack():
         pair_triples = sample_triples(alg, 10, seed=506)
         pairs = [(a, b) for a, b, _ in pair_triples]
         observables = sample_observables(alg, 10, seed=507)
-        action = action_left_action_violations(alg, pairs, observables)
+        action = action_left_action_violations(pairs, observables)
         assert action.passed and action.max_residual == 0, name
 
     for name in NILPOTENT_LIE:

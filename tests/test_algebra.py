@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from leibrack import linalg
 from leibrack.algebra import (
     Element,
     Endomorphism,
@@ -12,9 +13,11 @@ from leibrack.algebra import (
     hemi_semi_direct,
     left_center,
 )
-from leibrack.corpus import CORPUS_NAMES
-from leibrack.observables import Covector
-from leibrack.racks import exp_endo
+from leibrack.corpus import CORPUS_NAMES, corpus_path
+from leibrack.io import load_algebra
+from leibrack.observables import Covector, PolyObservable
+from leibrack.quantize import ExpLabel
+from leibrack.racks import PairElement, exp_endo
 
 from helpers import make_table, sl2_module_action
 
@@ -147,6 +150,51 @@ def test_element_is_immutable(heisenberg):
     e1 = heisenberg.basis_element(0)
     with pytest.raises(AttributeError):
         e1.coords = (0, 0, 0)
+
+
+VALUE_FIELDS = {
+    "element": "coords",
+    "endomorphism": "matrix",
+    "covector": "coords",
+    "poly": "terms",
+    "label": "element",
+    "pair": "matrix",
+}
+
+
+def _make_value(alg, kind):
+    """A fresh value of one of the immutable value types on a 3-dim algebra."""
+    coords = [Fraction(1), Fraction(-2), Fraction(1, 2)]
+    ident = linalg.identity_matrix(3)
+    return {
+        "element": lambda: Element(alg, coords),
+        "endomorphism": lambda: Endomorphism(alg, ident),
+        "covector": lambda: Covector(alg, coords),
+        "poly": lambda: PolyObservable(2, {(0, 1): Fraction(1), (2, 0): Fraction(-3)}),
+        "label": lambda: ExpLabel(Element(alg, coords)),
+        "pair": lambda: PairElement(coords, ident),
+    }[kind]()
+
+
+@pytest.mark.parametrize("kind", sorted(VALUE_FIELDS))
+def test_value_types_are_frozen_and_hash_by_value(heisenberg, kind):
+    a, b = _make_value(heisenberg, kind), _make_value(heisenberg, kind)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    field = VALUE_FIELDS[kind]
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+
+
+def test_element_hash_ignores_the_algebra_object():
+    one, two = (load_algebra(corpus_path("heisenberg")) for _ in range(2))
+    assert one is not two
+    x, y = one.element([1, 2, 3]), two.element([1, 2, 3])
+    assert x == y and hash(x) == hash(y)
+    xi = Covector(one, [1, 2, 3])
+    assert (x.coords, x.mode) == (xi.coords, xi.mode)
+    assert x != xi and xi != x
 
 
 def test_mode_mixing_rejected(heisenberg):

@@ -104,7 +104,7 @@ def test_label_and_action_are_compatible(corpus, name):
     alg = corpus[name]
     triples = sample_triples(alg, 15, seed=29)
     pairs = [(a, b) for a, b, _ in triples]
-    report = label_action_compatibility_violations(alg, pairs)
+    report = label_action_compatibility_violations(pairs)
     assert report.passed
     assert report.max_residual == 0
 
@@ -115,7 +115,7 @@ def test_action_left_action_law(corpus, name):
     triples = sample_triples(alg, 10, seed=30)
     pairs = [(a, b) for a, b, _ in triples]
     observables = sample_observables(alg, 10, seed=31)
-    report = action_left_action_violations(alg, pairs, observables)
+    report = action_left_action_violations(pairs, observables)
     assert report.passed
     assert report.max_residual == 0
 

@@ -10,18 +10,17 @@ from leibrack import linalg
 from leibrack.algebra import Endomorphism, LeibnizAlgebra, bracket_defects
 from leibrack.racks import (
     PairElement,
-    RhElement,
     bass_product,
     check_rack_axioms,
     coadjoint,
     coadjoint_action_violations,
     conjugation_lemma_violations,
+    exp_ad,
     exp_endo,
     hs_rack_product,
     pair_rack_closure_violations,
     rack_morphism_check,
     rh_embed,
-    rh_product,
 )
 from leibrack.observables import Covector
 from leibrack.sampling import (
@@ -31,7 +30,7 @@ from leibrack.sampling import (
     sample_triples,
 )
 
-from helpers import make_table
+from helpers import make_table, reference_rh_product, sl2_semidirect
 
 
 def test_exp_endo_exact_nilpotent(heisenberg):
@@ -150,7 +149,7 @@ def test_conjugation_lemma_exact(heisenberg, freenil3):
     for alg in (heisenberg, freenil3):
         triples = sample_triples(alg, 15, seed=2)
         pairs = [(a, b) for a, b, _ in triples]
-        report = conjugation_lemma_violations(alg, pairs)
+        report = conjugation_lemma_violations(pairs)
         assert report.passed
         assert report.max_residual == 0
 
@@ -170,7 +169,7 @@ def test_coadjoint_left_action_law(heisenberg):
         Covector(heisenberg, [Fraction(rng.randint(-3, 3)) for _ in range(3)])
         for _ in pairs
     ]
-    report = coadjoint_action_violations(heisenberg, pairs, xis)
+    report = coadjoint_action_violations(pairs, xis)
     assert report.passed
     assert report.max_residual == 0
 
@@ -178,15 +177,15 @@ def test_coadjoint_left_action_law(heisenberg):
 def test_pair_rack_embedding(heisenberg):
     e1 = heisenberg.basis_element(0)
     embedded = rh_embed(e1)
-    assert embedded.point == e1
-    assert embedded.aut.distance(exp_endo(heisenberg.ad(e1))) == 0
+    assert embedded.vector == e1.coords
+    assert embedded.matrix == exp_endo(heisenberg.ad(e1)).matrix
 
 
 def test_pair_rack_product_covers_bass(heisenberg, freenil3):
     for alg in (heisenberg, freenil3):
         triples = sample_triples(alg, 15, seed=6)
         pairs = [(a, b) for a, b, _ in triples]
-        report = pair_rack_closure_violations(alg, pairs)
+        report = pair_rack_closure_violations(pairs)
         assert report.passed
         assert report.max_residual == 0
 
@@ -194,25 +193,46 @@ def test_pair_rack_product_covers_bass(heisenberg, freenil3):
 def test_pair_rack_closure_float_sl2(sl2):
     triples = sample_triples(sl2, 10, seed=6, mode="float", scale=Fraction(1, 3))
     pairs = [(a, b) for a, b, _ in triples]
-    report = pair_rack_closure_violations(sl2, pairs, tol=1e-9)
+    report = pair_rack_closure_violations(pairs, tol=1e-9)
     assert report.passed
 
 
 def test_rh_rack_axioms(heisenberg):
     elements = [rh_embed(x) for x in sample_elements(heisenberg, 30, seed=7)]
     triples = [tuple(elements[i : i + 3]) for i in range(0, 30, 3)]
-    unit = RhElement(heisenberg.zero(), Endomorphism.identity(heisenberg))
-    report = check_rack_axioms(rh_product, unit, triples)
+    unit = PairElement(heisenberg.zero().coords, Endomorphism.identity(heisenberg).matrix)
+    report = check_rack_axioms(hs_rack_product, unit, triples)
     assert report.passed
     assert report.max_residual == 0
 
 
 def test_rh_product_law(heisenberg):
     x, y = sample_elements(heisenberg, 2, seed=8)
-    a, b = rh_embed(x), rh_embed(y)
-    out = rh_product(a, b)
-    assert out.point == a.aut(y)
-    assert out.aut.distance(a.aut @ b.aut @ a.aut.inverse()) == 0
+    a, b = exp_ad(x), exp_ad(y)
+    out = hs_rack_product(rh_embed(x), rh_embed(y))
+    assert out.vector == a(y).coords
+    assert out.matrix == (a @ b @ a.inverse()).matrix
+
+
+def _embedded_products(alg, mode):
+    """(hs_rack_product of two embedded points, reference vector, reference matrix)."""
+    for x, y, _ in sample_triples(alg, 10, seed=10, mode=mode, scale=Fraction(1, 3)):
+        got = hs_rack_product(rh_embed(x), rh_embed(y))
+        point, aut = reference_rh_product((x, exp_ad(x)), (y, exp_ad(y)))
+        yield got, point.coords, aut.matrix
+
+
+def test_pair_product_on_embedded_points_keeps_float_bits(sl2):
+    for got, vector, matrix in _embedded_products(sl2_semidirect(sl2, 2), "float"):
+        assert repr(got.vector) == repr(vector)
+        assert repr(got.matrix) == repr(matrix)
+
+
+def test_pair_product_on_embedded_points_exact(heisenberg, freenil3):
+    for alg in (heisenberg, freenil3):
+        for got, vector, matrix in _embedded_products(alg, "exact"):
+            assert got.vector == vector
+            assert got.matrix == matrix
 
 
 def test_hs_rack_worked_example():

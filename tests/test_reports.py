@@ -6,7 +6,7 @@ import pytest
 
 from leibrack.algebra import Endomorphism
 from leibrack.observables import Covector, PolyObservable
-from leibrack.racks import PairElement, RhElement
+from leibrack.racks import PairElement, rh_embed
 from leibrack.reports import check_law, samples
 
 NAN = float("nan")
@@ -112,7 +112,8 @@ def _nan_pairs(alg):
             PolyObservable(2, {(0, 1): 1.0, (1, 0): 2.0}),
             PolyObservable(2, {(0, 1): 3.0, (1, 0): NAN}),
         ),
-        "rh": (RhElement(x, a), RhElement(x, b)),
+        # the NaN in the vector of an embedded point (x, exp ad_x)
+        "rh": (rh_embed(x), PairElement(y.coords, rh_embed(x).matrix)),
     }
 
 
