@@ -38,16 +38,12 @@ from .extension import (
 from .io import InterchangeError, algebra_from_dict, algebra_to_dict, load_algebra, save_algebra
 from .observables import Covector, PolyObservable
 from .quantize import (
-    ExpLabel,
     HessianReport,
     generating_function,
     generating_gradients,
-    gutt_rack_label,
-    gutt_star_label,
     hessian_check,
     poisson_bracket,
     quantum_rack_action,
-    quantum_rack_label,
     semiclassical_leading_terms,
 )
 from .racks import (

@@ -23,6 +23,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 
 from .algebra import join_elements
+from .racks import bass_product
 from .reports import check_law, samples
 
 MAX_ORDER = 8
@@ -158,13 +159,12 @@ def conj_star(x, y, order=MAX_ORDER):
     return bch(bch(x, y, order), -x, order)
 
 
-def verify_conj_identity(algebra, pairs, order=MAX_ORDER, tol=0):
+def verify_conj_identity(pairs, order=MAX_ORDER, tol=0):
     """Check conj(x, y) = exp(ad_x)(y) on sampled pairs.
 
     Exact on nilpotent Lie algebras of class <= order; in float mode the
     residual is the truncation error of both series.
     """
-    from .racks import bass_product
 
     def residual(pair):
         x, y = pair

@@ -8,13 +8,13 @@ reduced-echelon basis of Z, one per basis vector of q.
 
 * the section s : q -> h scatters the coordinates of x onto the complement,
 * the projection pi, with pi(s(x)) = x, reads the complement coordinates
-  of the center-corrected v - sum_b v[p_b] row_b (row_b the center basis
-  row with pivot p_b); ``pi_matrix`` holds it as a matrix, and the quotient
-  table is pi of the nonzero entries of ``algebra.sparse``,
+  of the center-corrected v - z, z = sum_b v[p_b] row_b (row_b the center
+  basis row with pivot p_b); ``pi_matrix`` holds it as a matrix,
 * the cocycle table omega(x, y) = s([x, y]) - [s(x), s(y)] takes values in
-  Z, which the pivot test of ``Subspace.coefficients`` checks (the "section
-  defect" sign convention; the bracket that rebuilds h uses its negative,
-  exposed as ``extension_omega``).
+  Z (the "section defect" sign convention; the bracket that rebuilds h uses
+  its negative, exposed as ``extension_omega``).  On basis vectors it is
+  -z for v = [s(x), s(y)], so one split of each bracket gives both the
+  quotient table and omega, and omega lies in Z by construction.
 
 The cocycle identity and the reconstruction of h are evaluated straight
 from ``omega_table``, the sparse tables of h and q and the center basis
@@ -85,15 +85,23 @@ def build_extension(algebra):
         pi_columns[p] = [-row[j] for j in complement]
     pi_matrix = [list(row) for row in zip(*pi_columns)]
 
-    def project(entries):
-        """pi of the vector with nonzero entries ``(k, c)``."""
-        out = [Fraction(0)] * len(complement)
-        for k, c in entries:
-            out = [x + c * y for x, y in zip(out, pi_columns[k])]
-        return out
-
-    brackets = [dict(algebra.sparse[k]) for k in complement]
-    quotient_table = [[project(plane.get(k, ())) for k in complement] for plane in brackets]
+    # w = [e_a, e_b] splits as (w - z) + z, with z = sum_p w[p] row_p its
+    # part in the center: the quotient cell is w - z on the complement, and
+    # omega(e_a, e_b) = s(pi(w)) - w = -z
+    quotient_table, omega_table = [], []
+    for k_a in complement:
+        plane = dict(algebra.sparse[k_a])
+        q_row, omega_row = [], []
+        for k_b in complement:
+            w = dict(plane.get(k_b, ()))
+            z = [Fraction(0)] * n
+            for p, row in zip(center.pivots, center.basis_rows):
+                if w.get(p):
+                    z = [x + w[p] * y for x, y in zip(z, row)]
+            q_row.append([w.get(k, 0) - z[k] for k in complement])
+            omega_row.append([-c for c in z])
+        quotient_table.append(q_row)
+        omega_table.append(omega_row)
     quotient = LeibnizAlgebra(
         quotient_table,
         basis=tuple(algebra.basis[k] + "~" for k in complement),
@@ -101,20 +109,6 @@ def build_extension(algebra):
     )
     if not quotient.is_lie():
         raise ValueError("quotient by the left center is not a Lie algebra")
-
-    omega_table = []
-    for plane, q_row in zip(brackets, quotient_table):
-        row = []
-        for k, q_bracket in zip(complement, q_row):
-            value = [Fraction(0)] * n
-            for r, c in zip(complement, q_bracket):
-                value[r] = c
-            for m, c in plane.get(k, ()):
-                value[m] -= c
-            if center.coefficients(value) is None:
-                raise ValueError("cocycle value escaped the left center")
-            row.append(value)
-        omega_table.append(row)
 
     return ExtensionData(algebra, center, quotient, pi_matrix, omega_table)
 

@@ -1,14 +1,15 @@
 """Quantization-flavored structures over the dual of a Leibniz algebra.
 
-Four layers, all driven by the same structure constants:
+Three layers, all driven by the same structure constants:
 
 * a Poisson-type bracket on polynomial observables,
   {f, g}(xi) = sum c[i][j][k] (d_i f)(0) (d_j g)(xi) xi_k,
   which satisfies the right Leibniz rule in its second slot;
-* a rack product on formal exponential labels E_x, and its pullback action
-  on observables through xi -> xi o exp(ad_x);
-* group-algebra style star products on labels, E_x * E_y = E_{bch(x,y)},
-  whose conjugation rack matches the exponential-label rack on nilpotent
+* a rack product on formal exponentials, E_x > E_y = E_{exp(ad_x) y}, and
+  its pullback action on observables through xi -> xi o exp(ad_x).  E_x is
+  represented by x itself, so this label rack is ``racks.bass_product``;
+  the star product E_x * E_y = E_{bch(x, y)} is ``bch.bch``, and its
+  conjugation rack ``bch.conj_star`` matches the label rack on nilpotent
   Lie algebras;
 * the stationary data of the generating function S = <xi, exp(ad_x) y>:
   its gradients, and the bordered extremum Hessian whose determinant is 1
@@ -21,55 +22,17 @@ The semiclassical parameter stays formal throughout: expansions are
 returned as per-order polynomial coefficients, never numbers.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import lcm
 
 from . import linalg
-from .algebra import Element
-from .bch import MAX_ORDER, bch, conj_star
 from .observables import Covector, PolyObservable
 # exp_endo stays bound here although only exp_ad calls it: the bench tracer
 # (bench/spans.py) wraps every binding of it, and its self-test checks this one.
 from .racks import DEFAULT_FLOAT_ORDER, bass_product, coadjoint, exp_ad, exp_endo  # noqa: F401
 from .racks import block_exp_action, exp_terms
 from .reports import check_law, samples
-
-
-@dataclass(frozen=True, slots=True)
-class ExpLabel:
-    """A formal exponential E_x, tagged by its algebra element."""
-
-    element: Element
-
-    def __repr__(self):
-        return f"E[{self.element!r}]"
-
-    def conjugate(self):
-        """The adjoint label E_x -> E_{-x}."""
-        return ExpLabel(-self.element)
-
-    def distance(self, other):
-        return self.element.distance(other.element)
-
-
-# -- exponential-label racks ---------------------------------------------------
-
-
-def quantum_rack_label(a, b, order=DEFAULT_FLOAT_ORDER):
-    """E_x > E_y = E_{exp(ad_x) y}."""
-    return ExpLabel(bass_product(a.element, b.element, order))
-
-
-def gutt_star_label(a, b, order=MAX_ORDER):
-    """E_x * E_y = E_{bch(x, y)} (needs a Lie bracket)."""
-    return ExpLabel(bch(a.element, b.element, order))
-
-
-def gutt_rack_label(a, b, order=MAX_ORDER):
-    """E_x * E_y * E_x^-1 through the star product: the label conj(x, y)."""
-    return ExpLabel(conj_star(a.element, b.element, order))
 
 
 # -- observable action ---------------------------------------------------------
@@ -117,12 +80,11 @@ def action_left_action_violations(pairs, observables, order=DEFAULT_FLOAT_ORDER,
 # -- Poisson-type bracket -------------------------------------------------------
 
 
-def poisson_bracket(algebra, f, g, sign=1):
-    """{f, g}(xi) = sign * sum c[i][j][k] (d_i f)(0) (d_j g)(xi) xi_k.
+def poisson_bracket(algebra, f, g):
+    """{f, g}(xi) = sum c[i][j][k] (d_i f)(0) (d_j g)(xi) xi_k.
 
-    The default sign follows the convention under which the right Leibniz
-    rule {f, gh} = {f, g} h + g {f, h} holds with the stated order; the
-    opposite convention is exposed through ``sign=-1`` for comparison.
+    The sign follows the convention under which the right Leibniz rule
+    {f, gh} = {f, g} h + g {f, h} holds with the stated order.
     """
     n = algebra.dim
     grad0 = f.gradient_at_zero()
@@ -136,7 +98,7 @@ def poisson_bracket(algebra, f, g, sign=1):
             if not partial:
                 continue
             for k, c in row:
-                scale = sign * c * a_i
+                scale = c * a_i
                 # add scale * (d_j g) * xi_k, term by term.  Zero products and
                 # zero sums are dropped at once, as a sum of observables does,
                 # so a float 0.0 never turns a later exact coefficient float.
@@ -152,19 +114,19 @@ def poisson_bracket(algebra, f, g, sign=1):
     return PolyObservable(n, result)
 
 
-def right_leibniz_violations(algebra, triples, sign=1):
+def right_leibniz_violations(algebra, triples):
     """Defects of {f, gh} = {f, g} h + g {f, h} on observable triples."""
 
     def residual(triple):
         f, g, h = triple
-        lhs = poisson_bracket(algebra, f, g * h, sign)
-        rhs = poisson_bracket(algebra, f, g, sign) * h + g * poisson_bracket(algebra, f, h, sign)
+        lhs = poisson_bracket(algebra, f, g * h)
+        rhs = poisson_bracket(algebra, f, g) * h + g * poisson_bracket(algebra, f, h)
         return lhs.distance(rhs)
 
     return check_law("right-leibniz", samples(triples), residual)
 
 
-def semiclassical_leading_terms(algebra, f, g, sign=1):
+def semiclassical_leading_terms(algebra, f, g):
     """First two coefficients of the stationary-phase product of f and g.
 
     Returns {0: f(0) * g, 1: {f, g}}; the key is the power of the formal
@@ -173,7 +135,7 @@ def semiclassical_leading_terms(algebra, f, g, sign=1):
     n = algebra.dim
     f_at_zero = f.evaluate([Fraction(0)] * n)
     order0 = f_at_zero * g
-    order1 = poisson_bracket(algebra, f, g, sign)
+    order1 = poisson_bracket(algebra, f, g)
     return {0: order0, 1: order1}
 
 

@@ -19,7 +19,6 @@ class CheckReport:
     checked: int
     violations: list = field(default_factory=list)
     max_residual: object = 0
-    details: dict = field(default_factory=dict)
 
     @property
     def passed(self):

@@ -499,7 +499,7 @@ def reference_substitute_linear(f, forms):
     return result.to_observable()
 
 
-def reference_poisson_bracket(algebra, f, g, sign=1):
+def reference_poisson_bracket(algebra, f, g):
     n = algebra.dim
     grad0 = [f.terms.get(tuple(1 if t == i else 0 for t in range(n)), Fraction(0))
              for i in range(n)]
@@ -512,7 +512,7 @@ def reference_poisson_bracket(algebra, f, g, sign=1):
             if not partials[j].terms:
                 continue
             for k, c in row:
-                result = result + (sign * c * a_i) * (partials[j] * _reference_unit(n, k))
+                result = result + (c * a_i) * (partials[j] * _reference_unit(n, k))
     return result.to_observable()
 
 

@@ -16,7 +16,6 @@ from leibrack.algebra import (
 from leibrack.corpus import CORPUS_NAMES, corpus_path
 from leibrack.io import load_algebra
 from leibrack.observables import Covector, PolyObservable
-from leibrack.quantize import ExpLabel
 from leibrack.racks import PairElement, exp_endo
 
 from helpers import make_table, sl2_module_action
@@ -157,7 +156,6 @@ VALUE_FIELDS = {
     "endomorphism": "matrix",
     "covector": "coords",
     "poly": "terms",
-    "label": "element",
     "pair": "matrix",
 }
 
@@ -171,7 +169,6 @@ def _make_value(alg, kind):
         "endomorphism": lambda: Endomorphism(alg, ident),
         "covector": lambda: Covector(alg, coords),
         "poly": lambda: PolyObservable(2, {(0, 1): Fraction(1), (2, 0): Fraction(-3)}),
-        "label": lambda: ExpLabel(Element(alg, coords)),
         "pair": lambda: PairElement(coords, ident),
     }[kind]()
 

@@ -175,14 +175,14 @@ def test_conj_star_worked_example(heisenberg):
 def test_conj_identity_float_sl2(sl2):
     triples = sample_triples(sl2, 50, seed=23, mode="float", scale=Fraction(1, 12))
     pairs = [(a, b) for a, b, _ in triples]
-    report = verify_conj_identity(sl2, pairs, order=8, tol=1e-6)
+    report = verify_conj_identity(pairs, order=8, tol=1e-6)
     assert report.passed
     assert report.max_residual <= 1e-6
 
 
 def test_verify_conj_identity_exact(freenil3):
     els = sample_elements(freenil3, 20, seed=17)
-    report = verify_conj_identity(freenil3, list(zip(els[::2], els[1::2])))
+    report = verify_conj_identity(list(zip(els[::2], els[1::2])))
     assert report.passed
     assert report.max_residual == 0
 

@@ -198,6 +198,28 @@ def test_quantize_skips_gutt_off_lie_corpus(tmp_path):
     assert statuses["gutt-vs-quantum"] == "skipped"
 
 
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        ("heisenberg", ()),
+        ("leib2", ()),
+        ("freenil3", ("--samples", "10")),
+        ("sl2", ("--mode", "float", "--samples", "20", "--seed", "1")),
+        ("hs1", ("--mode", "float", "--seed", "2")),
+    ],
+)
+def test_quantize_label_rack_is_the_rack_check(tmp_path, capsys, name, flags):
+    # E_x is represented by x, so quantize's label rack is rack's Bass rack
+    found = {}
+    for command in ("rack", "quantize"):
+        out = tmp_path / f"{command}.json"
+        cli.main([command, corpus_file(name), *flags, "--json", str(out)])
+        checks = json.loads(out.read_text())["checks"]
+        found[command] = next(c for c in checks if c["name"] == "rack-axioms")
+    capsys.readouterr()
+    assert found["quantize"] == found["rack"]
+
+
 def test_hessian_command(tmp_path):
     out = tmp_path / "r.json"
     proc = run_cli(

@@ -36,3 +36,9 @@ def test_ladder_fingerprints_compare_equal_to_themselves(tmp_path):
     proc = run_tool("--compare", out, other)
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[:2] == ["ladder seed1 hessian n6", "ladder seed1 validate n4"]
+
+    # an unreadable side is an error, not a list of differing ops
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    for bad in (broken, tmp_path / "missing.json"):
+        assert run_tool("--compare", out, bad).returncode == 2

@@ -14,7 +14,8 @@ stderr text and the exit code.  Run it once on the parent checkout and once
 on the change, each in its own process.
 
 ``--compare`` prints the ops whose fingerprints differ, or are missing from
-one side, and exits 1 if there are any.  Standard library only.
+one side, and exits 1 if there are any; a file it cannot read exits 2.
+Standard library only.
 """
 
 import argparse
@@ -130,8 +131,11 @@ def main(argv=None):
     if args.compare:
         sides = []
         for path in args.paths:
-            with open(path, encoding="utf-8") as handle:
-                sides.append(json.load(handle))
+            try:
+                with open(path, encoding="utf-8") as handle:
+                    sides.append(json.load(handle))
+            except (OSError, ValueError) as err:
+                parser.error(f"cannot read {path}: {err}")
         differ = compare(*sides)
         for key in differ:
             print(key)
