@@ -13,7 +13,9 @@ but no longer Leibniz, so its validate, rack and quantize reports fail (exit
 the basis of ``random_invertible(random.Random(1), 6)``) have non-trivial
 extensions; in the rebased one the left center is not a coordinate axis, so
 the projection carries a center correction.  Their analyze and cocycle
-reports pin the extension data on inputs beyond the corpus.
+reports pin the extension data on inputs beyond the corpus, and their rack
+and quantize reports the exact exponential kernels: every corpus table has
+scale 1, n4-rebased has scale 7056 and n5 has dimension 10.
 
 The ``bch`` cases with flags pin the BCH word sum at every truncation order
 1..8, on sampled pairs and on the fixed ``--x``/``--y`` pairs below, in exact
@@ -73,7 +75,7 @@ def _cases():
     for command in ("validate", "rack", "quantize"):
         cases.append((command, FAILING))
     for name in EXTENSIONS:
-        for command in ("analyze", "cocycle"):
+        for command in ("analyze", "cocycle", "rack", "quantize"):
             cases.append((command, name))
     for (name, mode), (x, y) in BCH_POINTS.items():
         for order in range(1, 9):
