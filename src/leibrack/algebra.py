@@ -21,8 +21,11 @@ the int ``c * scale``, ``scale`` the lcm of the table's denominators.
 * ``int_sparse`` serves the exact kernels whose answer does not depend on
   the scale, or that divide it out once at the end: the Leibniz check,
   ``nilpotency_class``, ``left_center``, ``derivation_algebra``, the
-  cocycle identity in ``extension`` and ``quantize.hessian_matrix``.  They
-  sum on ints and make canonical Fractions only for their results.
+  cocycle identity in ``extension``, ``quantize.hessian_matrix`` and
+  ``racks.int_ad``, the int ad_x of the exact exponential kernel (exact
+  ``bass_product``, ``coadjoint``, ``exp_endo`` columns, the conjugation
+  lemma and the observable pullback).  They sum on ints and make canonical
+  Fractions only for their results.
 * ``sparse`` serves ``bracket_coords``, ``ad``, ``dual_bracket_coords``,
   ``bracket_defects`` and ``Endomorphism.derivation_residual``, which mix
   the table with caller scalars, floats too.  They visit terms in the same

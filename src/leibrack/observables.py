@@ -11,11 +11,14 @@ operator builds a plain dict and hands it to one private normaliser,
 ``_normalised``, which sorts the keys and drops zero coefficients; results of
 operators are never re-validated.  ``substitute_linear`` expands each
 monomial factor by factor in one working dict, adds the expansions into one
-result dict, and builds a single observable at the end.
+result dict, and builds a single observable at the end.  Given int forms
+over one denominator, as the exact ``quantize.quantum_rack_action`` passes
+them, it runs that expansion on ints and makes one Fraction per result key.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .algebra import LeibnizAlgebra, join_elements
@@ -196,7 +199,7 @@ class PolyObservable:
         """The differential at the origin, as element coordinates."""
         return [self.terms.get(_unit(self.nvars, i), Fraction(0)) for i in range(self.nvars)]
 
-    def substitute_linear(self, forms):
+    def substitute_linear(self, forms, den=None):
         """Substitute xi_i -> sum_j forms[i][j] xi_j (a linear change of point).
 
         ``forms[i]`` lists the ``nvars`` coefficients of the linear form
@@ -204,6 +207,11 @@ class PolyObservable:
         of multiplying each monomial out one linear factor at a time: each
         partial product walks its keys in sorted order and drops exact zeros
         before the next factor, and no sum goes through ``sum()``.
+
+        With ``den`` the forms are int numerators over the int ``den`` and
+        every coefficient is exact.  The expansion then runs on ints, on the
+        coefficients times L, the lcm of their denominators, and a key of
+        degree d gets its coefficient as num / (L·den^d).
         """
         n = self.nvars
         if len(forms) != n:
@@ -213,10 +221,17 @@ class PolyObservable:
         linears = [[(j, c) for j, c in enumerate(form) if c != 0] for form in forms]
         # steps[i][key]: the (key + e_j, forms[i][j]) that multiplying by form i makes
         steps = [{} for _ in range(n)]
-        one = Fraction(1)
+        if den is None:
+            one = Fraction(1)  # an int coeff turns Fraction, as in a product
+            start = {exps: coeff * one for exps, coeff in self.terms.items()}
+        else:
+            lcd = lcm(*(c.denominator for c in self.terms.values()))
+            start = {
+                exps: c.numerator * (lcd // c.denominator) for exps, c in self.terms.items()
+            }
         result = {}
-        for exps, coeff in self.terms.items():
-            term = {(0,) * n: coeff * one}  # an int coeff turns Fraction, as in a product
+        for exps, coeff in start.items():
+            term = {(0,) * n: coeff}
             for i, e in enumerate(exps):
                 step_i, linear = steps[i], linears[i]
                 for _ in range(e):
@@ -229,7 +244,10 @@ class PolyObservable:
                             ]
                         for bumped, c in step:
                             product[bumped] = product.get(bumped, 0) + value * c
-                    term = _normalised(product)
+                    # int sums do not depend on their order
+                    term = _normalised(product) if den is None else product
             for key, value in term.items():
                 result[key] = result.get(key, 0) + value
+        if den is not None:
+            result = {key: Fraction(v, lcd * den ** sum(key)) for key, v in result.items() if v}
         return PolyObservable._from_terms(n, result)

@@ -6,8 +6,12 @@ Three layers, all driven by the same structure constants:
   {f, g}(xi) = sum c[i][j][k] (d_i f)(0) (d_j g)(xi) xi_k,
   which satisfies the right Leibniz rule in its second slot;
 * a rack product on formal exponentials, E_x > E_y = E_{exp(ad_x) y}, and
-  its pullback action on observables through xi -> xi o exp(ad_x).  E_x is
-  represented by x itself, so this label rack is ``racks.bass_product``;
+  its pullback action on observables through xi -> xi o exp(ad_x).  The
+  exact pullback hands ``substitute_linear`` the columns of exp(ad_x) as
+  ints over one denominator D, from the int form of ``racks.exp_action``:
+  the expansion runs on ints and a key of degree d gets num / (L·D^d), L
+  the lcm of the coefficient denominators.  E_x is represented by x
+  itself, so this label rack is ``racks.bass_product``;
   the star product E_x * E_y = E_{bch(x, y)} is ``bch.bch``, and its
   conjugation rack ``bch.conj_star`` matches the label rack on nilpotent
   Lie algebras;
@@ -24,14 +28,16 @@ returned as per-order polynomial coefficients, never numbers.
 
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
 from . import linalg
+from .linalg import EXACT
 from .observables import Covector, PolyObservable
 # exp_endo stays bound here although only exp_ad calls it: the bench tracer
 # (bench/spans.py) wraps every binding of it, and its self-test checks this one.
 from .racks import DEFAULT_FLOAT_ORDER, bass_product, coadjoint, exp_ad, exp_endo  # noqa: F401
-from .racks import block_exp_action, exp_terms
+from .racks import block_exp_action, exp_action, exp_terms, int_ad, int_apply, int_vector
 from .reports import check_law, samples
 
 
@@ -42,11 +48,29 @@ def quantum_rack_action(x, observable, order=DEFAULT_FLOAT_ORDER):
     """Pull an observable back along xi -> xi o exp(ad_x).
 
     On linear observables this is exactly the label rack: the observable
-    <., y> goes to <., exp(ad_x) y>.
+    <., y> goes to <., exp(ad_x) y>.  An exact x and exact coefficients take
+    the int substitution, on the columns of exp(ad_x) over one denominator.
     """
+    if x.mode == EXACT and not any(isinstance(c, float) for c in observable.terms.values()):
+        return observable.substitute_linear(*_int_exp_columns(x))
     mat = exp_ad(x, order).matrix
     forms = [[mat[i][j] for i in range(len(mat))] for j in range(len(mat))]
     return observable.substitute_linear(forms)
+
+
+def _int_exp_columns(x):
+    """The columns of exp(ad_x) as int lists over one denominator: (columns, D)."""
+    alg = x.algebra
+    n = alg.dim
+    ad, step = int_ad(alg, *int_vector(x.coords))
+    apply = int_apply(ad, n)
+    units = ([int(i == j) for j in range(n)] for i in range(n))
+    found = [exp_action(apply, unit, step=step) for unit in units]
+    # a column that stops at term k has d = k!·step^k, which divides the largest d
+    den = max((d for _, d in found), default=1)
+    columns = [[t * (den // d) for t in column] for column, d in found]
+    g = gcd(den, *chain.from_iterable(columns))
+    return [[t // g for t in column] for column in columns], den // g
 
 
 def label_action_compatibility_violations(pairs, order=DEFAULT_FLOAT_ORDER, tol=0):

@@ -13,36 +13,45 @@ than its product function and its unit, which is what ``check_rack_axioms``
 takes.
 
 Exact exponentials never form matrix powers.  ``exp_terms``, the one
-exact series loop, yields A^k v / k! on one vector, applying A by a sparse
-product (a bracket with x for ad_x, its transpose for a covector), up to
-the first vanishing term or a limit; ``exp_action`` sums them, so exact
-``bass_product`` and ``coadjoint`` cost a few brackets, and ``exp_endo``
-builds the exact matrix column by column.  ``block_exp_action`` runs it on
-[[A, M], [0, B]], whose exponential holds sum A^p M B^q / (p+q+1)! in its
-corner: the rack cocycle series and the x-gradient of the generating
-function.  Float mode keeps the truncated Taylor matrix series with
-scaling and squaring (Moler & Van Loan, SIAM Rev. 45(1), 2003): it rejects
-a matrix with a non-finite entry or 1-norm, halves the matrix until its
-1-norm is at most 1, then runs ``order`` products power <- (power @ A) / k,
-adding each power to the total.  The nonzero rows of the scaled A are
-listed once per call, and each product goes through
-``linalg.float_product``, which forms no product with a zero factor and
-gives ``mat_mul``'s bits; ad_x of sl2 x| V_m is mostly zero blocks.  The
-squarings are ``mat_mul`` calls.
+exact series loop, yields A^k v / k! on one vector, up to the first
+vanishing term or a limit, and ``exp_action`` sums them.  Their int form is
+the exact exp(ad_x) kernel (von zur Gathen & Gerhard, *Modern Computer
+Algebra*, ch. 5): ``int_ad`` reads the int matrix s·ad_x, s = d_x·scale,
+off ``algebra.int_sparse`` by columns for x = X / d_x, and
+``exact_exp_action`` takes v = V / d_v to ints, accumulates
+T <- T·k·s + (s·ad_x)^k V over the one running denominator K!·s^K·d_v and
+makes one canonical Fraction per coordinate at the end, or returns v as it
+is when ad_x v = 0.  Exact ``bass_product``, ``coadjoint`` (on the
+transpose) and the columns of exact ``exp_endo`` come from it, and exact
+``conjugation_lemma_violations`` compares exp(ad_z) exp(ad_x) exp(ad_{-z}) e_j
+with exp(ad_{a(x)}) e_j column by column, passing int vectors from one
+action to the next, with no inverse and no matrix product.
+``block_exp_action`` runs the Fraction form on [[A, M], [0, B]], whose
+exponential holds sum A^p M B^q / (p+q+1)! in its corner: the rack cocycle
+series and the x-gradient of the generating function.
 
-Every caller that needs the matrix exp(ad_x) asks ``exp_ad(x, order)``.  It
-computes ``exp_endo(ad_x)`` once and keeps it in a dict on the algebra
-object, keyed by ``(x.coords, x.mode, order)``, so a law that reuses a
-sampled element many times pays for one exponential.  The cache lives and
-dies with the algebra: nothing is kept at module level, and a freshly
-loaded algebra starts empty.  ``exp_endo`` stays the one place where an
-exponential is computed.
+Float mode keeps the truncated Taylor matrix series with scaling and
+squaring (Moler & Van Loan, SIAM Rev. 45(1), 2003): it rejects a matrix
+with a non-finite entry or 1-norm, halves the matrix until its 1-norm is at
+most 1, then runs ``order`` products power <- (power @ A) / k, adding each
+power to the total.  The nonzero rows of the scaled A are listed once per
+call, and each product goes through ``linalg.float_product``, which forms
+no product with a zero factor and gives ``mat_mul``'s bits; ad_x of
+sl2 x| V_m is mostly zero blocks.  The squarings are ``mat_mul`` calls.
+
+Every caller that needs the matrix exp(ad_x) (the float paths and
+``rh_embed``) asks ``exp_ad(x, order)``.  It computes ``exp_endo(ad_x)``
+once and keeps it in a dict on the algebra object, keyed by
+``(x.coords, x.mode, order)``, so a law that reuses a sampled element many
+times pays for one exponential.  The cache lives and dies with the algebra:
+nothing is kept at module level, and a freshly loaded algebra starts empty.
+``exp_endo`` stays the one place where an exponential matrix is computed.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import isfinite
+from math import isfinite, lcm
 
 from . import linalg
 from .algebra import Element, Endomorphism, bracket_defects
@@ -54,12 +63,14 @@ DEFAULT_FLOAT_ORDER = 12
 DEFAULT_FLOAT_TOL = 1e-9
 
 
-def exp_terms(apply, v, limit=None):
+def exp_terms(apply, v, limit=None, ints=False):
     """Yield A^k v / k!, k = 0, 1, ..., on coordinate lists; ``apply`` applies A.
 
     Term 0 is v; the terms stop before the first zero one or after term
     ``limit``.  With no limit, a nonzero term n = len(v) raises ValueError:
     A is not nilpotent.  ``Fraction(1, k)`` keeps int and Fraction input exact.
+    With ``ints`` no term is divided: for an int map ``apply`` = s·A the
+    terms are the numerators (sA)^k v of the terms over k!·s^k.
     """
     n = len(v)
     term = list(v)
@@ -72,19 +83,97 @@ def exp_terms(apply, v, limit=None):
                 f"exact exponential needs a nilpotent matrix: no power up to {n} "
                 "vanishes; use float mode"
             )
-        inv = Fraction(1, k)
-        term = [inv * t if t else t for t in apply(term)]
+        term = apply(term)
+        if not ints:
+            inv = Fraction(1, k)
+            term = [inv * t if t else t for t in term]
         if any(term):
             yield term
 
 
-def exp_action(apply, v, limit=None):
-    """exp(A) v, the sum of ``exp_terms(apply, v, limit)``."""
-    terms = exp_terms(apply, v, limit)
+def exp_action(apply, v, limit=None, step=None):
+    """exp(A) v, the sum of ``exp_terms(apply, v, limit)``.
+
+    The int form takes a positive int ``step`` s, an int map ``apply`` = s·A
+    and an int list v, and returns (T, D) with exp(A) v = T / D: after the
+    last nonzero term K, D = K!·s^K, and T <- T·k·s + (sA)^k v at term k.
+    """
+    terms = exp_terms(apply, v, limit, ints=step is not None)
     total = next(terms)
-    for term in terms:
-        total = [a + t if t else a for a, t in zip(total, term)]
-    return total
+    if step is None:
+        for term in terms:
+            total = [a + t if t else a for a, t in zip(total, term)]
+        return total
+    den = 1
+    for k, term in enumerate(terms, 1):
+        grow = k * step
+        den *= grow
+        total = [a * grow + t for a, t in zip(total, term)]
+    return total, den
+
+
+def int_vector(v):
+    """(V, d) with v = V / d: a rational list times the lcm d of its denominators."""
+    dens = [c.denominator for c in v]
+    d = lcm(*dens)
+    return [c.numerator * (d // e) for c, e in zip(v, dens)], d
+
+
+def int_ad(algebra, x, d=1):
+    """ad_{x/d} on ints for an int list x: (columns, s) with s = d·scale.
+
+    ``columns`` lists (j, ((k, a), ...)) for the nonzero columns of the int
+    matrix s·ad_{x/d}, read off ``algebra.int_sparse``:
+    a = sum_i x_i·c[i][j][k]·scale, nonzero.
+    """
+    found = {}
+    for xi, plane in zip(x, algebra.int_sparse):
+        if xi:
+            for j, row in plane:
+                column = found.setdefault(j, {})
+                for k, c in row:
+                    column[k] = column.get(k, 0) + xi * c
+    columns = []
+    for j, column in found.items():
+        column = tuple((k, a) for k, a in column.items() if a)
+        if column:
+            columns.append((j, column))
+    return columns, d * algebra.scale
+
+
+def int_apply(columns, n, transpose=False):
+    """The int map of ``columns`` on lists of length n, or of its transpose."""
+    if transpose:
+        def apply(u):
+            out = [0] * n
+            for j, column in columns:
+                out[j] = sum(a * u[k] for k, a in column)
+            return out
+    else:
+        def apply(w):
+            out = [0] * n
+            for j, column in columns:
+                wj = w[j]
+                if wj:
+                    for k, a in column:
+                        out[k] += wj * a
+            return out
+    return apply
+
+
+def exact_exp_action(columns, step, v, transpose=False):
+    """exp(A) v for a rational list v, A = columns / step as ``int_ad`` gives it.
+
+    The sum runs on ints (``exp_action``'s int form) and one canonical
+    Fraction is made per coordinate at the end; v comes back as it is when
+    A v = 0.  With ``transpose`` it is exp(A^T) v, the covector v o exp(A).
+    """
+    ints, d = int_vector(v)
+    total, den = exp_action(int_apply(columns, len(ints), transpose), ints, step=step)
+    if den == 1 and total == ints:
+        return v
+    den *= d
+    return [Fraction(t, den) for t in total]
 
 
 def block_exp_action(a, m, b, dim, v, limit):
@@ -104,21 +193,24 @@ def block_exp_action(a, m, b, dim, v, limit):
 def exp_endo(endo, order=DEFAULT_FLOAT_ORDER):
     """Exponential of an endomorphism.
 
-    Exact mode applies ``exp_action`` to each basis vector and is exact; it
-    raises when A^n fails to vanish (n the dimension) and returns the
-    identity on a 0-dimensional algebra.  Float mode truncates the series
-    at the given order, after scaling-and-squaring whenever the matrix
-    1-norm exceeds 1, and raises ValueError when the input has a non-finite
-    entry or 1-norm or the result overflows to a non-finite entry.
+    Exact mode scales A to ints by the lcm of its denominators and runs
+    ``exact_exp_action`` on each basis vector; it raises when A^n fails to
+    vanish (n the dimension) and returns the identity on a 0-dimensional
+    algebra.  Float mode truncates the series at the given order, after
+    scaling-and-squaring whenever the matrix 1-norm exceeds 1, and raises
+    ValueError when the input has a non-finite entry or 1-norm or the
+    result overflows to a non-finite entry.
     """
     n = endo.algebra.dim
     if endo.mode == EXACT:
-        entries = [[(j, a) for j, a in enumerate(row) if a != 0] for row in endo.matrix]
-
-        def apply(v):
-            return [sum(a * v[j] for j, a in row if v[j]) for row in entries]
-
-        columns = [exp_action(apply, unit) for unit in linalg.identity_matrix(n)]
+        d = lcm(*(a.denominator for row in endo.matrix for a in row))
+        ints = []  # the nonzero columns of d·A, as int_ad lists them
+        for j, column in enumerate(zip(*endo.matrix)):
+            column = tuple((k, a.numerator * (d // a.denominator))
+                           for k, a in enumerate(column) if a)
+            if column:
+                ints.append((j, column))
+        columns = [exact_exp_action(ints, d, unit) for unit in linalg.identity_matrix(n)]
         return Endomorphism(endo.algebra, linalg.transpose(columns), EXACT)
     norm = linalg.mat_norm_1(endo.matrix)
     if not (isfinite(norm) and all(map(isfinite, chain.from_iterable(endo.matrix)))):
@@ -180,7 +272,7 @@ def bass_product(x, y, order=DEFAULT_FLOAT_ORDER):
     """x > y = exp(ad_x)(y)."""
     alg = x.algebra
     if x.mode == y.mode == EXACT:
-        return Element(alg, exp_action(lambda v: alg.bracket_coords(x.coords, v), y.coords))
+        return Element(alg, exact_exp_action(*int_ad(alg, *int_vector(x.coords)), y.coords))
     return exp_ad(x, order)(y)
 
 
@@ -188,8 +280,9 @@ def coadjoint(x, xi, order=DEFAULT_FLOAT_ORDER):
     """Coadjoint rack action on covectors: xi composed with exp(-ad_x)."""
     alg = x.algebra
     if x.mode == xi.mode == EXACT:
-        neg = [-c for c in x.coords]
-        return Covector(alg, exp_action(lambda v: alg.dual_bracket_coords(neg, v), xi.coords))
+        ints, d = int_vector(x.coords)
+        neg = int_ad(alg, [-c for c in ints], d)
+        return Covector(alg, exact_exp_action(*neg, xi.coords, transpose=True))
     mat = exp_ad(-x, order).matrix
     return Covector(alg, linalg.vec_mat(xi.coords, mat), xi.mode)
 
@@ -272,14 +365,52 @@ def conjugation_lemma_violations(pairs, order=DEFAULT_FLOAT_ORDER, tol=0):
 
     ``pairs`` is a list of (z, x) element pairs; the automorphism is built
     from z so the identity can be tested without hand-made automorphisms.
+    In exact mode the residual comes from ``exact_conjugation_residual``,
+    without a matrix.
     """
 
     def residual(pair):
         z, x = pair
+        if z.mode == x.mode == EXACT:
+            return exact_conjugation_residual(z, x)
         a = exp_ad(z, order)
         return (a @ exp_ad(x, order) @ a.inverse()).distance(exp_ad(a(x), order))
 
     return check_law("conjugation-lemma", samples(pairs, "conjugation"), residual, tol)
+
+
+def exact_conjugation_residual(z, x):
+    """Largest entry of |a exp(ad_x) a^-1 - exp(ad_{a(x)})|, a = exp(ad_z), by columns.
+
+    Column j compares exp(ad_z) exp(ad_x) exp(ad_{-z}) e_j with
+    exp(ad_{a(x)}) e_j: exp(ad_z)^-1 = exp(ad_{-z}) holds exactly, since an
+    exact series only ends where the map is nilpotent on the vectors it
+    meets.  Int vectors pass from one action to the next, their
+    denominators multiply, and the residual is the one Fraction made.
+    """
+    alg = z.algebra
+    n = alg.dim
+    ad_z, s_z = int_ad(alg, *int_vector(z.coords))
+    apply_z = int_apply(ad_z, n)
+    apply_neg = int_apply([(j, tuple((k, -a) for k, a in col)) for j, col in ad_z], n)
+    ad_x, s_x = int_ad(alg, *int_vector(x.coords))
+    apply_x = int_apply(ad_x, n)
+    ad_ax, s_ax = int_ad(alg, *int_vector(exact_exp_action(ad_z, s_z, x.coords)))
+    apply_ax = int_apply(ad_ax, n)
+    worst, worst_den = 0, 1
+    for j in range(n):
+        unit = [0] * n
+        unit[j] = 1
+        lhs, den = unit, 1
+        for apply, step in ((apply_neg, s_z), (apply_x, s_x), (apply_z, s_z)):
+            lhs, d = exp_action(apply, lhs, step=step)
+            den *= d
+        rhs, d = exp_action(apply_ax, unit, step=s_ax)
+        gap = max(abs(a * d - b * den) for a, b in zip(lhs, rhs))
+        den *= d
+        if gap * worst_den > worst * den:
+            worst, worst_den = gap, den
+    return Fraction(worst, worst_den)
 
 
 def coadjoint_action_violations(pairs, xis, order=DEFAULT_FLOAT_ORDER, tol=0):

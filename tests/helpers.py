@@ -6,9 +6,9 @@ from math import factorial
 from operator import add, mul
 
 from leibrack import linalg
-from leibrack.algebra import LeibnizAlgebra, hemi_semi_direct
+from leibrack.algebra import Element, Endomorphism, LeibnizAlgebra, hemi_semi_direct
 from leibrack.observables import Covector, PolyObservable
-from leibrack.racks import exp_ad
+from leibrack.racks import exp_action, exp_ad
 
 
 def make_table(dim, entries):
@@ -628,6 +628,53 @@ def reference_log_word_table():
     )
     words.tree = _suffix_tree(words)
     return words
+
+
+# -- reference exact exponentials ------------------------------------------------
+# The Fraction paths that exact bass_product, coadjoint, exp_endo and
+# quantum_rack_action took before the int kernel: exp_action on Fraction
+# vectors, the matrix exponential column by column, and the object-per-factor
+# pullback.  Kept as the oracle for racks.exact_exp_action and its callers.
+
+
+def reference_bass_product(x, y):
+    """exp(ad_x) y by ``exp_action`` on Fraction brackets."""
+    alg = x.algebra
+    return Element(alg, exp_action(lambda v: alg.bracket_coords(x.coords, v), y.coords))
+
+
+def reference_coadjoint(x, xi):
+    """xi o exp(-ad_x) by ``exp_action`` on Fraction dual brackets."""
+    alg = x.algebra
+    neg = [-c for c in x.coords]
+    return Covector(alg, exp_action(lambda v: alg.dual_bracket_coords(neg, v), xi.coords))
+
+
+def reference_exp_endo(endo):
+    """The exact exponential of an endomorphism, one Fraction ``exp_action`` per column."""
+    entries = [[(j, a) for j, a in enumerate(row) if a != 0] for row in endo.matrix]
+
+    def apply(v):
+        return [sum(a * v[j] for j, a in row if v[j]) for row in entries]
+
+    units = linalg.identity_matrix(endo.algebra.dim)
+    columns = [exp_action(apply, unit) for unit in units]
+    return Endomorphism(endo.algebra, linalg.transpose(columns))
+
+
+def reference_quantum_rack_action(x, observable):
+    """The pullback along xi -> xi o exp(ad_x) with Fraction forms, factor by factor."""
+    mat = reference_exp_endo(x.algebra.ad(x)).matrix
+    n = len(mat)
+    return reference_substitute_linear(observable, [[mat[i][j] for i in range(n)] for j in range(n)])
+
+
+def reference_conjugation_residual(z, x):
+    """(a @ exp(ad_x) @ a^-1).distance(exp(ad_{a(x)})), a = exp(ad_z), on matrices."""
+    alg = z.algebra
+    a = reference_exp_endo(alg.ad(z))
+    exp_x = reference_exp_endo(alg.ad(x))
+    return (a @ exp_x @ a.inverse()).distance(reference_exp_endo(alg.ad(a(x))))
 
 
 def reference_rh_product(a, b):

@@ -1,4 +1,4 @@
-"""The CLI fingerprint tool on the ladder workload at seed 1."""
+"""The CLI fingerprint tool on the ladder workload and the tests/data cases at seed 1."""
 
 import json
 import subprocess
@@ -24,6 +24,15 @@ def test_ladder_fingerprints_compare_equal_to_themselves(tmp_path):
     assert len(ladder) == 7
     assert all(value["exit"] == 0 and value["json_sha256"] for value in ladder.values())
     assert found["usage validate heisenberg --mode float"]["exit"] == 2
+    data = {key: value for key, value in found.items() if key.startswith("data ")}
+    assert sorted(data) == sorted(
+        f"data seed1 {command} {name}"
+        for name in ("freenil3-perturbed", "n4-rebased", "n5")
+        for command in ("validate", "rack", "quantize")
+    )
+    for key, value in data.items():
+        assert value["exit"] == (1 if key.endswith("freenil3-perturbed") else 0)
+        assert value["json_sha256"]
     assert found["usage frobnicate heisenberg"]["json_sha256"] is None
 
     assert run_tool("--compare", out, out).returncode == 0

@@ -6,9 +6,9 @@
 The first form imports ``leibrack`` from ``CHECKOUT/src`` and the op lists
 from ``CHECKOUT/bench/workloads.py`` (read only: no bytecode is written).
 It runs every op of the chosen workloads at the chosen seeds (default: all
-four workloads at seeds 1, 2, 3), then the usage-error cases of
-``tests/test_cli.py``, each as one in-process ``leibrack.cli.main(argv)``
-call with ``--json`` into a scratch file.  Per op it records the SHA-256 of
+four workloads at seeds 1, 2, 3), then ``DATA_CASES`` at the same seeds,
+then the usage-error cases of ``tests/test_cli.py``, each as one in-process
+``leibrack.cli.main(argv)`` call with ``--json`` into a scratch file.  Per op it records the SHA-256 of
 stdout and of the ``--json`` bytes (None when no file was written), the
 stderr text and the exit code.  Run it once on the parent checkout and once
 on the change, each in its own process.
@@ -28,6 +28,16 @@ import sys
 import tempfile
 
 SEEDS = (1, 2, 3)
+
+# Exact reports at CLI defaults on the tables of tests/data, keyed
+# "data seed<S> <command> <name>": n4-rebased has scale 7056 where every
+# corpus table has scale 1, n5 has dimension 10, and freenil3-perturbed is
+# not Leibniz, so its reports fail.
+DATA_CASES = [
+    (command, name)
+    for name in ("freenil3-perturbed", "n4-rebased", "n5")
+    for command in ("validate", "rack", "quantize")
+]
 
 # The usage-error cases of tests/test_cli.py: (command, corpus name, flags).
 USAGE_CASES = [
@@ -105,6 +115,11 @@ def fingerprints(checkout, workloads=None, seeds=SEEDS):
                     if key in found:
                         raise ValueError(f"two ops are named {key!r}")
                     found[key] = run(cli.main, op["argv"], json_path)
+        for seed in seeds:
+            for command, name in DATA_CASES:
+                path = os.path.join(checkout, "tests", "data", f"{name}.json")
+                argv = [command, path, "--seed", str(seed)]
+                found[f"data seed{seed} {command} {name}"] = run(cli.main, argv, json_path)
         for command, algebra, flags in USAGE_CASES:
             path = "/does/not/exist.json" if algebra is None else str(corpus_path(algebra))
             key = " ".join(["usage", command, algebra or path, *flags])
