@@ -665,8 +665,8 @@ def reference_exp_endo(endo):
 def reference_quantum_rack_action(x, observable):
     """The pullback along xi -> xi o exp(ad_x) with Fraction forms, factor by factor."""
     mat = reference_exp_endo(x.algebra.ad(x)).matrix
-    n = len(mat)
-    return reference_substitute_linear(observable, [[mat[i][j] for i in range(n)] for j in range(n)])
+    forms = [list(column) for column in zip(*mat)]
+    return reference_substitute_linear(observable, forms)
 
 
 def reference_conjugation_residual(z, x):

@@ -8,10 +8,10 @@ from ``CHECKOUT/bench/workloads.py`` (read only: no bytecode is written).
 It runs every op of the chosen workloads at the chosen seeds (default: all
 four workloads at seeds 1, 2, 3), then ``DATA_CASES`` at the same seeds,
 then the usage-error cases of ``tests/test_cli.py``, each as one in-process
-``leibrack.cli.main(argv)`` call with ``--json`` into a scratch file.  Per op it records the SHA-256 of
-stdout and of the ``--json`` bytes (None when no file was written), the
-stderr text and the exit code.  Run it once on the parent checkout and once
-on the change, each in its own process.
+``leibrack.cli.main(argv)`` call with ``--json`` into a scratch file.  Per
+op it records the SHA-256 of stdout and of the ``--json`` bytes (None when
+no file was written), the stderr text and the exit code.  Run it once on
+the parent checkout and once on the change, each in its own process.
 
 ``--compare`` prints the ops whose fingerprints differ, or are missing from
 one side, and exits 1 if there are any; a file it cannot read exits 2.
