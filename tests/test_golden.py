@@ -9,13 +9,15 @@ Besides the corpus, the cases read the algebras in ``tests/data``.
 ``freenil3-perturbed`` is freenil3 with e2 added to [e1, e1]: still nilpotent
 but no longer Leibniz, so its validate, rack and quantize reports fail (exit
 1), and their digests pin the violation lists, not only passing reports.
+Its hessian report passes: det 1 and signature 0 hold for every table.
 ``n5`` (strictly upper-triangular 5 x 5 matrices) and ``n4-rebased`` (n_4 in
 the basis of ``random_invertible(random.Random(1), 6)``) have non-trivial
 extensions; in the rebased one the left center is not a coordinate axis, so
 the projection carries a center correction.  Their analyze and cocycle
-reports pin the extension data on inputs beyond the corpus, and their rack
-and quantize reports the exact exponential kernels: every corpus table has
-scale 1, n4-rebased has scale 7056 and n5 has dimension 10.
+reports pin the extension data on inputs beyond the corpus, their rack
+and quantize reports the exact exponential kernels, and their hessian
+reports the bordered Hessian built from ``int_sparse``: every corpus table
+has scale 1, n4-rebased has scale 7056 and n5 has dimension 10.
 
 The ``bch`` cases with flags pin the BCH word sum at every truncation order
 1..8, on sampled pairs and on the fixed ``--x``/``--y`` pairs below, in exact
@@ -72,10 +74,10 @@ def _cases():
         for command in ("rack", "quantize", "tangent"):
             cases.append((command, name, "float"))
     cases.append(("bch", "sl2", "float"))
-    for command in ("validate", "rack", "quantize"):
+    for command in ("validate", "rack", "quantize", "hessian"):
         cases.append((command, FAILING))
     for name in EXTENSIONS:
-        for command in ("analyze", "cocycle", "rack", "quantize"):
+        for command in ("analyze", "cocycle", "rack", "quantize", "hessian"):
             cases.append((command, name))
     for (name, mode), (x, y) in BCH_POINTS.items():
         for order in range(1, 9):
