@@ -26,11 +26,10 @@ the int ``c * scale``, ``scale`` the lcm of the table's denominators.
   ``bass_product``, ``coadjoint``, ``exp_endo`` columns, the conjugation
   lemma and the observable pullback).  They sum on ints and make canonical
   Fractions only for their results.
-* ``sparse`` serves ``bracket_coords``, ``ad``, ``dual_bracket_coords``,
-  ``bracket_defects`` and ``Endomorphism.derivation_residual``, which mix
-  the table with caller scalars, floats too.  They visit terms in the same
-  order as a dense loop would, so float results are bit-for-bit those of
-  the dense sums.
+* ``sparse`` serves ``bracket_coords``, ``ad``, ``bracket_defects`` and
+  ``Endomorphism.derivation_residual``, which mix the table with caller
+  scalars, floats too.  They visit terms in the same order as a dense loop
+  would, so float results are bit-for-bit those of the dense sums.
 """
 
 from dataclasses import dataclass, field
@@ -49,7 +48,8 @@ class LeibnizAlgebra:
     def __init__(self, table, basis=None, name=""):
         dim = len(table)
         self.table = tuple(
-            tuple(tuple(Fraction(c) for c in row) for row in plane) for plane in table
+            tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in plane)
+            for plane in table
         )
         for plane in self.table:
             if len(plane) != dim or any(len(row) != dim for row in plane):
@@ -123,17 +123,6 @@ class LeibnizAlgebra:
                 w = xi * yj
                 for k, c in row:
                     out[k] = out[k] + w * c
-        return out
-
-    def dual_bracket_coords(self, x, xi):
-        """The covector xi o ad_x: entry j is xi([x, e_j])."""
-        out = [0] * self.dim
-        for xa, plane in zip(x, self.sparse):
-            if xa == 0:
-                continue
-            for j, row in plane:
-                for k, c in row:
-                    out[j] = out[j] + xa * c * xi[k]
         return out
 
     def bracket(self, x, y):

@@ -3,19 +3,16 @@
 Matrices are lists of row lists, vectors are flat lists.  Entries are
 ``fractions.Fraction`` in exact mode or ``float`` in float mode; every routine
 works with either scalar type unless it needs exact pivoting (echelon forms,
-determinants, inverses, signatures), which is rational-only.
+determinants, inverses), which is rational-only.
 
 The eliminations run on Python ints: each row is scaled by the lcm of its
 denominators, and ``rref`` (``echelon``, fraction-free Gauss-Jordan, each
-updated row divided by its content), ``det`` and ``inertia_and_det``
-(Bareiss steps, whose divisions by the previous pivot are exact) turn their
-results back into canonical Fractions only at the end.  ``inverse`` is the
-right half of ``rref([matrix | I])``; ``rank`` and ``nullspace`` read the
-int rows.  ``inertia_and_det`` gives the inertia and the determinant of a
-symmetric matrix from one congruence elimination, which is all
-``quantize.hessian_check`` runs.  ``echelon`` is also the step of
-``LeibnizAlgebra.nilpotency_class``, which hands it int rows built from
-``int_sparse``.
+updated row divided by its content) and ``det`` (Bareiss steps, whose
+divisions by the previous pivot are exact) turn their results back into
+canonical Fractions only at the end.  ``inverse`` is the right half of
+``rref([matrix | I])``; ``rank`` and ``nullspace`` read the int rows.
+``echelon`` is also the step of ``LeibnizAlgebra.nilpotency_class``, which
+hands it int rows built from ``int_sparse``.
 
 Every inner product has the bits of a plain left fold,
 ``reduce(add, map(mul, u, v), 0)``: the terms in index order, added one by
@@ -314,57 +311,3 @@ def inverse(matrix):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in reduced]
-
-
-def inertia_and_det(matrix):
-    """Inertia (n_plus, n_minus, n_zero) and determinant of an exact symmetric matrix.
-
-    Congruence diagonalization in the style of Lagrange's method: symmetric
-    row/column operations, with the classic fix-up (add row+column j into
-    row+column k) whenever the whole remaining diagonal vanishes.  Plain
-    LDL would break on a zero leading pivot.  It runs on A = D * matrix, D
-    the common denominator, which has the same inertia, and updates the
-    active block by the Bareiss step a_ij <- (d a_ij - a_ik a_kj) // prev;
-    the LDL pivot is then d / prev.
-
-    A symmetric swap and the fix-up are congruences of determinant 1, so
-    the Bareiss invariants hold across them and the last pivot is det(A):
-    ``det(matrix)`` is that pivot over D**n, or 0 once a zero row is dropped.
-    Returns ``((n_plus, n_minus, n_zero), det)``.
-    """
-    rows, scales = _int_rows(matrix)
-    common = lcm(*scales)
-    a = [[x * (common // s) for x in row] for row, s in zip(rows, scales)]
-    n = len(a)
-    for i in range(n):
-        for j in range(i):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
-    n_plus = n_minus = n_zero = 0
-    prev = 1
-    while a:
-        if a[0][0] == 0:
-            swap = next((j for j in range(1, len(a)) if a[j][j]), None)
-            if swap is not None:
-                a[0], a[swap] = a[swap], a[0]
-                for row in a:
-                    row[0], row[swap] = row[swap], row[0]
-            else:
-                off = next((j for j in range(1, len(a)) if a[0][j]), None)
-                if off is None:
-                    n_zero += 1
-                    a = [row[1:] for row in a[1:]]
-                    continue
-                for t in range(len(a)):
-                    a[0][t] += a[off][t]
-                for t in range(len(a)):
-                    a[t][0] += a[t][off]
-        d, *top = a[0]
-        if (d > 0) == (prev > 0):
-            n_plus += 1
-        else:
-            n_minus += 1
-        a = [[(d * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in a[1:]]
-        prev = d
-    determinant = Fraction(0) if n_zero else Fraction(prev, common ** n)
-    return (n_plus, n_minus, n_zero), determinant

@@ -260,14 +260,33 @@ def hessian_matrix(algebra, xi):
 
 
 def hessian_check(algebra, xi):
-    """Exact determinant and inertia of the extremum Hessian, from one elimination.
+    """Exact determinant and inertia of the extremum Hessian, read off its blocks.
 
-    The determinant is always 1 and the signature always 0: the multiplier
-    blocks pair every direction hyperbolically.  Rejects float input, since
+    ``hessian_matrix`` gives B = [[M, -I], [-I, 0]] in 2n x 2n blocks, M
+    symmetric.  With T = [[I, 0], [M/2, I]], T^T B T = [[0, -I], [-I, 0]],
+    so det B = 1 and the inertia is (2n, 2n, 0) whatever M is (Sylvester's
+    law of inertia).  The block structure is checked exactly on B, and a
+    ValueError is raised if it does not hold.  Rejects float input, since
     the claim is exact.
     """
     if xi.mode != "exact":
         raise ValueError("the Hessian check is exact; pass a rational covector")
     b = hessian_matrix(algebra, xi)
-    inertia, determinant = linalg.inertia_and_det(b)
-    return HessianReport(algebra, xi, b, determinant, inertia)
+    m = 2 * algebra.dim
+    if not _is_bordered(b, m):
+        raise ValueError("bordered Hessian lost its block structure")
+    return HessianReport(algebra, xi, b, Fraction(1), (m, m, 0))
+
+
+def _is_bordered(b, m):
+    """Whether b is [[M, -I], [-I, 0]] with m x m blocks and M symmetric."""
+    if len(b) != 2 * m or any(len(row) != 2 * m for row in b):
+        return False
+    border = [[-int(i == j) for j in range(m)] for i in range(m)]
+    top = [row[:m] for row in b[:m]]
+    return (
+        [row[m:] for row in b[:m]] == border
+        and [row[:m] for row in b[m:]] == border
+        and not any(x for row in b[m:] for x in row[m:])
+        and [list(col) for col in zip(*top)] == top
+    )

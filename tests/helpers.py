@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import reduce
-from math import factorial
+from math import factorial, lcm
 from operator import add, mul
 
 from leibrack import linalg
@@ -422,6 +422,62 @@ def reference_symmetric_signature(matrix):
     return n_plus, n_minus, n_zero
 
 
+
+def reference_inertia_and_det(matrix):
+    """Inertia (n_plus, n_minus, n_zero) and determinant of an exact symmetric matrix.
+
+    Congruence diagonalization in the style of Lagrange's method: symmetric
+    row/column operations, with the classic fix-up (add row+column j into
+    row+column k) whenever the whole remaining diagonal vanishes.  Plain
+    LDL would break on a zero leading pivot.  It runs on A = D * matrix, D
+    the common denominator, which has the same inertia, and updates the
+    active block by the Bareiss step a_ij <- (d a_ij - a_ik a_kj) // prev;
+    the LDL pivot is then d / prev.
+
+    A symmetric swap and the fix-up are congruences of determinant 1, so
+    the Bareiss invariants hold across them and the last pivot is det(A):
+    ``det(matrix)`` is that pivot over D**n, or 0 once a zero row is dropped.
+    Returns ``((n_plus, n_minus, n_zero), det)``.  Formerly
+    ``linalg.inertia_and_det``; ``quantize.hessian_check`` now reads both off
+    the block structure, and this elimination is kept as its oracle.
+    """
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    common = lcm(*(x.denominator for row in rows for x in row))
+    a = [[x.numerator * (common // x.denominator) for x in row] for row in rows]
+    n = len(a)
+    for i in range(n):
+        for j in range(i):
+            if a[i][j] != a[j][i]:
+                raise ValueError("matrix is not symmetric")
+    n_plus = n_minus = n_zero = 0
+    prev = 1
+    while a:
+        if a[0][0] == 0:
+            swap = next((j for j in range(1, len(a)) if a[j][j]), None)
+            if swap is not None:
+                a[0], a[swap] = a[swap], a[0]
+                for row in a:
+                    row[0], row[swap] = row[swap], row[0]
+            else:
+                off = next((j for j in range(1, len(a)) if a[0][j]), None)
+                if off is None:
+                    n_zero += 1
+                    a = [row[1:] for row in a[1:]]
+                    continue
+                for t in range(len(a)):
+                    a[0][t] += a[off][t]
+                for t in range(len(a)):
+                    a[t][0] += a[t][off]
+        d, *top = a[0]
+        if (d > 0) == (prev > 0):
+            n_plus += 1
+        else:
+            n_minus += 1
+        a = [[(d * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in a[1:]]
+        prev = d
+    determinant = Fraction(0) if n_zero else Fraction(prev, common ** n)
+    return (n_plus, n_minus, n_zero), determinant
+
 # -- reference observable algebra ----------------------------------------------
 # The object-per-factor PolyObservable products kept as the oracle for the
 # one-dict kernels in leibrack.observables and leibrack.quantize: every
@@ -643,11 +699,23 @@ def reference_bass_product(x, y):
     return Element(alg, exp_action(lambda v: alg.bracket_coords(x.coords, v), y.coords))
 
 
+def reference_dual_bracket(algebra, x, xi):
+    """The covector xi o ad_x on the Fraction ``sparse`` table: entry j is xi([x, e_j])."""
+    out = [0] * algebra.dim
+    for xa, plane in zip(x, algebra.sparse):
+        if xa == 0:
+            continue
+        for j, row in plane:
+            for k, c in row:
+                out[j] = out[j] + xa * c * xi[k]
+    return out
+
+
 def reference_coadjoint(x, xi):
     """xi o exp(-ad_x) by ``exp_action`` on Fraction dual brackets."""
     alg = x.algebra
     neg = [-c for c in x.coords]
-    return Covector(alg, exp_action(lambda v: alg.dual_bracket_coords(neg, v), xi.coords))
+    return Covector(alg, exp_action(lambda v: reference_dual_bracket(alg, neg, v), xi.coords))
 
 
 def reference_exp_endo(endo):

@@ -232,6 +232,19 @@ def test_table_rejects_ragged_input():
         LeibnizAlgebra([[[Fraction(0)]], [[Fraction(0)]]])
 
 
+def test_table_keeps_fractions_and_converts_the_rest():
+    half = Fraction(1, 2)
+    raw = [[[half, 1], ["3/4", 0.25]], [[0, True], [Fraction(-2), 0]]]
+    alg = LeibnizAlgebra(raw)
+    assert alg.table[0][0][0] is half
+    entries = [c for plane in alg.table for row in plane for c in row]
+    assert all(type(c) is Fraction for c in entries)
+    assert entries == [half, 1, Fraction(3, 4), Fraction(1, 4), 0, 1, -2, 0]
+    converted = [[[Fraction(c) for c in row] for row in plane] for plane in raw]
+    assert alg == LeibnizAlgebra(converted)
+    assert hash(alg) == hash(LeibnizAlgebra(converted))
+
+
 def test_endomorphism_algebra(heisenberg):
     ident = Endomorphism.identity(heisenberg)
     assert ident.is_endomorphism()

@@ -3,13 +3,16 @@ generating function, and the extremum Hessian."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leibrack import cli, quantize
 from leibrack.bch import bch, conj_star
-from leibrack.corpus import CORPUS_NAMES
+from leibrack.corpus import CORPUS_NAMES, corpus_path
+from leibrack.io import load_algebra
 from leibrack.observables import Covector, PolyObservable
 from leibrack.quantize import (
     action_left_action_violations,
@@ -25,7 +28,14 @@ from leibrack.quantize import (
     semiclassical_leading_terms,
 )
 from leibrack.racks import bass_product, check_rack_axioms, coadjoint, exp_endo
-from leibrack.sampling import sample_elements, sample_observables, sample_triples
+from leibrack.sampling import (
+    rational_vector,
+    sample_elements,
+    sample_observables,
+    sample_triples,
+)
+
+from helpers import reference_det, reference_inertia_and_det
 
 NILPOTENT = ["abelian3", "leib2", "heisenberg", "freenil3"]
 NILPOTENT_LIE = ["abelian3", "heisenberg", "freenil3"]
@@ -305,3 +315,92 @@ def test_hessian_rejects_float_covector(heisenberg):
     xi = Covector(heisenberg, (0.5, 0.0, 0.0), mode="float")
     with pytest.raises(ValueError, match="rational"):
         hessian_check(heisenberg, xi)
+
+
+def bordered(m_block):
+    """[[M, -I], [-I, 0]] for a square M."""
+    m = len(m_block)
+    border = [[Fraction(-int(i == j)) for j in range(m)] for i in range(m)]
+    top = [list(row) + minus for row, minus in zip(m_block, border)]
+    return top + [minus + [Fraction(0)] * m for minus in border]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bordered_symmetric_matrix_has_det_one_and_split_inertia(data):
+    # T = [[I, 0], [M/2, I]] takes B to [[0, -I], [-I, 0]] whatever M is.
+    n = data.draw(st.integers(0, 4), label="n")
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    m_block = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for i in range(2 * n):
+        for j in range(i + 1):
+            m_block[i][j] = m_block[j][i] = data.draw(entry)
+    b = bordered(m_block)
+    assert reference_inertia_and_det(b) == ((2 * n, 2 * n, 0), 1)
+    assert reference_det(b) == 1
+
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
+HESSIAN_TABLES = {
+    **{name: corpus_path(name) for name in CORPUS_NAMES},
+    **{path.stem: path for path in sorted(DATA_DIR.glob("*.json"))},
+}
+
+
+@pytest.mark.parametrize("name", list(HESSIAN_TABLES))
+def test_hessian_check_matches_the_reference_elimination(name):
+    alg = load_algebra(HESSIAN_TABLES[name])
+    rng = random.Random(name + "hessian")
+    for _ in range(2):
+        xi = Covector(alg, rational_vector(rng, alg.dim))
+        report = hessian_check(alg, xi)
+        b = hessian_matrix(alg, xi)
+        assert report.matrix == b
+        assert (report.inertia, report.determinant) == reference_inertia_and_det(b)
+        assert type(report.determinant) is Fraction
+        assert all(type(k) is int for k in report.inertia)
+
+
+def _border_plus_identity(b, n):
+    for i in range(2 * n):
+        b[i][2 * n + i] = b[2 * n + i][i] = Fraction(1)
+
+
+def _zeta_eta_entry(b, n):
+    b[2 * n][3 * n] = b[3 * n][2 * n] = Fraction(1)
+
+
+def _asymmetric_m(b, n):
+    b[0][n] += 1
+
+
+CORRUPTIONS = [_border_plus_identity, _zeta_eta_entry, _asymmetric_m]
+
+
+@pytest.fixture(params=CORRUPTIONS, ids=lambda corrupt: corrupt.__name__.strip("_"))
+def corrupted_hessian(request, monkeypatch):
+    build = quantize.hessian_matrix
+
+    def corrupted(algebra, xi):
+        b = build(algebra, xi)
+        request.param(b, algebra.dim)
+        return b
+
+    monkeypatch.setattr(quantize, "hessian_matrix", corrupted)
+
+
+MESSAGE = "bordered Hessian lost its block structure"
+
+
+@pytest.mark.usefixtures("corrupted_hessian")
+def test_hessian_check_rejects_a_broken_block_structure(heisenberg):
+    xi = Covector(heisenberg, (Fraction(1), Fraction(2), Fraction(3)))
+    with pytest.raises(ValueError, match=MESSAGE):
+        hessian_check(heisenberg, xi)
+
+
+@pytest.mark.usefixtures("corrupted_hessian")
+def test_hessian_command_exits_2_on_a_broken_block_structure(capsys):
+    code = cli.main(["hessian", str(corpus_path("heisenberg")), "--samples", "2"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {MESSAGE}"]
