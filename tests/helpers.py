@@ -422,7 +422,6 @@ def reference_symmetric_signature(matrix):
     return n_plus, n_minus, n_zero
 
 
-
 def reference_inertia_and_det(matrix):
     """Inertia (n_plus, n_minus, n_zero) and determinant of an exact symmetric matrix.
 
@@ -437,9 +436,8 @@ def reference_inertia_and_det(matrix):
     A symmetric swap and the fix-up are congruences of determinant 1, so
     the Bareiss invariants hold across them and the last pivot is det(A):
     ``det(matrix)`` is that pivot over D**n, or 0 once a zero row is dropped.
-    Returns ``((n_plus, n_minus, n_zero), det)``.  Formerly
-    ``linalg.inertia_and_det``; ``quantize.hessian_check`` now reads both off
-    the block structure, and this elimination is kept as its oracle.
+    Returns ``((n_plus, n_minus, n_zero), det)``.  The oracle for
+    ``quantize.hessian_check``, which reads both off the block structure.
     """
     rows = [[Fraction(x) for x in row] for row in matrix]
     common = lcm(*(x.denominator for row in rows for x in row))
@@ -477,6 +475,7 @@ def reference_inertia_and_det(matrix):
         prev = d
     determinant = Fraction(0) if n_zero else Fraction(prev, common ** n)
     return (n_plus, n_minus, n_zero), determinant
+
 
 # -- reference observable algebra ----------------------------------------------
 # The object-per-factor PolyObservable products kept as the oracle for the
