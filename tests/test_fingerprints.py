@@ -28,9 +28,14 @@ def test_ladder_fingerprints_compare_equal_to_themselves(tmp_path):
     assert sorted(data) == sorted(
         f"data seed1 {command} {name}"
         for name in ("freenil3-perturbed", "n4-rebased", "n5")
-        for command in ("validate", "rack", "quantize", "hessian")
+        for command in ("validate", "rack", "quantize", "hessian", "bch")
     )
+    assert len(data) == 15
     for key, value in data.items():
+        if key == "data seed1 bch freenil3-perturbed":
+            assert value["exit"] == 2 and value["json_sha256"] is None
+            assert "needs a Lie algebra" in value["stderr"]
+            continue
         fails = key.endswith("freenil3-perturbed") and " hessian " not in key
         assert value["exit"] == (1 if fails else 0)
         assert value["json_sha256"]

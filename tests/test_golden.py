@@ -16,7 +16,8 @@ extensions; in the rebased one the left center is not a coordinate axis, so
 the projection carries a center correction.  Their analyze and cocycle
 reports pin the extension data on inputs beyond the corpus, their rack
 and quantize reports the exact exponential kernels, and their hessian
-reports the bordered Hessian built from ``int_sparse``: every corpus table
+reports the bordered Hessian built from ``int_sparse``, and their bch
+reports the BCH word sum on a table beyond the corpus: every corpus table
 has scale 1, n4-rebased has scale 7056 and n5 has dimension 10.
 
 The ``bch`` cases with flags pin the BCH word sum at every truncation order
@@ -77,7 +78,7 @@ def _cases():
     for command in ("validate", "rack", "quantize", "hessian"):
         cases.append((command, FAILING))
     for name in EXTENSIONS:
-        for command in ("analyze", "cocycle", "rack", "quantize", "hessian"):
+        for command in ("analyze", "cocycle", "rack", "quantize", "hessian", "bch"):
             cases.append((command, name))
     for (name, mode), (x, y) in BCH_POINTS.items():
         for order in range(1, 9):

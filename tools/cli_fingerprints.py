@@ -32,11 +32,12 @@ SEEDS = (1, 2, 3)
 # Exact reports at CLI defaults on the tables of tests/data, keyed
 # "data seed<S> <command> <name>": n4-rebased has scale 7056 where every
 # corpus table has scale 1, n5 has dimension 10, and freenil3-perturbed is
-# not Leibniz, so its validate, rack and quantize reports fail.
+# not Leibniz, so its validate, rack and quantize reports fail and bch exits 2
+# ("needs a Lie algebra").
 DATA_CASES = [
     (command, name)
     for name in ("freenil3-perturbed", "n4-rebased", "n5")
-    for command in ("validate", "rack", "quantize", "hessian")
+    for command in ("validate", "rack", "quantize", "hessian", "bch")
 ]
 
 # The usage-error cases of tests/test_cli.py: (command, corpus name, flags).
