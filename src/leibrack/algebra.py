@@ -12,29 +12,41 @@ table itself is always exact.
 
 The dense ``table`` is the input and interchange form and the identity of
 an algebra (equality, hashing).  Most tables are almost all zeros, so every
-kernel that walks the bracket reads one of two sparse views built once in
-``__init__`` instead.  ``sparse`` lists, for each i, the pairs
+kernel that walks the bracket reads a sparse view instead, one per scalar
+kind.  ``sparse``, built in ``__init__``, lists for each i the pairs
 ``(j, ((k, c), ...))`` with ``[e_i, e_j]`` nonzero, both indices ascending.
-``int_sparse`` has the same index structure with each entry c replaced by
-the int ``c * scale``, ``scale`` the lcm of the table's denominators.
+``int_sparse``, also built in ``__init__``, has the same index structure
+with each entry c replaced by the int ``c * scale``, ``scale`` the lcm of
+the table's denominators.  ``float_sparse`` has it with each entry
+``float(c)``, an entry that underflows to 0.0 included; it is built on its
+first use, so an exact run never converts the table (a coefficient beyond
+the float range would raise ``OverflowError`` there).
 
 * ``int_sparse`` serves the exact kernels whose answer does not depend on
   the scale, or that divide it out once at the end: the Leibniz check,
   ``nilpotency_class``, ``left_center``, ``derivation_algebra``, the
-  cocycle identity in ``extension``, ``quantize.hessian_matrix`` and
-  ``racks.int_ad``, the int ad_x of the exact exponential kernel (exact
-  ``bass_product``, ``coadjoint``, ``exp_endo`` columns, the conjugation
-  lemma and the observable pullback).  They sum on ints and make canonical
-  Fractions only for their results.
-* ``sparse`` serves ``bracket_coords``, ``ad``, ``bracket_defects`` and
-  ``Endomorphism.derivation_residual``, which mix the table with caller
-  scalars, floats too.  They visit terms in the same order as a dense loop
-  would, so float results are bit-for-bit those of the dense sums.
+  cocycle identity in ``extension``, ``quantize.hessian_matrix``, the
+  exact BCH word sum in ``bch`` and ``racks.int_ad``, the int ad_x of the
+  exact exponential kernel (exact ``bass_product``, ``coadjoint``,
+  ``exp_endo`` columns, the conjugation lemma and the observable pullback).
+  They sum on ints and make canonical Fractions only for their results.
+* ``float_sparse`` serves float ``bracket_coords`` and ``ad`` and the float
+  BCH word sum.  A Fraction times a float is computed as ``float(c)`` times
+  the float, so reading the converted entry gives the same bits without the
+  conversion on every term.
+* ``sparse`` serves exact ``bracket_coords`` and ``ad``, ``bracket_defects``
+  and ``Endomorphism.derivation_residual``, which mix the table with caller
+  scalars.
+
+``sparse_for(mode)`` picks the Fraction or the float view for a scalar
+mode; callers ask for it once, from the mode of their elements.  The
+kernels visit terms in the same order as a dense loop would, so float
+results are bit-for-bit those of the dense sums.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import add
 
@@ -108,12 +120,31 @@ class LeibnizAlgebra:
     def basis_elements(self, mode=EXACT):
         return [self.basis_element(i, mode) for i in range(self.dim)]
 
+    # -- sparse views ------------------------------------------------------------
+
+    @cached_property
+    def float_sparse(self):
+        """``sparse`` with each entry ``float(c)``, built on first use."""
+        return tuple(
+            tuple((j, tuple((k, float(c)) for k, c in row)) for j, row in plane)
+            for plane in self.sparse
+        )
+
+    def sparse_for(self, mode):
+        """The sparse view whose entries match coordinates of the given scalar mode."""
+        return self.float_sparse if mode == FLOAT else self.sparse
+
     # -- bracket and adjoint operators ----------------------------------------
 
-    def bracket_coords(self, x, y):
-        """Bracket of two coordinate vectors, returned as a coordinate vector."""
+    def bracket_coords(self, x, y, sparse=None):
+        """Bracket of two coordinate vectors, returned as a coordinate vector.
+
+        ``sparse`` is the view to read, ``self.sparse`` by default: ``float_sparse``
+        for float coordinates, or ``int_sparse`` for int coordinates, whose
+        bracket then comes out times ``scale``.
+        """
         out = [0] * self.dim
-        for xi, plane in zip(x, self.sparse):
+        for xi, plane in zip(x, self.sparse if sparse is None else sparse):
             if xi == 0:
                 continue
             for j, row in plane:
@@ -129,20 +160,22 @@ class LeibnizAlgebra:
         if x.algebra is not self or y.algebra is not self:
             raise ValueError("elements belong to a different algebra")
         mode = _join_modes(x.mode, y.mode)
-        return Element(self, self.bracket_coords(x.coords, y.coords), mode)
+        return Element(self, self.bracket_coords(x.coords, y.coords, self.sparse_for(mode)), mode)
 
     def ad(self, x):
-        """Left multiplication operator ad_x = [x, .] as an endomorphism."""
+        """Left multiplication operator ad_x = [x, .] as an endomorphism.
+
+        ``x`` is an Element, or an exact coordinate list.
+        """
         n = self.dim
-        coords = x.coords if isinstance(x, Element) else x
+        coords, mode = (x.coords, x.mode) if isinstance(x, Element) else (x, EXACT)
         rows = [[0] * n for _ in range(n)]
-        for xi, plane in zip(coords, self.sparse):
+        for xi, plane in zip(coords, self.sparse_for(mode)):
             if xi == 0:
                 continue
             for j, row in plane:
                 for k, c in row:
                     rows[k][j] = rows[k][j] + xi * c
-        mode = x.mode if isinstance(x, Element) else EXACT
         return Endomorphism(self, rows, mode)
 
     # -- identities ------------------------------------------------------------
@@ -254,6 +287,13 @@ def join_elements(x, y):
     return x.algebra, _join_modes(x.mode, y.mode)
 
 
+def _coerce(values, mode):
+    """A tuple of the values as scalars of the mode, as ``linalg.scalar`` makes them."""
+    if mode == FLOAT:
+        return tuple(map(float, values))
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in values)
+
+
 @dataclass(frozen=True, slots=True)
 class Element:
     """An algebra element: coordinates in the defining basis plus a scalar mode.
@@ -271,7 +311,7 @@ class Element:
         if len(coords) != algebra.dim:
             raise ValueError(f"expected {algebra.dim} coordinates, got {len(coords)}")
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", tuple(linalg.scalar(c, mode) for c in coords))
+        object.__setattr__(self, "coords", _coerce(coords, mode))
         object.__setattr__(self, "mode", mode)
 
     def __repr__(self):
@@ -322,9 +362,7 @@ class Endomorphism:
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("endomorphism matrix must be dim x dim")
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(
-            self, "matrix", tuple(tuple(linalg.scalar(x, mode) for x in row) for row in matrix)
-        )
+        object.__setattr__(self, "matrix", tuple(_coerce(row, mode) for row in matrix))
         object.__setattr__(self, "mode", mode)
 
     def __repr__(self):
@@ -363,10 +401,8 @@ class Endomorphism:
         )
 
     def inverse(self):
-        inv = linalg.inverse(self.matrix)
-        if self.mode == FLOAT:
-            inv = [[float(x) for x in row] for row in inv]
-        return Endomorphism(self.algebra, inv, self.mode)
+        invert = linalg.float_inverse if self.mode == FLOAT else linalg.inverse
+        return Endomorphism(self.algebra, invert(self.matrix), self.mode)
 
     # -- structural predicates -------------------------------------------------
 

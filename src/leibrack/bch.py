@@ -14,8 +14,12 @@ suffix of some table word, and its children prepend one letter, so the
 value of a child is one bracket of that letter with the node's value.
 Evaluation walks the tree on coordinate lists, taking each bracket at most
 once, and drops a subtree as soon as its value is zero or it holds no word
-of degree <= order.  The nonzero terms are then added in table order, so
-exact and float results are the sums of the plain word-by-word loop.
+of degree <= order.  Each scalar kind brackets on its own table: exact
+input on ``int_sparse``, with x and y scaled to int lists and the terms
+summed over one common denominator; float input on ``float_sparse``, with
+the nonzero terms added in table order.  So exact results equal, and float
+results are bit for bit, the sums of the plain word-by-word loop on the
+Fraction table.
 """
 
 from fractions import Fraction
@@ -23,7 +27,8 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 
 from .algebra import join_elements
-from .racks import bass_product
+from .linalg import EXACT
+from .racks import bass_product, int_vector
 from .reports import check_law, samples
 
 MAX_ORDER = 8
@@ -112,33 +117,75 @@ def evaluate_word_table(table, x, y, order):
 
     ``table`` is a ``WordTable``.  Brackets are taken on coordinate lists
     with ``bracket_coords``, one per tree node, and never below a zero value
-    or for a node with no word of degree <= order under it.  Each nonzero
-    term is added in table order as ``total_k + weight * v_k``, skipping
-    zero coordinates: a sum that starts at +0 is never -0, so adding a
-    signed zero would leave it as it is.  One Element is built at the end.
+    or for a node with no word of degree <= order under it.
+
+    Float input reads ``float_sparse``.  Each nonzero term is added in table
+    order as ``total_k + float(weight) * v_k``, skipping zero coordinates: a
+    sum that starts at +0 is never -0, so adding a signed zero would leave
+    it as it is.
+
+    Exact input reads ``int_sparse`` with the int letters X = x·d_x and
+    Y = y·d_y (``racks.int_vector``), so a word with a x-letters and b
+    y-letters has an int value over d_x^a·d_y^b·scale^(a+b-1).  The terms
+    are summed on ints over one common denominator, and one canonical
+    Fraction is made per coordinate.  One Element is built at the end.
     """
     alg, mode = join_elements(x, y)
+    if mode == EXACT:
+        (big_x, d_x), (big_y, d_y) = int_vector(x.coords), int_vector(y.coords)
+        letters, sparse = (big_x, big_y), alg.int_sparse
+    else:
+        letters, sparse = (x.coords, y.coords), alg.float_sparse
     bracket = alg.bracket_coords
-    letters = (x.coords, y.coords)
     terms = []
 
-    def walk(nodes, inner):
+    def walk(nodes, inner, xs, ys):
+        # xs, ys: the x- and y-letters of the suffix that ``inner`` is the value of
         for letter, reach, position, weight, children in nodes:
             if reach > order:
                 continue
-            value = letters[letter] if inner is None else bracket(letters[letter], inner)
+            value = letters[letter] if inner is None else bracket(letters[letter], inner, sparse)
             if any(value):
+                a, b = (xs + 1, ys) if letter == 0 else (xs, ys + 1)
                 if position is not None:
-                    terms.append((position, weight, value))
-                walk(children, value)
+                    terms.append((position, weight, value, a, b))
+                walk(children, value, a, b)
 
-    walk(table.tree, None)
-    total = list(alg.zero(mode).coords)
-    for _, weight, value in sorted(terms):
+    walk(table.tree, None, 0, 0)
+    if mode == EXACT:
+        return alg.element(_exact_sum(terms, d_x, d_y, alg.scale, alg.dim), mode)
+    total = [0.0] * alg.dim
+    for _, weight, value, _, _ in sorted(terms):
+        weight = float(weight)
         for k, v in enumerate(value):
             if v:
                 total[k] = total[k] + weight * v
     return alg.element(total, mode)
+
+
+def _exact_sum(terms, d_x, d_y, scale, dim):
+    """sum weight·W / (d_x^a·d_y^b·scale^(a+b-1)) over int terms, one Fraction per coordinate.
+
+    The common denominator is Q·d_x^A·d_y^B·scale^(G-1), with Q the lcm of
+    the weight denominators and A, B and G the largest a, b and a + b.
+    """
+    if not terms:
+        return [Fraction(0)] * dim
+    most_x = max(a for *_, a, _ in terms)
+    most_y = max(b for *_, b in terms)
+    degree = max(a + b for *_, a, b in terms)
+    q = lcm(*(weight.denominator for _, weight, *_ in terms))
+    total = [0] * dim
+    for _, weight, value, a, b in terms:
+        factor = (
+            weight.numerator * (q // weight.denominator)
+            * d_x ** (most_x - a) * d_y ** (most_y - b) * scale ** (degree - a - b)
+        )
+        for k, v in enumerate(value):
+            if v:
+                total[k] += factor * v
+    den = q * d_x ** most_x * d_y ** most_y * scale ** (degree - 1)
+    return [Fraction(t, den) for t in total]
 
 
 def bch(x, y, order=MAX_ORDER):

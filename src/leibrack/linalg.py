@@ -9,8 +9,10 @@ The eliminations run on Python ints: each row is scaled by the lcm of its
 denominators, and ``rref`` (``echelon``, fraction-free Gauss-Jordan, each
 updated row divided by its content) and ``det`` (Bareiss steps, whose
 divisions by the previous pivot are exact) turn their results back into
-canonical Fractions only at the end.  ``inverse`` is the right half of
-``rref([matrix | I])``; ``rank`` and ``nullspace`` read the int rows.
+canonical Fractions only at the end.  ``inverse`` and ``float_inverse``
+divide the right half of the echelon rows of ``[matrix | I]`` by their
+pivots, into Fractions or into floats; ``rank`` and ``nullspace`` read the
+int rows.
 ``echelon`` is also the step of ``LeibnizAlgebra.nilpotency_class``, which
 hands it int rows built from ``int_sparse``.
 
@@ -304,10 +306,35 @@ def det(matrix):
     return Fraction(sign * prev, prod(scales))
 
 
-def inverse(matrix):
-    """Exact inverse of a rational matrix; raises ValueError when singular."""
+def _inverse_rows(matrix):
+    """The right half of the int echelon rows of [matrix | I], each with its pivot.
+
+    The pivots are made positive (row and pivot negated together), so that
+    a zero numerator over its pivot is +0.  Raises ValueError when singular.
+    """
     n = len(matrix)
-    reduced, pivots = rref([list(row) + irow for row, irow in zip(matrix, identity_matrix(n))])
+    augmented = [list(row) + irow for row, irow in zip(matrix, identity_matrix(n))]
+    rows, pivots = echelon(_int_rows(augmented)[0])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced]
+    return [
+        (row[n:], row[i]) if row[i] > 0 else ([-x for x in row[n:]], -row[i])
+        for i, row in enumerate(rows)
+    ]
+
+
+def inverse(matrix):
+    """Exact inverse of a rational matrix; raises ValueError when singular.
+
+    Float entries are read exactly, and the inverse is exact all the same.
+    """
+    return [[Fraction(x, p) for x in half] for half, p in _inverse_rows(matrix)]
+
+
+def float_inverse(matrix):
+    """``inverse`` rounded to floats, each entry once: num / pivot.
+
+    Int true division is correctly rounded, so every entry is
+    ``float(Fraction(num, pivot))`` bit for bit, with no Fraction made.
+    """
+    return [[x / p for x in half] for half, p in _inverse_rows(matrix)]

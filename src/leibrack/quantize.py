@@ -179,7 +179,9 @@ def generating_series_terms(x, y, xi, order=DEFAULT_FLOAT_ORDER):
     (x, y) jointly.  In float mode it has the ``order + 1`` terms k <= order.
     """
     limit = None if x.mode == "exact" else order
-    series = exp_terms(partial(x.algebra.bracket_coords, x.coords), y.coords, limit)
+    alg = x.algebra
+    ad_x = partial(alg.bracket_coords, x.coords, sparse=alg.sparse_for(x.mode))
+    series = exp_terms(ad_x, y.coords, limit)
     terms = [linalg.vec_dot(xi.coords, term) for term in series]
     return terms if limit is None else terms + [0.0] * (order + 1 - len(terms))
 
@@ -196,10 +198,11 @@ def generating_gradients(x, y, xi, order=DEFAULT_FLOAT_ORDER):
     """
     alg = x.algebra
     bound = alg.dim if x.mode == "exact" else order
-    ad_x = partial(alg.bracket_coords, x.coords)
+    sparse = alg.sparse_for(x.mode)
+    ad_x = partial(alg.bracket_coords, x.coords, sparse=sparse)
 
     def corner(e):
-        ad_e = partial(alg.bracket_coords, e)
+        ad_e = partial(alg.bracket_coords, e, sparse=sparse)
         return block_exp_action(ad_x, ad_e, ad_x, alg.dim, y.coords, bound)
 
     d_x = [linalg.vec_dot(xi.coords, corner(e)) for e in linalg.identity_matrix(alg.dim, x.mode)]
@@ -239,23 +242,27 @@ def hessian_matrix(algebra, xi):
     multiplier blocks contribute -identities.  Symmetry forces the (y, x)
     block to be the transpose of the (x, y) block.  The sums run on ints:
     ``algebra.int_sparse`` against xi times the lcm of its denominators.
+    Every 0 entry is one Fraction object, every -1 entry another, and each
+    curvature value sits as one object at (i, n + j) and (n + j, i), which
+    lets ``_is_bordered`` compare rows by identity first.
     """
     n = algebra.dim
     coords = [Fraction(x) for x in xi.coords]
     den = lcm(*(x.denominator for x in coords))
     ints = [x.numerator * (den // x.denominator) for x in coords]
     den *= algebra.scale
-    b = linalg.zero_matrix(4 * n, 4 * n)
+    zero, minus_one = Fraction(0), Fraction(-1)
+    b = [[zero] * (4 * n) for _ in range(4 * n)]
     for i, plane in enumerate(algebra.int_sparse):
         for j, row in plane:
             value = Fraction(sum(c * ints[k] for k, c in row), den)
             b[i][n + j] = value
             b[n + j][i] = value
     for i in range(n):
-        b[i][2 * n + i] = Fraction(-1)
-        b[2 * n + i][i] = Fraction(-1)
-        b[n + i][3 * n + i] = Fraction(-1)
-        b[3 * n + i][n + i] = Fraction(-1)
+        b[i][2 * n + i] = minus_one
+        b[2 * n + i][i] = minus_one
+        b[n + i][3 * n + i] = minus_one
+        b[3 * n + i][n + i] = minus_one
     return b
 
 
@@ -279,14 +286,26 @@ def hessian_check(algebra, xi):
 
 
 def _is_bordered(b, m):
-    """Whether b is [[M, -I], [-I, 0]] with m x m blocks and M symmetric."""
+    """Whether b is [[M, -I], [-I, 0]] with m x m blocks and M symmetric.
+
+    The expected rows are built from b's own 0 and -1 entries, after one
+    check that they are 0 and -1.  ``hessian_matrix`` shares one object per
+    value, and puts the same object at (i, j) and (j, i), so the list
+    comparisons below mostly meet identical objects and skip
+    ``Fraction.__eq__``; any other entry is still compared by value.
+    """
     if len(b) != 2 * m or any(len(row) != 2 * m for row in b):
         return False
-    border = [[-int(i == j) for j in range(m)] for i in range(m)]
+    if not m:
+        return True
+    zero, minus_one = b[m][m], b[m][0]
+    if zero != 0 or minus_one != -1:
+        return False
+    border = [[zero] * i + [minus_one] + [zero] * (m - 1 - i) for i in range(m)]
+    zeros = [zero] * m
     top = [row[:m] for row in b[:m]]
     return (
-        [row[m:] for row in b[:m]] == border
-        and [row[:m] for row in b[m:]] == border
-        and not any(x for row in b[m:] for x in row[m:])
+        all(row[m:] == minus for row, minus in zip(b[:m], border))
+        and all(row[:m] == minus and row[m:] == zeros for row, minus in zip(b[m:], border))
         and [list(col) for col in zip(*top)] == top
     )

@@ -309,12 +309,12 @@ class PairElement:
 def hs_rack_product(a, b):
     """(v, g) > (w, h) = (g w, (g h) g^-1).
 
-    g^-1 is the exact ``linalg.inverse``, rounded to floats when g is float.
+    g^-1 is the exact ``linalg.inverse``, or ``linalg.float_inverse`` (each
+    entry rounded once) when g is float.
     """
     g = a.matrix
-    g_inv = linalg.inverse(g)
-    if any(type(x) is float for row in g for x in row):
-        g_inv = [[float(x) for x in row] for row in g_inv]
+    float_g = any(type(x) is float for row in g for x in row)
+    g_inv = (linalg.float_inverse if float_g else linalg.inverse)(g)
     return PairElement(
         linalg.mat_vec(g, b.vector), linalg.mat_mul(linalg.mat_mul(g, b.matrix), g_inv)
     )

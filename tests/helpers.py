@@ -119,6 +119,8 @@ def reference_evaluate_word_table(table, x, y, order):
 
     Sum c_w/|w| [w_1,[w_2,[..]]] over table words of degree <= order; a word
     whose suffix evaluates to zero is zero, so its bracket is never taken.
+    Every bracket reads the Fraction table ``algebra.sparse``, in float mode
+    too, and every sum is a Fraction or float Element sum.
     """
     alg = x.algebra
     values = (x, y)
@@ -131,7 +133,9 @@ def reference_evaluate_word_table(table, x, y, order):
             value = values[word[0]]
         else:
             inner = nested(word[1:])
-            value = None if inner is None else alg.bracket(values[word[0]], inner)
+            value = None if inner is None else Element(
+                alg, alg.bracket_coords(values[word[0]].coords, inner.coords), x.mode
+            )
         if value is not None and value.is_zero():
             value = None
         memo[word] = value

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -15,12 +17,19 @@ from leibrack.bch import (
     verify_conj_identity,
 )
 from leibrack.cli import BCH_FLOAT_SCALE
-from leibrack.corpus import load_corpus
+from leibrack.corpus import CORPUS_NAMES, load_corpus
+from leibrack.io import load_algebra
 from leibrack.linalg import EXACT, FLOAT
 from leibrack.racks import bass_product
 from leibrack.sampling import sample_elements, sample_pairs, sample_triples
 
-from helpers import n_k, reference_evaluate_word_table, reference_log_word_table
+from helpers import (
+    n_k,
+    random_invertible,
+    rebase,
+    reference_evaluate_word_table,
+    reference_log_word_table,
+)
 
 
 def test_word_table_low_degree_coefficients():
@@ -188,19 +197,22 @@ def test_verify_conj_identity_exact(freenil3):
 
 
 # ---------------------------------------------------------------------------
-# The suffix-tree kernel against the word-by-word Element loop it replaced.
-# Exact results must be equal, float results equal bit for bit, and both must
-# take the same number of brackets: a lost zero prune or a bracket taken for
-# a word above the order changes the count.
+# The suffix-tree kernel against the word-by-word Element loop it replaced,
+# which brackets on the Fraction table.  Exact results (int brackets) must be
+# equal, float results (float-table brackets) equal bit for bit, and both
+# must take the same number of brackets: a lost zero prune or a bracket taken
+# for a word above the order changes the count.
 # ---------------------------------------------------------------------------
 
 ORDERS = range(1, MAX_ORDER + 1)
+DATA_DIR = Path(__file__).resolve().parent / "data"
 EXACT_ALGEBRAS = {
-    "abelian3": lambda: load_corpus("abelian3"),
-    "heisenberg": lambda: load_corpus("heisenberg"),
-    "freenil3": lambda: load_corpus("freenil3"),
+    **{name: partial(load_corpus, name) for name in CORPUS_NAMES},
     "n4": lambda: n_k(4),
     "n5": lambda: n_k(5),
+    # scale 7056, and a dense table with large denominators
+    "n4-rebased": lambda: load_algebra(DATA_DIR / "n4-rebased.json"),
+    "n5-rebased": lambda: rebase(n_k(5), random_invertible(random.Random(5), 10), "n5d"),
 }
 FLOAT_ALGEBRAS = ("sl2", "heisenberg", "freenil3")
 
@@ -214,24 +226,34 @@ def word_table_pairs(alg, mode=EXACT, scale=Fraction(1)):
 
 
 def counted_evaluations(monkeypatch, pairs, order):
-    """(new, reference, new bracket count, reference bracket count) per pair."""
-    calls = [0]
+    """(new, reference, new bracket count, reference bracket count) per pair.
+
+    Both count ``bracket_coords`` calls.  Every bracket of the kernel must
+    read the view of its scalar kind, ``int_sparse`` for exact input and
+    ``float_sparse`` for float input, and every bracket of the reference
+    the Fraction table.
+    """
+    views = []
     original = LeibnizAlgebra.bracket_coords
 
-    def counting(self, u, v):
-        calls[0] += 1
-        return original(self, u, v)
+    def counting(self, u, v, sparse=None):
+        views.append(sparse)
+        return original(self, u, v, sparse)
 
     monkeypatch.setattr(LeibnizAlgebra, "bracket_coords", counting)
     table = log_word_table()
     out = []
     for x, y in pairs:
-        calls[0] = 0
+        alg = x.algebra
+        view = alg.int_sparse if x.mode == EXACT else alg.float_sparse
+        views.clear()
         got = evaluate_word_table(table, x, y, order)
-        got_calls = calls[0]
-        calls[0] = 0
+        assert all(seen is view for seen in views)
+        got_calls = len(views)
+        views.clear()
         want = reference_evaluate_word_table(table, x, y, order)
-        out.append((got, want, got_calls, calls[0]))
+        assert all(seen is None for seen in views)
+        out.append((got, want, got_calls, len(views)))
     return out
 
 
