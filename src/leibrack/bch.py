@@ -140,7 +140,7 @@ def evaluate_word_table(table, x, y, order):
     terms = []
 
     def walk(nodes, inner, xs, ys):
-        # xs, ys: the x- and y-letters of the suffix that ``inner`` is the value of
+        # xs, ys: how many x- and y-letters the suffix whose value is ``inner`` has
         for letter, reach, position, weight, children in nodes:
             if reach > order:
                 continue
