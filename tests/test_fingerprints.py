@@ -30,7 +30,6 @@ def test_ladder_fingerprints_compare_equal_to_themselves(tmp_path):
         for name in ("freenil3-perturbed", "n4-rebased", "n5")
         for command in ("validate", "rack", "quantize", "hessian", "bch")
     )
-    assert len(data) == 15
     for key, value in data.items():
         if key == "data seed1 bch freenil3-perturbed":
             assert value["exit"] == 2 and value["json_sha256"] is None
