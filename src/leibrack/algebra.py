@@ -30,6 +30,9 @@ the float range would raise ``OverflowError`` there).
   exact exponential kernel (exact ``bass_product``, ``coadjoint``,
   ``exp_endo`` columns, the conjugation lemma and the observable pullback).
   They sum on ints and make canonical Fractions only for their results.
+  The Leibniz check and the cocycle identity pack each int row into one int
+  (``linalg.pack``), so a whole scaled row is one int multiply-add and a
+  zero residual is a zero int.  ``is_lie`` reads antisymmetry off it.
 * ``float_sparse`` serves float ``bracket_coords`` and ``ad`` and the float
   BCH word sum.  A Fraction times a float is computed as ``float(c)`` times
   the float, so reading the converted entry gives the same bits without the
@@ -188,31 +191,41 @@ class LeibnizAlgebra:
         is an exact rational vector.
 
         The sums run on ``int_sparse``: each residual term is a product of two
-        entries, so ``scale**2`` times the residual is an int vector, divided
-        back at the end.
+        entries, so ``scale**2`` times the residual is an int vector.  Each
+        bracket row is packed once (``linalg.pack``), so a nested bracket is
+        one int multiply-add per coefficient; only a nonzero total is
+        unpacked and divided back.
         """
         if self._leibniz_violations is not None:
             return self._leibniz_violations
         n = self.dim
-        scale = self.scale
-        # rows[i][j]: the nonzero (k, scale * c) of [e_i, e_j]
-        rows = [dict(plane) for plane in self.int_sparse]
+        den = self.scale * self.scale
+        # rows[p][q]: the nonzero (l, scale * c) of [e_p, e_q]
+        rows = [[()] * n for _ in range(n)]
+        for p, plane in enumerate(self.int_sparse):
+            for q, entries in plane:
+                rows[p][q] = entries
+        largest = max((abs(c) for row in rows for entries in row for _, c in entries), default=0)
+        width = linalg.slot_width(3 * n, largest * largest)
+        packed = [[linalg.pack(entries, width) for entries in row] for row in rows]
+        by_column = list(zip(*packed))  # by_column[q][p] = packed[p][q]
         violations = []
         for i in range(n):
+            row_i, packed_i = rows[i], packed[i]
             for j in range(n):
+                row_j, packed_j, ij = rows[j], packed[j], row_i[j]
                 for k in range(n):
-                    # (+-a_l, entries of [e_p, e_l] or [e_l, e_k]) for the three nested brackets
-                    terms = [(a, rows[i].get(l, ())) for l, a in rows[j].get(k, ())]
-                    terms += [(-a, rows[l].get(k, ())) for l, a in rows[i].get(j, ())]
-                    terms += [(-a, rows[j].get(l, ())) for l, a in rows[i].get(k, ())]
-                    if not terms:
-                        continue
-                    residual = [0] * n
-                    for a, entries in terms:
-                        for m, b in entries:
-                            residual[m] += a * b
-                    if any(residual):
-                        residual = [Fraction(r, scale * scale) for r in residual]
+                    # [e_i, [e_j, e_k]] - [[e_i, e_j], e_k] - [e_j, [e_i, e_k]]
+                    total = 0
+                    for l, a in row_j[k]:
+                        total += a * packed_i[l]
+                    column = by_column[k]
+                    for l, a in ij:
+                        total -= a * column[l]
+                    for l, a in row_i[k]:
+                        total -= a * packed_j[l]
+                    if total:
+                        residual = [Fraction(r, den) for r in linalg.unpack(total, width, n)]
                         violations.append(((i, j, k), residual))
         self._leibniz_violations = violations
         return violations
@@ -221,13 +234,18 @@ class LeibnizAlgebra:
         return not self.leibniz_violations()
 
     def is_lie(self):
-        """True when the bracket is also antisymmetric (hence a Lie bracket)."""
+        """True when the bracket is also antisymmetric (hence a Lie bracket).
+
+        Antisymmetry is read off ``int_sparse``: no [e_i, e_i] is nonzero,
+        and the row of every nonzero [e_i, e_j] is that of [e_j, e_i] negated.
+        """
         if self._is_lie is None:
-            c = self.table
-            n = self.dim
-            self._is_lie = self.is_leibniz() and all(
-                c[i][j][k] == -c[j][i][k] for i in range(n) for j in range(n) for k in range(n)
-            )
+            planes = [dict(plane) for plane in self.int_sparse]
+            self._is_lie = all(
+                i != j and planes[j].get(i) == tuple((k, -c) for k, c in entries)
+                for i, plane in enumerate(self.int_sparse)
+                for j, entries in plane
+            ) and self.is_leibniz()
         return self._is_lie
 
     def nilpotency_class(self):

@@ -18,15 +18,22 @@ reduced-echelon basis of Z, one per basis vector of q.
 
 The cocycle identity and the reconstruction of h are evaluated straight
 from ``omega_table``, the sparse tables of h and q and the center basis
-rows, read at call time; no Element is built per basis triple.  The
-cocycle identity sums on ints, over the ``int_sparse`` tables of h and q
-and omega scaled to ints; ``build_extension``, ``section``, ``omega`` and
-the reconstruction check read the Fraction ``sparse`` tables.
+rows, read at call time; no Element is built per basis triple.  Both sum
+packed int vectors (``linalg.pack``): each vector of the law, scaled to
+ints over one common denominator, is packed once into a single int, a term
+of a residual is one int multiply-add, and only a nonzero total is
+unpacked into Fractions.  The cocycle identity scales the ``int_sparse``
+tables of h and q and omega to ints.  The reconstruction check builds its
+three tables (D, the center actions and the center squares) from the
+Fraction ``sparse`` table and the center rows, then puts them over one
+denominator.  ``build_extension``, ``section`` and ``omega`` read the
+Fraction ``sparse`` tables.
 """
 
 from fractions import Fraction
 from math import lcm
 
+from . import linalg
 from .algebra import Element, LeibnizAlgebra, bracket_defects, left_center
 
 
@@ -133,51 +140,67 @@ def cocycle_identity_violations(ext):
     is a table entry times an omega entry, so the sums run on ints: omega
     scaled by the lcm dw of its denominators, both tables put on the common
     denominator D of their scales, and each residual entry is an int over
-    D * dw.  Returns ``((a, b, c), residual)`` for every triple with a
-    nonzero residual.
+    D * dw.  The action rows and the omega cells are packed once
+    (``linalg.pack``), so each term is one int multiply-add, and only a
+    nonzero total is unpacked.  Returns ``((a, b, c), residual)`` for every
+    triple with a nonzero residual.
     """
     alg, quot = ext.algebra, ext.quotient
-    n = alg.dim
+    n, q = alg.dim, quot.dim
     dw = lcm(*(c.denominator for row in ext.omega_table for cell in row for c in cell))
     den = lcm(alg.scale, quot.scale)
 
-    def int_planes(table, scale):
-        """``int_sparse`` planes as dicts, each entry times den // scale."""
+    def int_planes(planes, scale, cols):
+        """``int_sparse`` planes as rows by column, each entry times den // scale."""
         f = den // scale
-        return [{j: [(k, c * f) for k, c in row] for j, row in plane} for plane in table]
+        out = [[()] * cols for _ in planes]
+        for rows, plane in zip(out, planes):
+            for j, entries in plane:
+                rows[j] = [(k, c * f) for k, c in entries]
+        return out
 
+    # lifts[a][l]: the nonzero (k, den * c) of [s(e_a), e_l]; q_brackets likewise on q
+    lifts = int_planes([alg.int_sparse[k] for k in ext.complement], alg.scale, n)
+    q_brackets = int_planes(quot.int_sparse, quot.scale, q)
     # omega[a][b]: the nonzero (k, dw * c) of the cell
     omega = [
         [[(k, c.numerator * (dw // c.denominator)) for k, c in enumerate(v) if c] for v in row]
         for row in ext.omega_table
     ]
-    by_column = list(zip(*omega))  # by_column[c][d] = omega[d][c]
-    lifts = int_planes([alg.int_sparse[k] for k in ext.complement], alg.scale)
-    q_brackets = int_planes(quot.int_sparse, quot.scale)
-    q = quot.dim
+    terms = 2 * n + 3 * q
+    largest_table = max(
+        (abs(c) for plane in lifts + q_brackets for entries in plane for _, c in entries),
+        default=0,
+    )
+    largest_omega = max((abs(c) for row in omega for cell in row for _, c in cell), default=0)
+    width = linalg.slot_width(terms, largest_table * largest_omega)
+    packed_lifts = [[linalg.pack(entries, width) for entries in plane] for plane in lifts]
+    cells = [[linalg.pack(cell, width) for cell in row] for row in omega]
+    by_column = list(zip(*cells))  # by_column[c][d] = cells[d][c]
     violations = []
     for a in range(q):
+        lift_a, cells_a, brackets_a = packed_lifts[a], cells[a], q_brackets[a]
         for b in range(q):
+            lift_b, cells_b, brackets_b = packed_lifts[b], cells[b], q_brackets[b]
+            ab = brackets_a[b]
             for c in range(q):
-                residual = [0] * n
+                total = 0
                 # x.omega(y, z) - y.omega(x, z)
-                for sign, plane, cell in ((1, lifts[a], omega[b][c]), (-1, lifts[b], omega[a][c])):
-                    for l, w in cell:
-                        for k, coef in plane.get(l, ()):
-                            residual[k] += sign * w * coef
+                for l, w in omega[b][c]:
+                    total += w * lift_a[l]
+                for l, w in omega[a][c]:
+                    total -= w * lift_b[l]
                 # - omega([x, y], z) + omega(x, [y, z]) - omega(y, [x, z])
-                for sign, coeffs, cells in (
-                    (-1, q_brackets[a].get(b, ()), by_column[c]),
-                    (1, q_brackets[b].get(c, ()), omega[a]),
-                    (-1, q_brackets[a].get(c, ()), omega[b]),
-                ):
-                    for d, coef in coeffs:
-                        for k, w in cells[d]:
-                            residual[k] += sign * coef * w
-                if any(residual):
-                    violations.append(
-                        ((a, b, c), tuple(Fraction(r, den * dw) for r in residual))
-                    )
+                column = by_column[c]
+                for d, coef in ab:
+                    total -= coef * column[d]
+                for d, coef in brackets_b[c]:
+                    total += coef * cells_a[d]
+                for d, coef in brackets_a[c]:
+                    total -= coef * cells_b[d]
+                if total:
+                    residual = linalg.unpack(total, width, n)
+                    violations.append(((a, b, c), tuple(Fraction(r, den * dw) for r in residual)))
     return violations
 
 
@@ -189,8 +212,10 @@ def reconstruction_violations(ext):
         [s(x) + a, s(y) + b] = s([x, y]) - omega(x, y) + [s(x), b].
 
     By bilinearity the residual of (x, y, a, b) is D(x, y) + [a, s(y)] +
-    [a, b], with D(x, y) = [s(x), s(y)] - s([x, y]) + omega(x, y); the three
-    tables are built once and summed in the (x, y, a, b) order.  Returns
+    [a, b], with D(x, y) = [s(x), s(y)] - s([x, y]) + omega(x, y).  The
+    three tables are built once, put over one common denominator and packed
+    (``linalg.pack``), so each residual is two int additions, summed in the
+    (x, y, a, b) order; only a nonzero total is unpacked.  Returns
     ``((i, j), residual)`` for every nonzero residual.
     """
     alg, quot = ext.algebra, ext.quotient
@@ -212,13 +237,25 @@ def reconstruction_violations(ext):
     units = [[int(m == k) for m in range(n)] for k in complement]
     acts = [[alg.bracket_coords(a, unit) for unit in units] for a in centers]
     squares = [[alg.bracket_coords(a, b) for b in centers] for a in centers]
+    tables = (defects, acts, squares)
+    den = lcm(*(x.denominator for table in tables for row in table for v in row for x in v))
+    tables = [
+        [[[x.numerator * (den // x.denominator) for x in v] for v in row] for row in table]
+        for table in tables
+    ]
+    largest = max((abs(x) for table in tables for row in table for v in row for x in v), default=0)
+    width = linalg.slot_width(3, largest)
+    defects, acts, squares = (
+        [[linalg.pack(enumerate(v), width) for v in row] for row in table] for table in tables
+    )
     violations = []
     for i, row in enumerate(defects):
         for j, d in enumerate(row):
             for act, products in zip(acts, squares):
-                base = [x + y for x, y in zip(d, act[j])]
+                base = d + act[j]
                 for ab in products:
-                    residual = [x + y for x, y in zip(base, ab)]
-                    if any(residual):
-                        violations.append(((i, j), tuple(map(Fraction, residual))))
+                    total = base + ab
+                    if total:
+                        residual = linalg.unpack(total, width, n)
+                        violations.append(((i, j), tuple(Fraction(r, den) for r in residual)))
     return violations

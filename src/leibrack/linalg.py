@@ -14,7 +14,10 @@ divide the right half of the echelon rows of ``[matrix | I]`` by their
 pivots, into Fractions or into floats; ``rank`` and ``nullspace`` read the
 int rows.
 ``echelon`` is also the step of ``LeibnizAlgebra.nilpotency_class``, which
-hands it int rows built from ``int_sparse``.
+hands it int rows built from ``int_sparse``.  ``pack`` and ``unpack`` hold an
+int vector in one int, with fixed-width signed slots (Kronecker
+substitution), for the residual sums of the Leibniz and extension checks;
+``slot_width`` sizes the slots from the terms and the largest product.
 
 Every inner product has the bits of a plain left fold,
 ``reduce(add, map(mul, u, v), 0)``: the terms in index order, added one by
@@ -111,6 +114,45 @@ def max_abs(values):
         if v > worst or v != v:
             worst = v
     return worst
+
+
+def slot_width(terms, largest):
+    """Bits per slot for packed sums of at most ``terms`` terms of size <= ``largest``.
+
+    Every entry of such a sum has |entry| <= terms * largest < 2**(w - 2),
+    so it fits a signed slot of w bits with room to spare.
+    """
+    return (terms * largest).bit_length() + 2
+
+
+def pack(entries, width):
+    """The ``(m, v)`` pairs of an int vector as one int: sum of v * 2**(m * width).
+
+    Pass ``enumerate(vector)`` for a dense vector.  With every |v| below
+    2**(width - 1) the signed slots can be read back by ``unpack``, and the
+    map is linear: a packed int times an int plus another packed int is the
+    packed sum, as long as every entry of the sum fits its slot (Kronecker
+    substitution).  Such a total is 0 exactly when every entry is.
+    """
+    total = 0
+    for m, x in entries:
+        if x:
+            total += x << (m * width)
+    return total
+
+
+def unpack(total, width, n):
+    """The n signed slot values of a packed int, lowest slot first."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    out = []
+    for _ in range(n):
+        low = total & mask
+        if low >= half:
+            low -= mask + 1
+        out.append(low)
+        total = (total - low) >> width
+    return out
 
 
 def mat_vec(m, v):

@@ -199,3 +199,38 @@ def test_corrupted_center_row_gives_the_reference_violations(extensions, name):
     assert cocycle == cocycle_want == []
     assert rebuilt
     assert exact(rebuilt) == exact(rebuilt_want)
+
+
+# Tables times -10**30/7 (a scaled bracket is Leibniz exactly when the bracket
+# is), so that omega, the center actions and the packed sums carry ~100-bit
+# numerators over a denominator with a factor 7.
+HUGE = Fraction(10**30, 7)
+
+
+@pytest.fixture(scope="module")
+def huge_extensions(extensions):
+    scaled = {}
+    for name in MUTATED + ("leib2", "hs1"):
+        alg = extensions[name].algebra
+        table = [[[-c * HUGE for c in row] for row in plane] for plane in alg.table]
+        scaled[name] = build_extension(LeibnizAlgebra(table))
+    return scaled
+
+
+@pytest.mark.parametrize("name", MUTATED + ("leib2", "hs1"))
+def test_huge_entries_give_the_reference_violations(huge_extensions, name):
+    ext = huge_extensions[name]
+    for got, want in kernels_and_references(ext):
+        assert got == want == []
+    cells = copy.deepcopy(ext)
+    cell = cells.omega_table[0][-1]
+    cells.omega_table[0][-1] = [c + (-1) ** k * HUGE * (k + 1) / 3 for k, c in enumerate(cell)]
+    rows = copy.deepcopy(ext)
+    rows.center.basis_rows[0][ext.complement[0]] -= HUGE / 5
+    for broken in (cells, rows):
+        (cocycle, cocycle_want), (rebuilt, rebuilt_want) = kernels_and_references(broken)
+        assert exact(cocycle) == exact(cocycle_want)
+        assert rebuilt
+        assert exact(rebuilt) == exact(rebuilt_want)
+    # the quotients of leib2 and hs1 are 1-dimensional: every omega is a cocycle there
+    assert bool(cocycle_identity_violations(cells)) == (name in MUTATED)

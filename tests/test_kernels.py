@@ -209,6 +209,53 @@ def test_perturbed_table_lists_the_same_violating_triples(name):
     assert all(type(r) is Fraction for _, residual in got for r in residual)
 
 
+HUGE = Fraction(10**30, 7)
+
+
+def scaled_table(alg, factor):
+    """The table times a scalar: [x, y]' = factor [x, y] is Leibniz (Lie) iff [x, y] is."""
+    return [[[c * factor for c in row] for row in plane] for plane in alg.table]
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "leib2", "freenil3", "n4-rebased", "sl2xV1"])
+def test_huge_entries_give_the_dense_violations(name):
+    alg = ALGEBRAS[name]
+    table = scaled_table(alg, -HUGE)
+    assert LeibnizAlgebra(table).leibniz_violations() == []
+    rng = random.Random(name + "huge")
+    n = alg.dim
+    for sign in (1, -1, 1):
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        table[i][j][k] += sign * HUGE * rng.randint(1, 9) / rng.randint(1, 5)
+    bad = LeibnizAlgebra(table)
+    got = bad.leibniz_violations()
+    assert got
+    assert [(t, exact_bits(r)) for t, r in got] == [
+        (t, exact_bits(r)) for t, r in dense_leibniz_violations(bad)
+    ]
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_is_lie_matches_dense_antisymmetry(name):
+    alg = ALGEBRAS[name]
+    n = alg.dim
+
+    def dense_is_lie(t):
+        return all(t[i][j][k] == -t[j][i][k] for i in range(n) for j in range(n) for k in range(n))
+
+    assert alg.is_lie() == (alg.is_leibniz() and dense_is_lie(alg.table))
+    assert LeibnizAlgebra(scaled_table(alg, HUGE)).is_lie() == alg.is_lie()
+    rng = random.Random(name + "lie")
+    for _ in range(3):
+        table = scaled_table(alg, HUGE)
+        # one side of a pair, or a square when i == j
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        table[i][j][k] += HUGE
+        bad = LeibnizAlgebra(table)
+        assert not bad.is_lie()
+        assert not dense_is_lie(bad.table)
+
+
 @pytest.mark.parametrize("name", list(ALGEBRAS))
 def test_left_center_matches_dense_rows(name):
     alg = ALGEBRAS[name]

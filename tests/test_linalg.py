@@ -177,6 +177,56 @@ def test_vector_helpers():
     assert linalg.vec_dot([F(1), F(2)], [F(3), F(4)]) == 11
 
 
+@st.composite
+def slot_vectors(draw):
+    """(width, vector) with entries up to the slot limit 2**(width - 1) - 1 in size."""
+    width = draw(st.integers(2, 160))
+    top = 2 ** (width - 1) - 1
+    entry = st.one_of(st.sampled_from([top, -top, 0, 1, -1]), st.integers(-top, top))
+    return width, draw(st.lists(entry, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_vectors())
+def test_pack_then_unpack_gives_the_vector_back(case):
+    width, v = case
+    packed = linalg.pack(enumerate(v), width)
+    assert linalg.unpack(packed, width, len(v)) == v
+    assert (packed == 0) == (not any(v))
+    # sparse (slot, value) pairs pack to the same int
+    assert linalg.pack([(m, x) for m, x in enumerate(v) if x], width) == packed
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_packed_sums_unpack_to_the_entrywise_sums(data):
+    n = data.draw(st.integers(1, 8))
+    largest = data.draw(st.integers(1, 2**70))
+    terms = data.draw(st.integers(1, 12))
+    width = linalg.slot_width(terms, largest)
+    product = st.one_of(st.sampled_from([largest, -largest, 0]), st.integers(-largest, largest))
+    vectors = data.draw(st.lists(st.lists(product, min_size=n, max_size=n), max_size=terms))
+    # the last `half` terms cancel the first `half`, so some totals are exactly 0
+    half = data.draw(st.integers(0, len(vectors) // 2))
+    vectors[len(vectors) - half :] = [[-x for x in v] for v in vectors[:half]]
+    total = sum(linalg.pack(enumerate(v), width) for v in vectors)
+    want = [sum(column) for column in zip(*vectors)] if vectors else [0] * n
+    assert linalg.unpack(total, width, n) == want
+    assert (total == 0) == (not any(want))
+
+
+def test_packed_total_is_zero_exactly_when_every_slot_is():
+    width = linalg.slot_width(3, 10**30)
+    u = linalg.pack(enumerate([10**30, -(10**30), 0, 7]), width)
+    v = linalg.pack(enumerate([-(10**30), 10**30, 0, -7]), width)
+    assert u + v == 0
+    assert u + v + linalg.pack([(2, 1)], width) != 0
+    # a borrow from a negative low slot does not hide a high slot
+    assert linalg.unpack(u + linalg.pack([(0, -(10**30)), (3, -7)], width), width, 4) == [
+        0, -(10**30), 0, 0
+    ]
+
+
 def test_empty_matrix_products():
     # dimension-zero edges show up for quotients by the whole algebra
     assert linalg.mat_mul([], []) == []

@@ -32,12 +32,13 @@ SEEDS = (1, 2, 3)
 # Exact reports at CLI defaults on the tables of tests/data, keyed
 # "data seed<S> <command> <name>": n4-rebased has scale 7056 where every
 # corpus table has scale 1, n5 has dimension 10, and freenil3-perturbed is
-# not Leibniz, so its validate, rack and quantize reports fail and bch exits 2
-# ("needs a Lie algebra").
+# not Leibniz, so its validate, rack and quantize reports fail, and bch
+# ("needs a Lie algebra"), analyze and cocycle ("needs a Leibniz algebra")
+# exit 2.  analyze and cocycle run the extension laws on the other two.
 DATA_CASES = [
     (command, name)
     for name in ("freenil3-perturbed", "n4-rebased", "n5")
-    for command in ("validate", "rack", "quantize", "hessian", "bch")
+    for command in ("validate", "analyze", "rack", "cocycle", "quantize", "hessian", "bch")
 ]
 
 # The usage-error cases of tests/test_cli.py: (command, corpus name, flags).
