@@ -25,14 +25,15 @@ the float range would raise ``OverflowError`` there).
 * ``int_sparse`` serves the exact kernels whose answer does not depend on
   the scale, or that divide it out once at the end: the Leibniz check,
   ``nilpotency_class``, ``left_center``, ``derivation_algebra``, the
-  cocycle identity in ``extension``, ``quantize.hessian_matrix``, the
-  exact BCH word sum in ``bch`` and ``racks.int_ad``, the int ad_x of the
-  exact exponential kernel (exact ``bass_product``, ``coadjoint``,
-  ``exp_endo`` columns, the conjugation lemma and the observable pullback).
-  They sum on ints and make canonical Fractions only for their results.
-  The Leibniz check and the cocycle identity pack each int row into one int
-  (``linalg.pack``), so a whole scaled row is one int multiply-add and a
-  zero residual is a zero int.  ``is_lie`` reads antisymmetry off it.
+  cocycle identity and the reconstruction check in ``extension``,
+  ``quantize.hessian_matrix``, the exact BCH word sum in ``bch`` and
+  ``racks.int_ad``, the int ad_x of the exact exponential kernel (exact
+  ``bass_product``, ``coadjoint``, ``exp_endo`` columns, the conjugation
+  lemma and the observable pullback).  They sum on ints and make canonical
+  Fractions only for their results.  The Leibniz check and the two
+  extension laws pack each int row into one int (``linalg.pack``), so a
+  whole scaled row is one int multiply-add and a zero residual is a zero
+  int.  ``is_lie`` reads antisymmetry off ``int_sparse`` too.
 * ``float_sparse`` serves float ``bracket_coords`` and ``ad`` and the float
   BCH word sum.  A Fraction times a float is computed as ``float(c)`` times
   the float, so reading the converted entry gives the same bits without the

@@ -18,15 +18,12 @@ reduced-echelon basis of Z, one per basis vector of q.
 
 The cocycle identity and the reconstruction of h are evaluated straight
 from ``omega_table``, the sparse tables of h and q and the center basis
-rows, read at call time; no Element is built per basis triple.  Both sum
-packed int vectors (``linalg.pack``): each vector of the law, scaled to
-ints over one common denominator, is packed once into a single int, a term
-of a residual is one int multiply-add, and only a nonzero total is
-unpacked into Fractions.  The cocycle identity scales the ``int_sparse``
-tables of h and q and omega to ints.  The reconstruction check builds its
-three tables (D, the center actions and the center squares) from the
-Fraction ``sparse`` table and the center rows, then puts them over one
-denominator.  ``build_extension``, ``section`` and ``omega`` read the
+rows, read at call time; no Element is built per basis triple.  Both read
+the ``int_sparse`` tables of h and q, scale omega and the center rows to
+ints, and sum packed int vectors (``linalg.pack``): each vector of the law
+is packed once into a single int over one common denominator, a term of a
+residual is one int multiply-add, and only a nonzero total is unpacked
+into Fractions.  ``build_extension``, ``section`` and ``omega`` read the
 Fraction ``sparse`` tables.
 """
 
@@ -213,36 +210,48 @@ def reconstruction_violations(ext):
 
     By bilinearity the residual of (x, y, a, b) is D(x, y) + [a, s(y)] +
     [a, b], with D(x, y) = [s(x), s(y)] - s([x, y]) + omega(x, y).  The
-    three tables are built once, put over one common denominator and packed
-    (``linalg.pack``), so each residual is two int additions, summed in the
-    (x, y, a, b) order; only a nonzero total is unpacked.  Returns
-    ``((i, j), residual)`` for every nonzero residual.
+    three tables are built once on ints over one common denominator: omega
+    scaled by the lcm dw of its denominators, the center rows by the lcm dc
+    of theirs, and the ``int_sparse`` tables of h and q, so D is over dw,
+    ``scale`` and the scale of q, a center action over dc * scale and a
+    center square over dc**2 * scale.  They are packed (``linalg.pack``),
+    so each residual is two int additions, summed in the (x, y, a, b)
+    order; only a nonzero total is unpacked.  Returns ``((i, j), residual)``
+    for every nonzero residual.
     """
     alg, quot = ext.algebra, ext.quotient
     n = alg.dim
     complement = ext.complement
+    rows = ext.center.basis_rows
+    dw = lcm(*(c.denominator for row in ext.omega_table for cell in row for c in cell))
+    dc = lcm(*(c.denominator for row in rows for c in row))
+    den = lcm(dw, quot.scale, dc * dc * alg.scale)
+    f_lift, f_quot = den // alg.scale, den // quot.scale
     defects = []
     for i, plane in enumerate(ext.omega_table):
-        lift = dict(alg.sparse[complement[i]])
+        lift = dict(alg.int_sparse[complement[i]])
+        brackets = dict(quot.int_sparse[i])
         row = []
         for j, cell in enumerate(plane):
-            d = list(cell)
+            d = [c.numerator * (den // c.denominator) for c in cell]
             for k, c in lift.get(complement[j], ()):
-                d[k] += c
-            for k, c in zip(complement, quot.table[i][j]):
-                d[k] -= c
+                d[k] += c * f_lift
+            for k, c in brackets.get(j, ()):
+                d[complement[k]] -= c * f_quot
             row.append(d)
         defects.append(row)
-    centers = ext.center.basis_rows + [[0] * n]
+    centers = [[c.numerator * (dc // c.denominator) for c in row] for row in rows] + [[0] * n]
     units = [[int(m == k) for m in range(n)] for k in complement]
-    acts = [[alg.bracket_coords(a, unit) for unit in units] for a in centers]
-    squares = [[alg.bracket_coords(a, b) for b in centers] for a in centers]
-    tables = (defects, acts, squares)
-    den = lcm(*(x.denominator for table in tables for row in table for v in row for x in v))
-    tables = [
-        [[[x.numerator * (den // x.denominator) for x in v] for v in row] for row in table]
-        for table in tables
+    f_act, f_square = den // (dc * alg.scale), den // (dc * dc * alg.scale)
+    acts = [
+        [[x * f_act for x in alg.bracket_coords(a, unit, alg.int_sparse)] for unit in units]
+        for a in centers
     ]
+    squares = [
+        [[x * f_square for x in alg.bracket_coords(a, b, alg.int_sparse)] for b in centers]
+        for a in centers
+    ]
+    tables = (defects, acts, squares)
     largest = max((abs(x) for table in tables for row in table for v in row for x in v), default=0)
     width = linalg.slot_width(3, largest)
     defects, acts, squares = (
