@@ -300,6 +300,73 @@ def reference_reconstruction_violations(ext):
     return violations
 
 
+# The same two laws as plain sums over the dense tables of h and q, the omega
+# cells and the center rows: no sparse view, no section or omega method.
+
+
+def _dense_sum(terms):
+    return sum(terms, Fraction(0))
+
+
+def _dense_bracket(table, u, v):
+    n = len(table)
+    return [
+        _dense_sum(u[p] * v[r] * table[p][r][k] for p in range(n) for r in range(n))
+        for k in range(n)
+    ]
+
+
+def dense_cocycle_identity_violations(ext):
+    c, cq, w = ext.algebra.table, ext.quotient.table, ext.omega_table
+    n, q, lift = ext.algebra.dim, ext.quotient.dim, ext.complement
+    violations = []
+    for a in range(q):
+        for b in range(q):
+            for z in range(q):
+                # x.omega(y, z) - y.omega(x, z)
+                #   - omega([x, y], z) + omega(x, [y, z]) - omega(y, [x, z])
+                residual = tuple(
+                    _dense_sum(w[b][z][l] * c[lift[a]][l][k] for l in range(n))
+                    - _dense_sum(w[a][z][l] * c[lift[b]][l][k] for l in range(n))
+                    - _dense_sum(cq[a][b][d] * w[d][z][k] for d in range(q))
+                    + _dense_sum(cq[b][z][d] * w[a][d][k] for d in range(q))
+                    - _dense_sum(cq[a][z][d] * w[b][d][k] for d in range(q))
+                    for k in range(n)
+                )
+                if any(residual):
+                    violations.append(((a, b, z), residual))
+    return violations
+
+
+def dense_reconstruction_violations(ext):
+    c, cq, w = ext.algebra.table, ext.quotient.table, ext.omega_table
+    n, q = ext.algebra.dim, ext.quotient.dim
+    centers = [list(row) for row in ext.center.basis_rows] + [[Fraction(0)] * n]
+
+    def section(coords):
+        out = [Fraction(0)] * n
+        for k, x in zip(ext.complement, coords):
+            out[k] = x
+        return out
+
+    violations = []
+    for i in range(q):
+        si = section([int(m == i) for m in range(q)])
+        for j in range(q):
+            sj = section([int(m == j) for m in range(q)])
+            s_bracket = section(cq[i][j])
+            for a in centers:
+                for b in centers:
+                    # [s(x) + a, s(y) + b] = s([x, y]) - omega(x, y) + [s(x), b]
+                    lhs = _dense_bracket(c, linalg.vec_add(si, a), linalg.vec_add(sj, b))
+                    act = _dense_bracket(c, si, b)
+                    rhs = [s - x + y for s, x, y in zip(s_bracket, w[i][j], act)]
+                    residual = tuple(x - y for x, y in zip(lhs, rhs))
+                    if any(residual):
+                        violations.append(((i, j), residual))
+    return violations
+
+
 # -- reference eliminations over Fraction -------------------------------------
 # Plain Fraction Gauss(-Jordan) and Lagrange congruence, kept as the oracle for
 # the integer kernels in leibrack.linalg.

@@ -18,6 +18,8 @@ from leibrack.extension import (
 )
 
 from helpers import (
+    dense_cocycle_identity_violations,
+    dense_reconstruction_violations,
     make_table,
     reference_cocycle_identity_violations,
     reference_reconstruction_violations,
@@ -222,6 +224,7 @@ def test_huge_entries_give_the_reference_violations(huge_extensions, name):
     ext = huge_extensions[name]
     for got, want in kernels_and_references(ext):
         assert got == want == []
+    assert dense_cocycle_identity_violations(ext) == dense_reconstruction_violations(ext) == []
     cells = copy.deepcopy(ext)
     cell = cells.omega_table[0][-1]
     cells.omega_table[0][-1] = [c + (-1) ** k * HUGE * (k + 1) / 3 for k, c in enumerate(cell)]
@@ -230,7 +233,9 @@ def test_huge_entries_give_the_reference_violations(huge_extensions, name):
     for broken in (cells, rows):
         (cocycle, cocycle_want), (rebuilt, rebuilt_want) = kernels_and_references(broken)
         assert exact(cocycle) == exact(cocycle_want)
+        assert exact(cocycle) == exact(dense_cocycle_identity_violations(broken))
         assert rebuilt
         assert exact(rebuilt) == exact(rebuilt_want)
+        assert exact(rebuilt) == exact(dense_reconstruction_violations(broken))
     # the quotients of leib2 and hs1 are 1-dimensional: every omega is a cocycle there
     assert bool(cocycle_identity_violations(cells)) == (name in MUTATED)
