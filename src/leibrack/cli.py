@@ -9,6 +9,11 @@ seed give byte-identical bytes).  Exit codes: 0 all checks pass, 1 at least
 one check failed, 2 usage or parse error.
 
 Vector-valued flags take comma-separated exact fractions, e.g. --xi 1,1/2,-3.
+
+Each command's flags are one entry of ``COMMANDS``.  ``main`` builds the
+parser of the command named by its first argument only; anything else (no
+argument, --help, an unknown command) gets the full parser.  Both print the
+same help, usage lines and errors.
 """
 
 import argparse
@@ -440,57 +445,113 @@ HANDLERS = {
 }
 
 
-def build_parser():
+FLOAT_ORDER = (DEFAULT_FLOAT_ORDER, "float exponential truncation order")
+
+# The command table: each subcommand's help line and its parser keywords
+# (``add_command``).  ``order`` is (default, help) for an --order flag;
+# ``flags`` are (flag, add_argument keywords) pairs added after the shared ones.
+COMMANDS = {
+    "validate": {"help": "check the Leibniz identity and report basic structure"},
+    "analyze": {"help": "left center, derivations, quotient, and extension cocycle"},
+    "rack": {"help": "rack axioms, conjugation lemma, coadjoint action", "order": FLOAT_ORDER},
+    "bch": {
+        "help": "BCH product and the conj identity against exp(ad)",
+        "order": (None, f"BCH truncation order, 1..{MAX_ORDER} (default {MAX_ORDER})"),
+        "flags": (
+            ("--x", {"help": "first element, comma-separated fractions"}),
+            ("--y", {"help": "second element, comma-separated fractions"}),
+        ),
+    },
+    "cocycle": {
+        "help": "rack cocycle: exact defect versus its series form",
+        "order": (None, "series truncation order (default: nilpotency class)"),
+    },
+    "quantize": {
+        "help": "label rack, observable action, Poisson bracket laws",
+        "aliases": ("quantize-check",),
+        "order": FLOAT_ORDER,
+    },
+    "hessian": {
+        "help": "exact determinant and signature of the extremum Hessian",
+        "samples": 20,
+        "flags": (("--xi", {"help": "dual point, comma-separated fractions"}),),
+    },
+    "tangent": {
+        "help": "recover structure constants from the float rack",
+        "order": FLOAT_ORDER,
+        "flags": (
+            ("--step", {"type": float, "default": 1e-3, "help": "difference step (default 1e-3)"}),
+            ("--tol", {"type": float, "default": 1e-5,
+                       "help": "acceptance threshold on the max error (default 1e-5)"}),
+        ),
+    },
+}
+
+
+def command_name(word):
+    """The command that ``word`` names, as a name or an alias; None if it names none."""
+    if word in COMMANDS:
+        return word
+    for name, spec in COMMANDS.items():
+        if word in spec.get("aliases", ()):
+            return name
+    return None
+
+
+def add_command(sub, name, help, aliases=(), samples=50, order=None, flags=()):
+    """Add subcommand ``name`` of the command table to the subparsers ``sub``."""
+    p = sub.add_parser(name, help=help, aliases=list(aliases))
+    p.add_argument("algebra", help="path to an algebra JSON file")
+    p.add_argument("--json", dest="json_out", metavar="OUT", help="write the JSON report here")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    p.add_argument("--samples", type=int, default=samples,
+                   help=f"sample count (default {samples})")
+    mode_help = "scalar mode (default exact)"
+    if name in EXACT_ONLY:
+        mode_help = f"{name} is exact-only: --mode float exits 2 (default exact)"
+    p.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT, help=mode_help)
+    if order is not None:
+        default, text = order
+        if default is not None:
+            text = f"{text} (default {default})"
+        p.add_argument("--order", type=int, default=default, help=text)
+    for flag, keywords in flags:
+        p.add_argument(flag, **keywords)
+
+
+def build_parser(command=None):
+    """The CLI parser: every command, or with ``command`` only that one.
+
+    Most of a parser's cost is its subparsers, so ``main`` builds only the
+    command it runs.  The one-command parser's usage line still lists every
+    name and alias, as the full parser's does, so an argparse error such as
+    "unrecognized arguments" prints the same text either way.
+    """
     parser = argparse.ArgumentParser(
         prog="leibrack",
         description="Exact verification suites for Leibniz algebras and their racks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, aliases=(), samples=50, order=None):
-        """A subcommand; ``order`` is (default, help) for an --order flag, or None."""
-        p = sub.add_parser(name, help=help_text, aliases=list(aliases))
-        p.add_argument("algebra", help="path to an algebra JSON file")
-        p.add_argument("--json", dest="json_out", metavar="OUT", help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-        p.add_argument("--samples", type=int, default=samples,
-                       help=f"sample count (default {samples})")
-        mode_help = "scalar mode (default exact)"
-        if name in EXACT_ONLY:
-            mode_help = f"{name} is exact-only: --mode float exits 2 (default exact)"
-        p.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT, help=mode_help)
-        if order is not None:
-            default, text = order
-            if default is not None:
-                text = f"{text} (default {default})"
-            p.add_argument("--order", type=int, default=default, help=text)
-        return p
-
-    float_order = (DEFAULT_FLOAT_ORDER, "float exponential truncation order")
-    add("validate", "check the Leibniz identity and report basic structure")
-    add("analyze", "left center, derivations, quotient, and extension cocycle")
-    add("rack", "rack axioms, conjugation lemma, coadjoint action", order=float_order)
-    bch_p = add("bch", "BCH product and the conj identity against exp(ad)",
-                order=(None, f"BCH truncation order, 1..{MAX_ORDER} (default {MAX_ORDER})"))
-    bch_p.add_argument("--x", help="first element, comma-separated fractions")
-    bch_p.add_argument("--y", help="second element, comma-separated fractions")
-    add("cocycle", "rack cocycle: exact defect versus its series form",
-        order=(None, "series truncation order (default: nilpotency class)"))
-    add("quantize", "label rack, observable action, Poisson bracket laws",
-        aliases=("quantize-check",), order=float_order)
-    hess = add("hessian", "exact determinant and signature of the extremum Hessian", samples=20)
-    hess.add_argument("--xi", help="dual point, comma-separated fractions")
-    tang = add("tangent", "recover structure constants from the float rack", order=float_order)
-    tang.add_argument("--step", type=float, default=1e-3, help="difference step (default 1e-3)")
-    tang.add_argument("--tol", type=float, default=1e-5,
-                      help="acceptance threshold on the max error (default 1e-5)")
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = COMMANDS
+    else:
+        # The full parser's choices, as its usage line shows them.  The full
+        # parser sets no metavar: its missing- and invalid-command errors
+        # would name the metavar instead of "argument command".
+        every = ",".join(
+            word for name, spec in COMMANDS.items() for word in (name, *spec.get("aliases", ()))
+        )
+        sub = parser.add_subparsers(dest="command", required=True, metavar=f"{{{every}}}")
+        names = [command]
+    for name in names:
+        add_command(sub, name, **COMMANDS[name])
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = "quantize" if args.command == "quantize-check" else args.command
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(command_name(argv[0]) if argv else None).parse_args(argv)
+    command = command_name(args.command)
     try:
         algebra = load_algebra(args.algebra)
     except (InterchangeError, OSError) as err:

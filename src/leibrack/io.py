@@ -28,19 +28,38 @@ class InterchangeError(ValueError):
     """Raised when an algebra JSON document is malformed."""
 
 
-def pair_to_fraction(pair, where):
-    if (
-        not isinstance(pair, (list, tuple))
-        or len(pair) != 2
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
-    ):
-        raise InterchangeError(f"{where}: expected [numerator, denominator] integers, got {pair!r}")
+ZERO = Fraction(0)  # shared by every zero entry a document loads
+
+
+def checked_fraction(pair):
+    """The value of a valid ``[numerator, denominator]`` pair, else None.
+
+    One pass: two ints (``type(x) is int`` also rejects bool), a positive
+    denominator, lowest terms.  Every zero is the shared ``ZERO``.
+    """
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+        num, den = pair
+        if type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1:
+            return Fraction(num, den) if num else ZERO
+    return None
+
+
+def pair_defect(pair):
+    """What makes ``pair`` invalid, for a pair that ``checked_fraction`` refuses."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+            and all(type(x) is int for x in pair)):
+        return f"expected [numerator, denominator] integers, got {pair!r}"
     num, den = pair
     if den <= 0:
-        raise InterchangeError(f"{where}: denominator must be positive, got {den}")
-    if gcd(abs(num), den) != 1:
-        raise InterchangeError(f"{where}: fraction {num}/{den} is not in lowest terms")
-    return Fraction(num, den)
+        return f"denominator must be positive, got {den}"
+    return f"fraction {num}/{den} is not in lowest terms"
+
+
+def pair_to_fraction(pair, where):
+    value = checked_fraction(pair)
+    if value is None:
+        raise InterchangeError(f"{where}: {pair_defect(pair)}")
+    return value
 
 
 def fraction_to_pair(value):
@@ -66,7 +85,7 @@ def algebra_from_dict(doc):
     entries = doc.get("brackets", [])
     if not isinstance(entries, list):
         raise InterchangeError("brackets: expected a list")
-    table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    table = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     seen = set()
     for pos, entry in enumerate(entries):
         where = f"brackets[{pos}]"
@@ -87,8 +106,12 @@ def algebra_from_dict(doc):
         seen.add((i, j))
         if not isinstance(value, list) or len(value) != dim:
             raise InterchangeError(f"{where}.value: expected {dim} fraction pairs")
+        row = table[i - 1][j - 1]
         for k, pair in enumerate(value):
-            table[i - 1][j - 1][k] = pair_to_fraction(pair, f"{where}.value[{k}]")
+            entry = checked_fraction(pair)
+            if entry is None:
+                raise InterchangeError(f"{where}.value[{k}]: {pair_defect(pair)}")
+            row[k] = entry
     return LeibnizAlgebra(table, basis=basis, name=name)
 
 

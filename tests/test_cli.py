@@ -430,3 +430,104 @@ def test_import_loads_no_third_party_numerics():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def run_main(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process ``cli.main(argv)``."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def run_full_parser(capsys, argv):
+    """(exit code, stdout, stderr) of the full parser rejecting or explaining ``argv``."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+HEIS = corpus_file("heisenberg")
+PARSER_ARGVS = [
+    [],
+    ["--help"],
+    ["frobnicate", HEIS],
+    *[[command, "--help"] for command in [*COMMANDS, "quantize-check"]],
+    *[
+        argv
+        for command in [*COMMANDS, "quantize-check"]
+        for argv in (
+            [command],  # no algebra
+            [command, HEIS, "extra"],
+            [command, HEIS, "--samples", "x"],
+            [command, HEIS, "--mode", "quux"],
+        )
+    ],
+]
+
+
+def argv_id(argv):
+    return " ".join("heisenberg" if word == HEIS else word for word in argv) or "(none)"
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=argv_id)
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, argv):
+    # main builds only the named command; its help, usage line and argparse
+    # errors (which print the top-level usage, naming every command) are the
+    # full parser's, byte for byte
+    assert run_main(capsys, argv) == run_full_parser(capsys, argv)
+
+
+@pytest.mark.parametrize("word", [*COMMANDS, "quantize-check"])
+def test_one_command_parser_holds_only_that_command(capsys, word):
+    full = cli.build_parser()
+    one = cli.build_parser(cli.command_name(word))
+    assert one.format_usage() == full.format_usage()
+    assert one.parse_args([word, "a.json"]) == full.parse_args([word, "a.json"])
+    for other in COMMANDS:
+        if other != cli.command_name(word):
+            with pytest.raises(SystemExit):
+                one.parse_args([other, "a.json"])
+    capsys.readouterr()
+
+
+def test_command_table_matches_the_handlers():
+    assert list(cli.COMMANDS) == list(cli.HANDLERS) == COMMANDS
+    assert cli.command_name("quantize-check") == "quantize"
+    assert cli.command_name("frobnicate") is None
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["rack", HEIS, "--samples", "2"], "rack"),
+        (["quantize-check", "--help"], "quantize"),
+        (["frobnicate", HEIS], None),
+        (["--help"], None),
+        ([], None),
+    ],
+)
+def test_main_builds_the_parser_of_the_named_command(monkeypatch, capsys, argv, built):
+    calls = []
+    build = cli.build_parser
+
+    def spy(command=None):
+        calls.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    run_main(capsys, argv)
+    assert calls == [built]
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["leibrack", "validate", HEIS])
+    assert cli.main() == 0
+    assert "leibniz-identity: pass" in capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["leibrack", "rack", HEIS, "extra"])
+    code, _, err = run_main(capsys, None)
+    assert code == 2
+    assert "unrecognized arguments: extra" in err

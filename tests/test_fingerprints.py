@@ -45,6 +45,31 @@ def test_ladder_fingerprints_compare_equal_to_themselves(tmp_path):
         assert value["exit"] == (1 if fails else 0)
         assert value["json_sha256"]
     assert found["usage frobnicate heisenberg"]["json_sha256"] is None
+    # an unrecognized argument is the top-level parser's error, whose usage
+    # names every command; a bad flag value is the subcommand parser's
+    top = "usage: leibrack [-h] {validate,analyze,rack,bch,cocycle,quantize,quantize-check,"
+    rejected = {
+        "extra": (top, "leibrack: error: unrecognized arguments: extra"),
+        "--samples x": ("usage: leibrack rack [-h]",
+                        "leibrack rack: error: argument --samples: invalid int value: 'x'"),
+        "--mode quux": ("usage: leibrack rack [-h]",
+                        "leibrack rack: error: argument --mode: invalid choice: 'quux'"),
+    }
+    for flags, (usage, message) in rejected.items():
+        value = found[f"usage rack heisenberg {flags}"]
+        assert value["exit"] == 2 and value["json_sha256"] is None
+        assert " ".join(value["stderr"].split()).startswith(usage)
+        assert message in value["stderr"]
+    helps = {key: value for key, value in found.items() if key.endswith(" heisenberg --help")}
+    assert sorted(helps) == sorted(
+        f"usage {command} heisenberg --help"
+        for command in ("validate", "analyze", "rack", "bch", "cocycle", "quantize",
+                        "quantize-check", "hessian", "tangent")
+    )
+    assert all(value["exit"] == 0 and value["stderr"] == "" for value in helps.values())
+    # the alias prints the help of the command it names
+    assert (helps["usage quantize-check heisenberg --help"]["stdout_sha256"]
+            == helps["usage quantize heisenberg --help"]["stdout_sha256"])
 
     assert run_tool("--compare", out, out).returncode == 0
 

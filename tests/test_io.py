@@ -1,6 +1,7 @@
 """JSON interchange format: round trips and validation."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -52,20 +53,30 @@ def test_pair_to_fraction_accepts_lowest_terms():
 
 
 @pytest.mark.parametrize(
-    "pair",
+    "pair, message",
     [
-        [1, 0],  # zero denominator
-        [1, -2],  # negative denominator
-        [2, 4],  # not in lowest terms
-        [1.5, 2],  # non-integer
-        [True, 1],  # bool is not an accepted integer
-        [1],  # wrong arity
-        "1/2",  # wrong container
+        ([1, 0], "x: denominator must be positive, got 0"),
+        ([1, -2], "x: denominator must be positive, got -2"),
+        ([3, -1], "x: denominator must be positive, got -1"),
+        ([2, 4], "x: fraction 2/4 is not in lowest terms"),
+        ([0, 2], "x: fraction 0/2 is not in lowest terms"),  # zero is [0, 1]
+        ([1.5, 2], "x: expected [numerator, denominator] integers, got [1.5, 2]"),
+        ([True, 1], "x: expected [numerator, denominator] integers, got [True, 1]"),
+        ([1, True], "x: expected [numerator, denominator] integers, got [1, True]"),
+        ([1], "x: expected [numerator, denominator] integers, got [1]"),
+        ("1/2", "x: expected [numerator, denominator] integers, got '1/2'"),
     ],
 )
-def test_pair_to_fraction_rejects(pair):
-    with pytest.raises(InterchangeError):
+def test_pair_to_fraction_rejects(pair, message):
+    with pytest.raises(InterchangeError, match=f"^{re.escape(message)}$"):
         pair_to_fraction(pair, "x")
+
+
+def test_zero_entries_share_one_fraction():
+    alg = algebra_from_dict(base_doc())
+    assert alg.table[0][0][0] == 0 and alg.table[0][0][1] == 1
+    zeros = {id(c) for plane in alg.table for row in plane for c in row if c == 0}
+    assert zeros == {id(pair_to_fraction([0, 1], "x"))}
 
 
 def test_fraction_to_pair_lowest_terms():

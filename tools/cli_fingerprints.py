@@ -7,7 +7,8 @@ The first form imports ``leibrack`` from ``CHECKOUT/src`` and the op lists
 from ``CHECKOUT/bench/workloads.py`` (read only: no bytecode is written).
 It runs every op of the chosen workloads at the chosen seeds (default: all
 four workloads at seeds 1, 2, 3), then ``DATA_CASES`` at the same seeds,
-then the usage-error cases of ``tests/test_cli.py``, each as one in-process
+then ``USAGE_CASES`` (the usage errors of ``tests/test_cli.py``, argparse
+rejections and every command's ``--help``), each as one in-process
 ``leibrack.cli.main(argv)`` call with ``--json`` into a scratch file.  Per
 op it records the SHA-256 of stdout and of the ``--json`` bytes (None when
 no file was written), the stderr text and the exit code.  Run it once on
@@ -41,7 +42,7 @@ DATA_CASES = [
     for command in ("validate", "analyze", "rack", "cocycle", "quantize", "hessian", "bch")
 ]
 
-# The usage-error cases of tests/test_cli.py: (command, corpus name, flags).
+# Usage errors and help: (command, corpus name, flags).
 USAGE_CASES = [
     ("validate", None, ()),
     ("rack", "sl2", ()),
@@ -66,6 +67,15 @@ USAGE_CASES = [
         for command in ("validate", "analyze", "cocycle", "hessian")
     ],
     ("bch", "heisenberg", ("--mode", "float", "--x", "0,1e400,0", "--y", "1,0,0")),
+    # rejected by argparse itself, and --help: the text of the parser main builds
+    ("rack", "heisenberg", ("extra",)),
+    ("rack", "heisenberg", ("--samples", "x")),
+    ("rack", "heisenberg", ("--mode", "quux")),
+    *[
+        (command, "heisenberg", ("--help",))
+        for command in ("validate", "analyze", "rack", "bch", "cocycle", "quantize",
+                        "quantize-check", "hessian", "tangent")
+    ],
 ]
 
 
