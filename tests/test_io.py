@@ -52,23 +52,27 @@ def test_pair_to_fraction_accepts_lowest_terms():
     assert pair_to_fraction([-5, 3], "x") == Fraction(-5, 3)
 
 
+REJECTED_PAIRS = [
+    ([1, 0], "denominator must be positive, got 0"),
+    ([1, -2], "denominator must be positive, got -2"),
+    ([2, 4], "fraction 2/4 is not in lowest terms"),
+    ([1.5, 2], "expected [numerator, denominator] integers, got [1.5, 2]"),
+    ([True, 1], "expected [numerator, denominator] integers, got [True, 1]"),  # bool
+    ([1], "expected [numerator, denominator] integers, got [1]"),
+    ("1/2", "expected [numerator, denominator] integers, got '1/2'"),
+    ([0, 2], "fraction 0/2 is not in lowest terms"),  # zero is [0, 1]
+    ([1, True], "expected [numerator, denominator] integers, got [1, True]"),
+    ([3, -1], "denominator must be positive, got -1"),
+]
+
+
 @pytest.mark.parametrize(
     "pair, message",
-    [
-        ([1, 0], "x: denominator must be positive, got 0"),
-        ([1, -2], "x: denominator must be positive, got -2"),
-        ([3, -1], "x: denominator must be positive, got -1"),
-        ([2, 4], "x: fraction 2/4 is not in lowest terms"),
-        ([0, 2], "x: fraction 0/2 is not in lowest terms"),  # zero is [0, 1]
-        ([1.5, 2], "x: expected [numerator, denominator] integers, got [1.5, 2]"),
-        ([True, 1], "x: expected [numerator, denominator] integers, got [True, 1]"),
-        ([1, True], "x: expected [numerator, denominator] integers, got [1, True]"),
-        ([1], "x: expected [numerator, denominator] integers, got [1]"),
-        ("1/2", "x: expected [numerator, denominator] integers, got '1/2'"),
-    ],
+    REJECTED_PAIRS,
+    ids=[p if isinstance(p, str) else f"pair{k}" for k, (p, _) in enumerate(REJECTED_PAIRS)],
 )
 def test_pair_to_fraction_rejects(pair, message):
-    with pytest.raises(InterchangeError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(InterchangeError, match=f"^x: {re.escape(message)}$"):
         pair_to_fraction(pair, "x")
 
 

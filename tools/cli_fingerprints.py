@@ -108,6 +108,9 @@ def run(main, argv, json_path):
 def fingerprints(checkout, workloads=None, seeds=SEEDS):
     """Fingerprints by op name; ``workloads`` None runs every bench workload."""
     sys.dont_write_bytecode = True
+    # argparse wraps help and usage text at the terminal width; one width
+    # makes files fingerprinted in different terminals comparable
+    os.environ["COLUMNS"] = "80"
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "bench")]
     from leibrack import cli
     from leibrack.corpus import corpus_path
