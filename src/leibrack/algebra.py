@@ -523,7 +523,8 @@ def left_center(algebra):
     For a left Leibniz algebra this is a two-sided ideal containing all
     squares [x, x], and the quotient by it is a Lie algebra.  The nullspace
     does not change when the table is scaled, so its rows come from
-    ``int_sparse``.
+    ``int_sparse``; ``linalg.nullspace`` solves them modulo a prime and
+    checks the basis on ints.
     """
     n = algebra.dim
     rows = {}  # (j, k) -> the row of scale * c[i][j][k] over i
@@ -608,7 +609,9 @@ def derivation_algebra(algebra):
     The rows of ``_derivation_rows`` come from ``int_sparse``, and rows that
     repeat up to a scalar are eliminated once (first occurrence, as a
     primitive int row): the reduced echelon basis of the nullspace depends
-    only on the row space, which no scaling changes.  Returns a
+    only on the row space, which no scaling changes.  ``linalg.nullspace``
+    solves the int rows modulo a prime, rebuilds the rational basis and
+    checks it against every row on ints, so the basis is exact.  Returns a
     DerivationSummary whose basis matrices are the reduced-echelon
     representatives of der(h); inner derivations are the span of the ad_x.
     """

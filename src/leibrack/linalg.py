@@ -11,8 +11,16 @@ updated row divided by its content) and ``det`` (Bareiss steps, whose
 divisions by the previous pivot are exact) turn their results back into
 canonical Fractions only at the end.  ``inverse`` and ``float_inverse``
 divide the right half of the echelon rows of ``[matrix | I]`` by their
-pivots, into Fractions or into floats; ``rank`` and ``nullspace`` read the
-int rows.
+pivots, into Fractions or into floats; ``rank`` reads the int rows.
+``nullspace`` solves modulo a prime instead (Dixon, Numer. Math. 40, 1982;
+von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5): it takes the
+reduced echelon form of the int rows mod p and of the kernel vectors read
+off it, rebuilds each entry as a rational, and checks on ints that every
+row annihilates every vector.  The check makes the answer exact: the rank
+mod p is at most the rank over Q, so N - rank_p independent vectors that
+pass it span the whole kernel.  The primes are the Mersenne primes of
+``PRIMES``, smallest first; when no rung passes, the fraction-free
+elimination runs.
 ``echelon`` is also the step of ``LeibnizAlgebra.nilpotency_class``, which
 hands it int rows built from ``int_sparse``.  ``pack`` and ``unpack`` hold an
 int vector in one int, with fixed-width signed slots (Kronecker
@@ -42,12 +50,15 @@ its path from its input:
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
-from math import gcd, isfinite, lcm, prod
+from itertools import chain, compress
+from math import gcd, isfinite, isqrt, lcm, prod
 from operator import add, mul
 
 EXACT = "exact"
 FLOAT = "float"
+
+# The moduli of ``nullspace``, tried in turn: 2**127 - 1, 2**521 - 1, 2**1279 - 1.
+PRIMES = (2**127 - 1, 2**521 - 1, 2**1279 - 1)
 
 
 def check_mode(mode):
@@ -253,12 +264,18 @@ def mat_norm_1(a):
 def _int_rows(matrix):
     """Each row times the lcm of its denominators, as ints; returns (rows, lcms).
 
-    Scaling a row by a positive constant keeps the row space.  Ints and
-    Fractions are read as they are; any other entry (a float) goes through
-    ``Fraction`` first.
+    Scaling a row by a positive constant keeps the row space.  A row of
+    plain ints is passed through as it is, with scale 1, after one pass over
+    its types; no caller changes the rows it gets.  Otherwise ints and
+    Fractions are read as they are, and any other entry (a float) goes
+    through ``Fraction`` first.
     """
     rows, scales = [], []
     for row in matrix:
+        if {int}.issuperset(map(type, row)):
+            rows.append(row)
+            scales.append(1)
+            continue
         row = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in row]
         d = lcm(*(x.denominator for x in row))
         rows.append([x.numerator * (d // x.denominator) for x in row])
@@ -312,14 +329,31 @@ def rank(matrix):
 def nullspace(matrix, cols=None):
     """Canonical basis of the right nullspace, rows in reduced echelon form.
 
-    Free column f gives L at f and -row[f] * (L // pivot) at each pivot of
-    the int echelon rows, L the lcm of the pivots; ``rref`` makes it canonical.
+    Every row must have ``cols`` entries (by default, as many as the first
+    row); a ValueError names both lengths otherwise.  The int rows go to
+    ``_modular_nullspace`` with each prime of ``PRIMES`` in turn, and the
+    first basis that passes its exact check is the answer.  A rung fails
+    when an entry has no rational with |num|, den <= sqrt(p / 2) (p too
+    small for the answer) or when a vector misses a row (p divides a minor
+    that decides the rank).  When every rung fails, the fraction-free
+    elimination runs: free column f gives L at f and -row[f] * (L // pivot)
+    at each pivot of the int echelon rows, L the lcm of the pivots, and
+    ``rref`` makes the basis canonical.
     """
     if cols is None:
         cols = len(matrix[0]) if matrix else 0
+    for i, row in enumerate(matrix):
+        if len(row) != cols:
+            raise ValueError(f"row {i} has length {len(row)}, expected cols = {cols}")
     if not matrix:
         return [r[:] for r in identity_matrix(cols)]
-    rows, pivots = echelon(_int_rows(matrix)[0])
+    rows = _int_rows(matrix)[0]
+    sparse = [{j: row[j] for j in compress(range(cols), row)} for row in rows]
+    for p in PRIMES:
+        basis = _modular_nullspace(sparse, cols, p)
+        if basis is not None:
+            return basis
+    rows, pivots = echelon(rows)
     scale = lcm(*(row[p] for row, p in zip(rows, pivots)))
     basis = []
     for f in sorted(set(range(cols)) - set(pivots)):
@@ -329,6 +363,94 @@ def nullspace(matrix, cols=None):
             v[p] = -row[f] * (scale // row[p])
         basis.append(v)
     return rref(basis)[0] if basis else []
+
+
+def _modular_nullspace(rows, cols, p):
+    """The canonical nullspace basis of sparse int rows, solved mod p; None if unproven.
+
+    ``rows`` are dicts ``{column: x}``.  Each free column f of the echelon
+    form mod p gives the kernel vector with 1 at f and -row[f] at each
+    pivot; their reduced echelon form mod p is rebuilt entry by entry with
+    ``_rational`` (0 and 1 stay 0 and 1, so the rows keep their echelon
+    shape).  Those N - rank_p rows are independent, and when every input
+    row annihilates them on ints they span the kernel, whose dimension
+    N - rank_Q is at most N - rank_p: they are its reduced echelon basis.
+    """
+    reduced = _rref_mod(rows, p)
+    kernel = [
+        {c: -row[f] for c, row in reduced.items() if f in row} | {f: 1}
+        for f in range(cols)
+        if f not in reduced
+    ]
+    if not kernel:
+        return []
+    bound = isqrt(p // 2)
+    zero, one = Fraction(0), Fraction(1)
+    basis = []
+    for c, row in sorted(_rref_mod(kernel, p).items()):
+        v = [zero] * cols
+        v[c] = one
+        for j, x in row.items():
+            v[j] = _rational(x, p, bound)
+            if v[j] is None:
+                return None
+        basis.append(v)
+    scaled = []
+    for v in basis:
+        d = lcm(*(x.denominator for x in v))
+        scaled.append([x.numerator * (d // x.denominator) for x in v])
+    largest = max(map(abs, chain(*scaled))) * max((abs(x) for row in rows for x in row.values()), default=0)
+    width = slot_width(cols, largest)
+    packed = [pack(enumerate(col), width) for col in zip(*scaled)]
+    # each sum packs the products of one row with every vector (see ``pack``)
+    if any(sum(map(mul, row.values(), map(packed.__getitem__, row))) for row in rows):
+        return None
+    return basis
+
+
+def _rref_mod(rows, p):
+    """Reduced echelon form mod p of sparse int rows: ``{pivot: {column: x}}``.
+
+    A stored row is 1 at its pivot (left implicit) and 0 at every other
+    pivot and left of its own, so a new row is reduced in one sweep on
+    ints, its entries at the pivots being the multipliers, and taken mod p
+    once.  Its first nonzero column becomes a pivot, and the stored rows
+    with an entry there are cleared; only rows with a smaller pivot can
+    have one, so the form stays reduced echelon.
+    """
+    basis = {}
+    for row in rows:
+        row = dict(row)
+        for c in [c for c in row if c in basis]:
+            f = row.pop(c)
+            for j, y in basis[c].items():
+                row[j] = row.get(j, 0) - f * y
+        row = {j: r for j, x in row.items() if (r := x % p)}
+        if not row:
+            continue
+        c = min(row)
+        inv = pow(row.pop(c), -1, p)
+        new = {j: x * inv % p for j, x in row.items()}
+        for other in basis.values():
+            f = other.pop(c, 0)
+            if f:
+                for j, y in new.items():
+                    other[j] = (other.get(j, 0) - f * y) % p
+        basis[c] = new
+    return basis
+
+
+def _rational(u, p, bound):
+    """The a/b with a = b * u mod p and |a|, b <= bound, or None (half extended Euclid).
+
+    The remainders r and cofactors t of Euclid on (p, u) keep r = t * u mod
+    p; the first r <= bound gives a/b = r/t when |t| <= bound.
+    """
+    r0, r1, t0, t1 = p, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1) if abs(t1) <= bound else None
 
 
 def det(matrix):

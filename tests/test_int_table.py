@@ -15,6 +15,7 @@ from math import lcm
 
 import pytest
 
+from leibrack import linalg
 from leibrack.algebra import derivation_algebra, left_center
 from leibrack.cli import basis_defects
 from leibrack.corpus import CORPUS_NAMES, load_corpus
@@ -44,6 +45,7 @@ def _table_algebras():
 
 TABLE_ALGEBRAS = _table_algebras()
 N5 = n_k(5)
+LADDER = {f"n{k}": n_k(k) for k in (4, 5, 6)}
 REBASED = {
     "n4-rebased": TABLE_ALGEBRAS["n4-rebased"],
     "n5-rebased": rebase(N5, random_invertible(random.Random(5), N5.dim), "n5d"),
@@ -76,19 +78,38 @@ def test_rebased_nilpotency_classes():
     assert [alg.nilpotency_class() for alg in REBASED.values()] == [3, 4]
 
 
-@pytest.mark.parametrize("name", list(TABLE_ALGEBRAS) + ["n5-rebased"])
+NULLSPACE_ALGEBRAS = {**LADDER, **TABLE_ALGEBRAS, **REBASED}
+
+
+@pytest.mark.parametrize("name", list(NULLSPACE_ALGEBRAS))
 def test_left_center_matches_the_fraction_nullspace(name):
-    alg = {**TABLE_ALGEBRAS, **REBASED}[name]
+    alg = NULLSPACE_ALGEBRAS[name]
     assert left_center(alg).basis_rows == reference_left_center_rows(alg)
 
 
-@pytest.mark.parametrize("name", list(CORPUS_NAMES) + list(REBASED))
+@pytest.mark.parametrize("name", list(NULLSPACE_ALGEBRAS))
 def test_derivation_algebra_matches_the_fraction_nullspace(name):
-    alg = {**TABLE_ALGEBRAS, **REBASED}[name]
+    alg = NULLSPACE_ALGEBRAS[name]
     got = derivation_algebra(alg)
     basis, dim_inner = reference_derivations(alg)
     assert [[x for row in d.matrix for x in row] for d in got.basis] == basis
     assert got.dim_inner == dim_inner
+
+
+def test_rebased_n5_derivations_need_the_second_prime(monkeypatch):
+    # the reduced-echelon basis of der(n5d) has entries of more than 63
+    # bits, beyond the reach of 2**127 - 1
+    tried = []
+    solve = linalg._modular_nullspace
+
+    def spy(rows, cols, p):
+        basis = solve(rows, cols, p)
+        tried.append((p, basis is not None))
+        return basis
+
+    monkeypatch.setattr(linalg, "_modular_nullspace", spy)
+    derivation_algebra(REBASED["n5-rebased"])
+    assert tried == [(linalg.PRIMES[0], False), (linalg.PRIMES[1], True)]
 
 
 @pytest.fixture(scope="module")

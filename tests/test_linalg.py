@@ -396,6 +396,8 @@ ENTRIES = [
     st.fractions(min_value=-4, max_value=4, max_denominator=6),
     st.sampled_from([0, 0, 0, 1, -1, 2]).map(Fraction),
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    # kernel entries of these outgrow the first rungs of linalg.PRIMES
+    st.integers(min_value=-(2**200), max_value=2**200),
 ]
 
 
@@ -446,6 +448,64 @@ def test_rref_matches_reference(m):
 def test_nullspace_and_rank_match_reference(m):
     assert linalg.nullspace(m) == reference_nullspace(m)
     assert linalg.rank(m) == len(reference_rref(m)[0])
+
+
+@pytest.fixture
+def rungs(monkeypatch):
+    """The (prime, passed) of each modular solve that ``nullspace`` runs."""
+    tried = []
+    solve = linalg._modular_nullspace
+
+    def spy(rows, cols, p):
+        basis = solve(rows, cols, p)
+        tried.append((p, basis is not None))
+        return basis
+
+    monkeypatch.setattr(linalg, "_modular_nullspace", spy)
+    return tried
+
+
+P1, P2, P3 = linalg.PRIMES
+
+
+@pytest.mark.parametrize(
+    "bits, tried",
+    [
+        (50, [(P1, True)]),
+        (100, [(P1, False), (P2, True)]),
+        (400, [(P1, False), (P2, False), (P3, True)]),
+        # no rung can rebuild -a/b: the fraction-free elimination answers
+        (700, [(P1, False), (P2, False), (P3, False)]),
+    ],
+)
+def test_nullspace_climbs_the_prime_ladder(rungs, bits, tried):
+    a, b = 2**bits + 1, 2**bits - 1  # coprime
+    m = [[a, b]]
+    assert linalg.nullspace(m) == reference_nullspace(m) == [[1, F(-a, b)]]
+    assert rungs == tried
+
+
+def test_nullspace_moves_past_an_unlucky_prime(rungs):
+    # the first row vanishes mod P1, so e_0 is a kernel vector there; it
+    # fails the check on ints, and P2 sees the full rank
+    m = [[P1, 0, 0], [0, 1, 1]]
+    assert len(linalg._rref_mod([{0: P1}, {1: 1, 2: 1}], P1)) == 1
+    assert linalg.nullspace(m) == reference_nullspace(m) == [[0, 1, -1]]
+    assert rungs == [(P1, False), (P2, True)]
+
+
+def test_nullspace_rejects_a_row_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"^row 0 has length 2, expected cols = 3$"):
+        linalg.nullspace([[1, 2]], cols=3)
+    with pytest.raises(ValueError, match=r"^row 1 has length 1, expected cols = 2$"):
+        linalg.nullspace([[F(1), F(2)], [F(3)]])
+
+
+def test_int_rows_pass_plain_int_rows_through():
+    ints, mixed, flags = [3, -4, 0], [F(1, 2), 3], [True, 2]
+    rows, scales = linalg._int_rows([ints, mixed, flags])
+    assert rows[0] is ints and scales == [1, 2, 1]
+    assert rows[1:] == [[1, 6], [1, 2]] and all(type(x) is int for x in rows[2])
 
 
 @settings(max_examples=100, deadline=None)
