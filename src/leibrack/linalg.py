@@ -399,7 +399,8 @@ def _modular_nullspace(rows, cols, p):
     for v in basis:
         d = lcm(*(x.denominator for x in v))
         scaled.append([x.numerator * (d // x.denominator) for x in v])
-    largest = max(map(abs, chain(*scaled))) * max((abs(x) for row in rows for x in row.values()), default=0)
+    largest = max(map(abs, chain(*scaled)))
+    largest *= max((abs(x) for row in rows for x in row.values()), default=0)
     width = slot_width(cols, largest)
     packed = [pack(enumerate(col), width) for col in zip(*scaled)]
     # each sum packs the products of one row with every vector (see ``pack``)

@@ -1,5 +1,6 @@
 import pytest
 
+from leibrack import linalg
 from leibrack.corpus import CORPUS_NAMES, load_corpus
 
 from helpers import build_hs1_nilpotentized
@@ -44,3 +45,18 @@ def sl2(corpus):
 @pytest.fixture(scope="session")
 def hs1n():
     return build_hs1_nilpotentized()
+
+
+@pytest.fixture
+def rungs(monkeypatch):
+    """The (prime, passed) of each modular solve that ``linalg.nullspace`` runs."""
+    tried = []
+    solve = linalg._modular_nullspace
+
+    def spy(rows, cols, p):
+        basis = solve(rows, cols, p)
+        tried.append((p, basis is not None))
+        return basis
+
+    monkeypatch.setattr(linalg, "_modular_nullspace", spy)
+    return tried

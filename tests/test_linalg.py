@@ -450,21 +450,6 @@ def test_nullspace_and_rank_match_reference(m):
     assert linalg.rank(m) == len(reference_rref(m)[0])
 
 
-@pytest.fixture
-def rungs(monkeypatch):
-    """The (prime, passed) of each modular solve that ``nullspace`` runs."""
-    tried = []
-    solve = linalg._modular_nullspace
-
-    def spy(rows, cols, p):
-        basis = solve(rows, cols, p)
-        tried.append((p, basis is not None))
-        return basis
-
-    monkeypatch.setattr(linalg, "_modular_nullspace", spy)
-    return tried
-
-
 P1, P2, P3 = linalg.PRIMES
 
 
