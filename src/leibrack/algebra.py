@@ -24,21 +24,19 @@ the float range would raise ``OverflowError`` there).
 
 * ``int_sparse`` serves the exact kernels whose answer does not depend on
   the scale, or that divide it out once at the end: the Leibniz check,
-  ``nilpotency_class``, ``left_center``, ``derivation_algebra``, the
-  cocycle identity and the reconstruction check in ``extension``,
-  ``quantize.hessian_matrix``, the exact BCH word sum in ``bch`` and
-  ``racks.int_ad``, the int ad_x of the exact exponential kernel (exact
-  ``bass_product``, ``coadjoint``, ``exp_endo`` columns, the conjugation
-  lemma and the observable pullback).  They sum on ints and make canonical
-  Fractions only for their results.  The Leibniz check and the two
-  extension laws pack each int row into one int (``linalg.pack``), so a
-  whole scaled row is one int multiply-add and a zero residual is a zero
-  int.  ``is_lie`` reads antisymmetry off ``int_sparse`` too.
+  ``is_lie``, ``nilpotency_class``, ``left_center``, ``derivation_algebra``,
+  exact ``ad``, the cocycle identity and the reconstruction check in
+  ``extension``, ``quantize.hessian_matrix``, the exact BCH word sum in
+  ``bch`` and ``racks.int_ad``, the int ad_x of the exact exponential kernel.
+  They sum on ints and make canonical Fractions only for their results.  The
+  Leibniz check and the two extension laws pack each int row into one int
+  (``linalg.pack``), so a whole scaled row is one int multiply-add and a
+  zero residual is a zero int.
 * ``float_sparse`` serves float ``bracket_coords`` and ``ad`` and the float
   BCH word sum.  A Fraction times a float is computed as ``float(c)`` times
   the float, so reading the converted entry gives the same bits without the
   conversion on every term.
-* ``sparse`` serves exact ``bracket_coords`` and ``ad``, ``bracket_defects``
+* ``sparse`` serves exact ``bracket_coords``, ``bracket_defects``
   and ``Endomorphism.derivation_residual``, which mix the table with caller
   scalars.
 
@@ -169,17 +167,23 @@ class LeibnizAlgebra:
     def ad(self, x):
         """Left multiplication operator ad_x = [x, .] as an endomorphism.
 
-        ``x`` is an Element, or an exact coordinate list.
+        ``x`` is an Element, or an exact coordinate list.  Exact ad_x is
+        summed on ``int_sparse``, with one Fraction per nonzero entry.
         """
         n = self.dim
         coords, mode = (x.coords, x.mode) if isinstance(x, Element) else (x, EXACT)
+        if mode == EXACT:
+            coords, den = linalg.int_vector(coords)
         rows = [[0] * n for _ in range(n)]
-        for xi, plane in zip(coords, self.sparse_for(mode)):
+        for xi, plane in zip(coords, self.int_sparse if mode == EXACT else self.float_sparse):
             if xi == 0:
                 continue
             for j, row in plane:
                 for k, c in row:
                     rows[k][j] = rows[k][j] + xi * c
+        if mode == EXACT:
+            zero, den = Fraction(0), den * self.scale
+            rows = [[Fraction(a, den) if a else zero for a in row] for row in rows]
         return Endomorphism(self, rows, mode)
 
     # -- identities ------------------------------------------------------------
@@ -358,7 +362,7 @@ class Element:
 
     def distance(self, other):
         join_elements(self, other)
-        return linalg.max_abs(a - b for a, b in zip(self.coords, other.coords))
+        return linalg.gap(self.coords, other.coords, self.mode == EXACT)
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)

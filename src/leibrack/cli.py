@@ -54,12 +54,7 @@ from .racks import (
     pair_rack_closure_violations,
 )
 from .reports import check_law, samples
-from .sampling import (
-    rational_vector,
-    sample_observables,
-    sample_pairs,
-    sample_triples,
-)
+from .sampling import rational_vector, sample_observables, sample_pairs, sample_triples
 from .tangent import max_table_error, tangent_recover
 
 FLOAT_SCALE = Fraction(1, 3)   # float-mode samples stay inside the unit box

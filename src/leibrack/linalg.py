@@ -78,12 +78,8 @@ def scalar(value, mode):
     return value if type(value) is Fraction else Fraction(value)
 
 
-def zero_vector(n, mode=EXACT):
-    return [scalar(0, mode)] * n
-
-
 def zero_matrix(rows, cols, mode=EXACT):
-    return [zero_vector(cols, mode) for _ in range(rows)]
+    return [[scalar(0, mode)] * cols for _ in range(rows)]
 
 
 def identity_matrix(n, mode=EXACT):
@@ -125,6 +121,25 @@ def max_abs(values):
         if v > worst or v != v:
             worst = v
     return worst
+
+
+def gap(a, b, exact):
+    """``max_abs(x - y)`` over the paired entries of the tuples a and b.
+
+    With ``exact`` (all entries Fractions), equal tuples give Fraction(0), or 0
+    if empty, unsubtracted.  Floats are always subtracted: a shared NaN object
+    makes (nan,) == (nan,) true, while its distance is NaN.
+    """
+    if exact and a == b:
+        return Fraction(0) if a else 0
+    return max_abs(x - y for x, y in zip(a, b))
+
+
+def int_vector(v):
+    """(V, d) with v = V / d: a rational list times the lcm d of its denominators."""
+    dens = [c.denominator for c in v]
+    d = lcm(*dens)
+    return [c.numerator * (d // e) for c, e in zip(v, dens)], d
 
 
 def slot_width(terms, largest):
@@ -395,10 +410,7 @@ def _modular_nullspace(rows, cols, p):
             if v[j] is None:
                 return None
         basis.append(v)
-    scaled = []
-    for v in basis:
-        d = lcm(*(x.denominator for x in v))
-        scaled.append([x.numerator * (d // x.denominator) for x in v])
+    scaled = [int_vector(v)[0] for v in basis]
     largest = max(map(abs, chain(*scaled)))
     largest *= max((abs(x) for row in rows for x in row.values()), default=0)
     width = slot_width(cols, largest)

@@ -18,11 +18,10 @@ them, it runs that expansion on ints and makes one Fraction per result key.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import add
 
 from .algebra import LeibnizAlgebra, join_elements
-from .linalg import EXACT, check_mode, max_abs, scalar, vec_dot
+from .linalg import EXACT, check_mode, gap, int_vector, max_abs, scalar, vec_dot
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,7 +50,7 @@ class Covector:
 
     def distance(self, other):
         join_elements(self, other)
-        return max_abs(a - b for a, b in zip(self.coords, other.coords))
+        return gap(self.coords, other.coords, self.mode == EXACT)
 
     def to_float(self):
         return Covector(self.algebra, [float(c) for c in self.coords], "float")
@@ -133,7 +132,10 @@ class PolyObservable:
         return self + (-other)
 
     def distance(self, other):
-        """Largest absolute coefficient of self - other (0 when they are equal)."""
+        """Largest absolute coefficient of self - other: 0, unsubtracted, if equal and exact."""
+        self._match(other)
+        if self.terms == other.terms and not any(type(c) is float for c in self.terms.values()):
+            return 0  # a float, even a shared NaN, is subtracted (``linalg.gap``)
         return max_abs((self - other).terms.values())
 
     def __neg__(self):
@@ -225,10 +227,8 @@ class PolyObservable:
             one = Fraction(1)  # an int coeff turns Fraction, as in a product
             start = {exps: coeff * one for exps, coeff in self.terms.items()}
         else:
-            lcd = lcm(*(c.denominator for c in self.terms.values()))
-            start = {
-                exps: c.numerator * (lcd // c.denominator) for exps, c in self.terms.items()
-            }
+            nums, lcd = int_vector(list(self.terms.values()))
+            start = dict(zip(self.terms, nums))
         result = {}
         for exps, coeff in start.items():
             term = {(0,) * n: coeff}

@@ -8,10 +8,10 @@ Three layers, all driven by the same structure constants:
 * a rack product on formal exponentials, E_x > E_y = E_{exp(ad_x) y}, and
   its pullback action on observables through xi -> xi o exp(ad_x).  The
   exact pullback hands ``substitute_linear`` the columns of exp(ad_x) as
-  ints over one denominator D, from the int form of ``racks.exp_action``:
-  the expansion runs on ints and a key of degree d gets num / (L·D^d), L
-  the lcm of the coefficient denominators.  E_x is represented by x
-  itself, so this label rack is ``racks.bass_product``;
+  ints over one denominator D (``racks.int_exp_columns``), built once per
+  witness for each x: a key of degree d gets num / (L·D^d), L the lcm of
+  the coefficient denominators.  E_x is represented by x itself, so this label
+  rack is ``racks.bass_product``;
   the star product E_x * E_y = E_{bch(x, y)} is ``bch.bch``, and its
   conjugation rack ``bch.conj_star`` matches the label rack on nilpotent
   Lie algebras;
@@ -28,8 +28,6 @@ returned as per-order polynomial coefficients, never numbers.
 
 from fractions import Fraction
 from functools import partial
-from itertools import chain
-from math import gcd, lcm
 
 from . import linalg
 from .linalg import EXACT
@@ -37,40 +35,30 @@ from .observables import Covector, PolyObservable
 # exp_endo stays bound here although only exp_ad calls it: the bench tracer
 # (bench/spans.py) wraps every binding of it, and its self-test checks this one.
 from .racks import DEFAULT_FLOAT_ORDER, bass_product, coadjoint, exp_ad, exp_endo  # noqa: F401
-from .racks import block_exp_action, exp_action, exp_terms, int_ad, int_apply, int_vector
+from .racks import block_exp_action, exp_terms, int_ad, int_exp_columns, int_vector
 from .reports import check_law, samples
 
 
 # -- observable action ---------------------------------------------------------
 
 
-def quantum_rack_action(x, observable, order=DEFAULT_FLOAT_ORDER):
+def quantum_rack_action(x, observable, order=DEFAULT_FLOAT_ORDER, cache=None):
     """Pull an observable back along xi -> xi o exp(ad_x).
 
     On linear observables this is exactly the label rack: the observable
     <., y> goes to <., exp(ad_x) y>.  An exact x and exact coefficients take
-    the int substitution, on the columns of exp(ad_x) over one denominator.
+    the int substitution, on the columns of exp(ad_x) over one denominator
+    (``racks.int_exp_columns``).  A caller that acts by x again passes the
+    same list as ``cache``, which keeps those columns for the next call.
     """
     if x.mode == EXACT and not any(isinstance(c, float) for c in observable.terms.values()):
-        return observable.substitute_linear(*_int_exp_columns(x))
+        cache = [] if cache is None else cache
+        if not cache:
+            alg = x.algebra
+            cache.append(int_exp_columns(*int_ad(alg, *int_vector(x.coords)), alg.dim))
+        return observable.substitute_linear(*cache[0])
     mat = exp_ad(x, order).matrix
-    forms = [[mat[i][j] for i in range(len(mat))] for j in range(len(mat))]
-    return observable.substitute_linear(forms)
-
-
-def _int_exp_columns(x):
-    """The columns of exp(ad_x) as int lists over one denominator: (columns, D)."""
-    alg = x.algebra
-    n = alg.dim
-    ad, step = int_ad(alg, *int_vector(x.coords))
-    apply = int_apply(ad, n)
-    units = ([int(i == j) for j in range(n)] for i in range(n))
-    found = [exp_action(apply, unit, step=step) for unit in units]
-    # a column that stops at term k has d = k!·step^k, which divides the largest d
-    den = max((d for _, d in found), default=1)
-    columns = [[t * (den // d) for t in column] for column, d in found]
-    g = gcd(den, *chain.from_iterable(columns))
-    return [[t // g for t in column] for column in columns], den // g
+    return observable.substitute_linear([list(column) for column in zip(*mat)])
 
 
 def label_action_compatibility_violations(pairs, order=DEFAULT_FLOAT_ORDER, tol=0):
@@ -93,8 +81,9 @@ def action_left_action_violations(pairs, observables, order=DEFAULT_FLOAT_ORDER,
 
     def residual(w):
         (x, y), f = w
-        lhs = quantum_rack_action(x, quantum_rack_action(y, f, order), order)
-        acted_by_x = quantum_rack_action(x, f, order)
+        by_x = []  # x's int columns, built once for both actions by x
+        lhs = quantum_rack_action(x, quantum_rack_action(y, f, order), order, by_x)
+        acted_by_x = quantum_rack_action(x, f, order, by_x)
         return lhs.distance(quantum_rack_action(bass_product(x, y, order), acted_by_x, order))
 
     witnesses = samples(zip(pairs, observables), "action-left-action")
@@ -247,9 +236,7 @@ def hessian_matrix(algebra, xi):
     lets ``_is_bordered`` compare rows by identity first.
     """
     n = algebra.dim
-    coords = [Fraction(x) for x in xi.coords]
-    den = lcm(*(x.denominator for x in coords))
-    ints = [x.numerator * (den // x.denominator) for x in coords]
+    ints, den = int_vector([Fraction(x) for x in xi.coords])
     den *= algebra.scale
     zero, minus_one = Fraction(0), Fraction(-1)
     b = [[zero] * (4 * n) for _ in range(4 * n)]

@@ -17,18 +17,19 @@ exact series loop, yields A^k v / k! on one vector, up to the first
 vanishing term or a limit, and ``exp_action`` sums them.  Their int form is
 the exact exp(ad_x) kernel (von zur Gathen & Gerhard, *Modern Computer
 Algebra*, ch. 5): ``int_ad`` reads the int matrix s·ad_x, s = d_x·scale,
-off ``algebra.int_sparse`` by columns for x = X / d_x, and
-``exact_exp_action`` takes v = V / d_v to ints, accumulates
-T <- T·k·s + (s·ad_x)^k V over the one running denominator K!·s^K·d_v and
-makes one canonical Fraction per coordinate at the end, or returns v as it
-is when ad_x v = 0.  Exact ``bass_product``, ``coadjoint`` (on the
-transpose) and the columns of exact ``exp_endo`` come from it, and exact
+off ``algebra.int_sparse`` by columns for x = X / d_x, and the sum
+T <- T·k·s + (s·ad_x)^k V runs over the one running denominator K!·s^K.
+``exact_exp_action`` runs it on one vector v = V / d_v and makes one
+canonical Fraction per coordinate (v itself when ad_x v = 0): exact
+``bass_product`` and ``coadjoint`` (on the transpose).  ``int_exp_columns``
+runs it on every unit vector and returns the columns of exp(A) as ints over
+their least common denominator, for the observable pullback and for exact
+``exp_endo``, which makes one Fraction per nonzero entry.  Exact
 ``conjugation_lemma_violations`` compares exp(ad_z) exp(ad_x) exp(ad_{-z}) e_j
-with exp(ad_{a(x)}) e_j column by column, passing int vectors from one
-action to the next, with no inverse and no matrix product.
-``block_exp_action`` runs the Fraction form on [[A, M], [0, B]], whose
-exponential holds sum A^p M B^q / (p+q+1)! in its corner: the rack cocycle
-series and the x-gradient of the generating function.
+with exp(ad_{a(x)}) e_j column by column on ints, with no inverse and no
+matrix product.  ``block_exp_action`` runs the Fraction form on
+[[A, M], [0, B]], whose exponential holds sum A^p M B^q / (p+q+1)! in its
+corner: the rack cocycle series and the x-gradient of the generating function.
 
 Float mode keeps the truncated Taylor matrix series with scaling and
 squaring (Moler & Van Loan, SIAM Rev. 45(1), 2003): it rejects a matrix
@@ -40,22 +41,20 @@ no product with a zero factor and gives ``mat_mul``'s bits; ad_x of
 sl2 x| V_m is mostly zero blocks.  The squarings are ``mat_mul`` calls.
 
 Every caller that needs the matrix exp(ad_x) (the float paths and
-``rh_embed``) asks ``exp_ad(x, order)``.  It computes ``exp_endo(ad_x)``
-once and keeps it in a dict on the algebra object, keyed by
-``(x.coords, x.mode, order)``, so a law that reuses a sampled element many
-times pays for one exponential.  The cache lives and dies with the algebra:
-nothing is kept at module level, and a freshly loaded algebra starts empty.
-``exp_endo`` stays the one place where an exponential matrix is computed.
+``rh_embed``) asks ``exp_ad(x, order)``, which computes ``exp_endo(ad_x)``
+once per algebra object, keyed by ``(x.coords, x.mode, order)``; nothing is
+kept at module level.  ``exp_endo`` is the one place where an exponential
+matrix is computed.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import isfinite, lcm
+from math import gcd, isfinite, lcm
 
 from . import linalg
 from .algebra import Element, Endomorphism, bracket_defects
-from .linalg import EXACT, FLOAT
+from .linalg import EXACT, FLOAT, int_vector
 from .observables import Covector
 from .reports import check_law, samples
 
@@ -112,13 +111,6 @@ def exp_action(apply, v, limit=None, step=None):
     return total, den
 
 
-def int_vector(v):
-    """(V, d) with v = V / d: a rational list times the lcm d of its denominators."""
-    dens = [c.denominator for c in v]
-    d = lcm(*dens)
-    return [c.numerator * (d // e) for c, e in zip(v, dens)], d
-
-
 def int_ad(algebra, x, d=1):
     """ad_{x/d} on ints for an int list x: (columns, s) with s = d·scale.
 
@@ -133,12 +125,8 @@ def int_ad(algebra, x, d=1):
                 column = found.setdefault(j, {})
                 for k, c in row:
                     column[k] = column.get(k, 0) + xi * c
-    columns = []
-    for j, column in found.items():
-        column = tuple((k, a) for k, a in column.items() if a)
-        if column:
-            columns.append((j, column))
-    return columns, d * algebra.scale
+    columns = [(j, tuple((k, a) for k, a in col.items() if a)) for j, col in found.items()]
+    return [column for column in columns if column[1]], d * algebra.scale
 
 
 def int_apply(columns, n, transpose=False):
@@ -176,6 +164,20 @@ def exact_exp_action(columns, step, v, transpose=False):
     return [Fraction(t, den) for t in total]
 
 
+def int_exp_columns(columns, step, n):
+    """The columns of exp(A), A = columns / step as ``int_ad`` gives them: (ints, D).
+
+    ``ints[j]`` is D·exp(A) e_j on ints, D the least common denominator.  A
+    column whose series stops at term k has d = k!·step^k, dividing the largest.
+    """
+    apply = int_apply(columns, n)
+    found = [exp_action(apply, [int(i == j) for j in range(n)], step=step) for i in range(n)]
+    den = max((d for _, d in found), default=1)
+    ints = [[t * (den // d) for t in column] for column, d in found]
+    g = gcd(den, *chain.from_iterable(ints))
+    return [[t // g for t in column] for column in ints], den // g
+
+
 def block_exp_action(a, m, b, dim, v, limit):
     """sum_{k<=limit} 1/k! sum_{p+q=k-1} A^p M B^q v: the top of exp([[A, M], [0, B]]) (0, v).
 
@@ -193,25 +195,23 @@ def block_exp_action(a, m, b, dim, v, limit):
 def exp_endo(endo, order=DEFAULT_FLOAT_ORDER):
     """Exponential of an endomorphism.
 
-    Exact mode scales A to ints by the lcm of its denominators and runs
-    ``exact_exp_action`` on each basis vector; it raises when A^n fails to
-    vanish (n the dimension) and returns the identity on a 0-dimensional
-    algebra.  Float mode truncates the series at the given order, after
-    scaling-and-squaring whenever the matrix 1-norm exceeds 1, and raises
-    ValueError when the input has a non-finite entry or 1-norm or the
-    result overflows to a non-finite entry.
+    Exact mode scales A to ints by the lcm of its denominators, takes
+    ``int_exp_columns`` and makes one Fraction per nonzero entry; it raises
+    when A^n fails to vanish (n the dimension) and returns the identity on a
+    0-dimensional algebra.  Float mode truncates the series at the given
+    order, after scaling-and-squaring whenever the matrix 1-norm exceeds 1,
+    and raises ValueError when the input has a non-finite entry or 1-norm or
+    the result overflows to a non-finite entry.
     """
     n = endo.algebra.dim
     if endo.mode == EXACT:
         d = lcm(*(a.denominator for row in endo.matrix for a in row))
-        ints = []  # the nonzero columns of d·A, as int_ad lists them
-        for j, column in enumerate(zip(*endo.matrix)):
-            column = tuple((k, a.numerator * (d // a.denominator))
-                           for k, a in enumerate(column) if a)
-            if column:
-                ints.append((j, column))
-        columns = [exact_exp_action(ints, d, unit) for unit in linalg.identity_matrix(n)]
-        return Endomorphism(endo.algebra, linalg.transpose(columns), EXACT)
+        ints = [(j, [(k, a.numerator * (d // a.denominator)) for k, a in enumerate(column) if a])
+                for j, column in enumerate(zip(*endo.matrix))]  # d·A by columns, empty ones kept
+        columns, den = int_exp_columns(ints, d, n)
+        zero = Fraction(0)
+        rows = [[Fraction(t, den) if t else zero for t in row] for row in zip(*columns)]
+        return Endomorphism(endo.algebra, rows, EXACT)
     norm = linalg.mat_norm_1(endo.matrix)
     if not (isfinite(norm) and all(map(isfinite, chain.from_iterable(endo.matrix)))):
         raise _overflowed(endo)
@@ -299,11 +299,11 @@ class PairElement:
         object.__setattr__(self, "matrix", tuple(tuple(row) for row in matrix))
 
     def distance(self, other):
-        dv = linalg.max_abs(a - b for a, b in zip(self.vector, other.vector))
-        dm = linalg.max_abs(
-            a - b for ra, rb in zip(self.matrix, other.matrix) for a, b in zip(ra, rb)
-        )
-        return linalg.max_abs((dv, dm))
+        """The larger ``linalg.gap`` of the vectors and of the matrices, exact if all Fractions."""
+        a, b = (tuple(chain.from_iterable(m)) for m in (self.matrix, other.matrix))
+        exact = all(type(v) is Fraction for v in chain(self.vector, other.vector, a, b))
+        dv = linalg.gap(self.vector, other.vector, exact)
+        return linalg.max_abs((dv, linalg.gap(a, b, exact)))
 
 
 def hs_rack_product(a, b):
@@ -337,7 +337,8 @@ def check_rack_axioms(product, unit, triples, tol=0):
     whose violations carry the axiom name, the sample index, and the
     residual.  Left injectivity is tested only where y and z differ, fails
     when x > y and x > z coincide within tol, and stays out of the worst
-    residual; the unit laws follow all triple laws.
+    residual; the unit laws follow all triple laws.  A triple computes x > y
+    and x > z once, for both of its laws.
     """
     p = product
 
@@ -348,9 +349,10 @@ def check_rack_axioms(product, unit, triples, tol=0):
                 "unit-acts-trivially": p(unit, x).distance(x),
                 "unit-is-fixed": p(x, unit).distance(unit),
             }
+        xy, xz = p(x, y), p(x, z)
         return {
-            "self-distributivity": p(x, p(y, z)).distance(p(p(x, y), p(x, z))),
-            "left-injectivity": p(x, y).distance(p(x, z)) if y.distance(z) > tol else None,
+            "self-distributivity": p(x, p(y, z)).distance(p(xy, xz)),
+            "left-injectivity": xy.distance(xz) if y.distance(z) > tol else None,
         }
 
     witnesses = [(where, ("triple", t)) for where, t in samples(triples)]
@@ -386,28 +388,25 @@ def exact_conjugation_residual(z, x):
     exp(ad_{a(x)}) e_j: exp(ad_z)^-1 = exp(ad_{-z}) holds exactly, since an
     exact series only ends where the map is nilpotent on the vectors it
     meets.  Int vectors pass from one action to the next, their
-    denominators multiply, and the residual is the one Fraction made.
+    denominators multiply, and the residual is the one Fraction made; the
+    right side is ``int_exp_columns`` of ad_{a(x)}.
     """
     alg = z.algebra
     n = alg.dim
     ad_z, s_z = int_ad(alg, *int_vector(z.coords))
-    apply_z = int_apply(ad_z, n)
-    apply_neg = int_apply([(j, tuple((k, -a) for k, a in col)) for j, col in ad_z], n)
-    ad_x, s_x = int_ad(alg, *int_vector(x.coords))
-    apply_x = int_apply(ad_x, n)
-    ad_ax, s_ax = int_ad(alg, *int_vector(exact_exp_action(ad_z, s_z, x.coords)))
-    apply_ax = int_apply(ad_ax, n)
+    neg = [(j, tuple((k, -a) for k, a in col)) for j, col in ad_z]
+    ad_x = int_ad(alg, *int_vector(x.coords))
+    ax = exact_exp_action(ad_z, s_z, x.coords)
+    rhs, rhs_den = int_exp_columns(*int_ad(alg, *int_vector(ax)), n)
+    maps = [(int_apply(m, n), s) for m, s in ((neg, s_z), ad_x, (ad_z, s_z))]
     worst, worst_den = 0, 1
-    for j in range(n):
-        unit = [0] * n
-        unit[j] = 1
-        lhs, den = unit, 1
-        for apply, step in ((apply_neg, s_z), (apply_x, s_x), (apply_z, s_z)):
+    for j, want in enumerate(rhs):
+        lhs, den = [int(i == j) for i in range(n)], 1
+        for apply, step in maps:
             lhs, d = exp_action(apply, lhs, step=step)
             den *= d
-        rhs, d = exp_action(apply_ax, unit, step=s_ax)
-        gap = max(abs(a * d - b * den) for a, b in zip(lhs, rhs))
-        den *= d
+        gap = max(abs(a * rhs_den - b * den) for a, b in zip(lhs, want))
+        den *= rhs_den
         if gap * worst_den > worst * den:
             worst, worst_den = gap, den
     return Fraction(worst, worst_den)

@@ -2,7 +2,8 @@
 
 All sampling is driven by ``random.Random(seed)`` so that reports are
 reproducible byte for byte.  Coordinates are small rationals: numerators in
-[-3, 3], denominators in {1, 2}.
+[-3, 3], denominators in {1, 2}, drawn by ``randint`` then ``choice`` and
+returned as one of the shared Fractions of ``RATIONALS``.
 """
 
 import random
@@ -10,9 +11,11 @@ from fractions import Fraction
 
 from .linalg import EXACT, det
 
+RATIONALS = {(n, d): Fraction(n, d) for n in range(-3, 4) for d in (1, 2)}
+
 
 def rational_scalar(rng):
-    return Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+    return RATIONALS[rng.randint(-3, 3), rng.choice((1, 2))]
 
 
 def rational_vector(rng, dim):
@@ -24,7 +27,9 @@ def sample_elements(algebra, count, seed, mode=EXACT, scale=Fraction(1)):
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        coords = [scale * c for c in rational_vector(rng, algebra.dim)]
+        coords = rational_vector(rng, algebra.dim)
+        if scale != 1:
+            coords = [scale * c for c in coords]
         element = algebra.element(coords)
         out.append(element.to_float() if mode == "float" else element)
     return out
@@ -53,9 +58,7 @@ def sample_observables(algebra, count, seed, max_degree=3):
             exps = [0] * n
             for _ in range(rng.randint(0, max_degree)):
                 exps[rng.randrange(n)] += 1
-            poly = poly + PolyObservable(
-                n, {tuple(exps): Fraction(rng.randint(-3, 3), rng.choice((1, 2)))}
-            )
+            poly = poly + PolyObservable(n, {tuple(exps): rational_scalar(rng)})
         out.append(poly)
     return out
 

@@ -1,5 +1,9 @@
 """Shared builders for the test suite."""
 
+import importlib.util
+import os
+import random
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import factorial, lcm
@@ -853,3 +857,68 @@ def reference_exp_endo_float(matrix, order):
     for _ in range(squarings):
         total = reference_mat_mul(total, total)
     return total
+
+
+# The samplers as they drew before the shared rationals of ``sampling.RATIONALS``:
+# a new ``Fraction(randint, choice)`` per coordinate, always times ``scale``.
+
+
+def reference_rational_vector(rng, dim):
+    return [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(dim)]
+
+
+def reference_sample_elements(algebra, count, seed, mode=linalg.EXACT, scale=Fraction(1)):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        coords = [scale * c for c in reference_rational_vector(rng, algebra.dim)]
+        element = algebra.element(coords)
+        out.append(element.to_float() if mode == "float" else element)
+    return out
+
+
+def reference_sample_observables(algebra, count, seed, max_degree=3):
+    rng = random.Random(seed)
+    n = algebra.dim
+    out = []
+    for _ in range(count):
+        poly = PolyObservable.zero(n)
+        for _ in range(rng.randint(1, 4)):
+            exps = [0] * n
+            for _ in range(rng.randint(0, max_degree)):
+                exps[rng.randrange(n)] += 1
+            poly = poly + PolyObservable(
+                n, {tuple(exps): Fraction(rng.randint(-3, 3), rng.choice((1, 2)))}
+            )
+        out.append(poly)
+    return out
+
+
+def load_bench_gen():
+    """``bench/gen.py`` as a module, read from its file without writing bytecode beside it."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    spec = importlib.util.spec_from_file_location("bench_gen", os.path.join(path, "gen.py"))
+    module = importlib.util.module_from_spec(spec)
+    keep, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = keep
+    return module
+
+
+def reference_ad(algebra, coords):
+    """ad_x summed on the dense Fraction ``table``: entry (k, j) is sum_i x_i c[i][j][k]."""
+    n, c = algebra.dim, algebra.table
+    return [
+        [sum((coords[i] * c[i][j][k] for i in range(n)), Fraction(0)) for j in range(n)]
+        for k in range(n)
+    ]
+
+
+def reference_int_exp_columns(matrix):
+    """The columns of ``reference_exp_endo`` of a matrix, times their least common denominator."""
+    n = len(matrix)
+    exp = reference_exp_endo(Endomorphism(LeibnizAlgebra(make_table(n, {})), matrix)).matrix
+    den = lcm(*(a.denominator for row in exp for a in row))
+    return [[int(row[j] * den) for row in exp] for j in range(n)], den

@@ -2,9 +2,11 @@
 
 ``LeibnizAlgebra.int_sparse`` is ``sparse`` with every entry times
 ``scale``, the lcm of the table's denominators.  The nilpotency chain, the
-left center, the derivation system and the cocycle identity run on it, and
-must give exactly what their Fraction references give, on tables with
-non-integral constants too: ``n4-rebased`` and a seeded rebase of n_5.
+left center, the derivation system, the cocycle identity, exact ``ad``,
+exact ``exp_endo`` and ``racks.int_exp_columns`` run on it, and must give
+exactly what their Fraction references give, on tables with non-integral
+constants too: ``n4-rebased``, seeded rebases of n_5 and the dense n_5 of
+``bench/gen.py``.
 """
 
 import copy
@@ -16,19 +18,25 @@ from math import lcm
 import pytest
 
 from leibrack import linalg
-from leibrack.algebra import derivation_algebra, left_center
+from leibrack.algebra import Endomorphism, LeibnizAlgebra, derivation_algebra, left_center
 from leibrack.cli import basis_defects
 from leibrack.corpus import CORPUS_NAMES, load_corpus
 from leibrack.extension import build_extension, cocycle_identity_violations
 from leibrack.io import load_algebra
+from leibrack.racks import exp_endo, int_ad, int_exp_columns
 from leibrack.reports import check_law
+from leibrack.sampling import sample_elements
 
 from helpers import (
+    load_bench_gen,
     n_k,
     random_invertible,
     rebase,
+    reference_ad,
     reference_cocycle_identity_violations,
     reference_derivations,
+    reference_exp_endo,
+    reference_int_exp_columns,
     reference_left_center_rows,
     reference_nilpotency_class,
 )
@@ -133,3 +141,65 @@ def test_corrupted_omega_cell_fails_with_the_reference_residual(extensions, name
     reference = check_law("cocycle-identity", basis_defects(want, "pair"), checked=checked)
     assert not report.passed
     assert report.max_residual == reference.max_residual > 0
+
+
+GEN = load_bench_gen()
+N5_DENSE = GEN.rebase(GEN.n_k(5), GEN.random_basis_change(GEN.seeded_rng(1, "n5"), 10), "n5d")
+KERNEL_ALGEBRAS = {**TABLE_ALGEBRAS, **LADDER, "n5-dense": N5_DENSE}
+
+
+def kernel_elements(alg):
+    """0, the last basis vector and sampled elements, some with denominators 6 and 12."""
+    if not alg.dim:
+        return [alg.zero()]
+    return [
+        alg.zero(),
+        alg.basis_element(alg.dim - 1),
+        *sample_elements(alg, 3, 1),
+        *sample_elements(alg, 2, 2, scale=Fraction(-7, 6)),
+    ]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return str(err)
+
+
+def test_the_kernel_tables_include_a_dense_rebase():
+    assert N5_DENSE.scale > 1 and N5_DENSE.dim == 10
+    assert sum(map(len, (row for plane in N5_DENSE.sparse for _, row in plane))) > 400
+
+
+@pytest.mark.parametrize("name", list(KERNEL_ALGEBRAS))
+def test_exact_ad_matches_the_dense_fraction_table(name):
+    alg = KERNEL_ALGEBRAS[name]
+    for x in kernel_elements(alg):
+        got = alg.ad(x).matrix
+        assert [list(row) for row in got] == reference_ad(alg, x.coords)
+        assert all(type(a) is Fraction for row in got for a in row)
+        assert alg.ad(list(x.coords)).matrix == got
+
+
+@pytest.mark.parametrize("name", list(KERNEL_ALGEBRAS))
+def test_exact_exponentials_match_the_fraction_series(name):
+    alg = KERNEL_ALGEBRAS[name]
+    for x in kernel_elements(alg):
+        ad = alg.ad(x)
+        got, want = outcome(exp_endo, ad), outcome(reference_exp_endo, ad)
+        assert got == want
+        if isinstance(got, str):
+            assert "nilpotent" in got
+            continue
+        assert all(type(a) is Fraction for row in got.matrix for a in row)
+        columns, den = int_exp_columns(*int_ad(alg, *linalg.int_vector(x.coords)), alg.dim)
+        assert (columns, den) == reference_int_exp_columns(ad.matrix)
+        assert all(type(t) is int for column in columns for t in column)
+
+
+def test_a_zero_dimensional_algebra_has_the_identity_exponential():
+    point = LeibnizAlgebra(())
+    assert point.ad(point.zero()).matrix == ()
+    assert exp_endo(point.ad(point.zero())) == Endomorphism.identity(point)
+    assert int_exp_columns([], 1, 0) == ([], 1)

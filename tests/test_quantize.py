@@ -404,3 +404,40 @@ def test_hessian_command_exits_2_on_a_broken_block_structure(capsys):
     code = cli.main(["hessian", str(corpus_path("heisenberg")), "--samples", "2"])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {MESSAGE}"]
+
+
+def _count_exp_columns(monkeypatch):
+    calls = []
+    build = quantize.int_exp_columns
+
+    def spy(columns, step, n):
+        calls.append(n)
+        return build(columns, step, n)
+
+    monkeypatch.setattr(quantize, "int_exp_columns", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", NILPOTENT)
+def test_action_left_action_builds_the_columns_of_x_once(monkeypatch, corpus, name):
+    # x's columns serve both actions by x: y, x and x > y, 3 per witness
+    alg = corpus[name]
+    triples = sample_triples(alg, 5, 1)
+    pairs = [(x, y) for x, y, _ in triples]
+    observables = sample_observables(alg, 5, 3)
+    calls = _count_exp_columns(monkeypatch)
+    report = action_left_action_violations(pairs, observables)
+    assert report.passed and len(calls) == 3 * len(pairs)
+    # a caller without a cache list builds the columns on every call
+    calls.clear()
+    x, f = pairs[0][0], observables[0]
+    assert quantum_rack_action(x, f) == quantum_rack_action(x, f)
+    assert len(calls) == 2
+
+
+def test_float_actions_build_no_int_columns(monkeypatch, heisenberg):
+    triples = sample_triples(heisenberg, 3, 1, "float", Fraction(1, 3))
+    calls = _count_exp_columns(monkeypatch)
+    action_left_action_violations([(x, y) for x, y, _ in triples],
+                                  sample_observables(heisenberg, 3, 3), tol=1e-9)
+    assert calls == []

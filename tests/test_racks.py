@@ -289,3 +289,26 @@ def test_rack_morphism_check_rejects_bad_scaling(heisenberg):
     pairs = [(a, b) for a, b, _ in triples]
     report = rack_morphism_check(heisenberg, heisenberg, matrix, pairs)
     assert not report.passed
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_rack_axioms_compute_each_product_once(freenil3, mode):
+    # x > y and x > z serve both triple laws: 5 products per triple, 2 per
+    # unit witness, also where y = z leaves left injectivity out
+    triples = sample_triples(freenil3, 6, 1, mode)
+    x, y, _ = triples[0]
+    triples.append((x, y, y))
+    calls = []
+
+    def product(a, b):
+        calls.append((a, b))
+        return bass_product(a, b)
+
+    tol = 0 if mode == "exact" else 1e-9
+    report = check_rack_axioms(product, freenil3.zero(mode), triples, tol)
+    assert report.passed and report.checked == len(triples)
+    assert len(calls) == 5 * len(triples) + 2 * len(triples)
+    # the products the laws compare, in the order they are made
+    z = triples[0][2]
+    xy, xz = bass_product(x, y), bass_product(x, z)
+    assert calls[:5] == [(x, y), (x, z), (y, z), (x, bass_product(y, z)), (xy, xz)]

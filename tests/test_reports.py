@@ -1,10 +1,11 @@
 """The law runner: judging, violation records and the worst-residual fold."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
-from leibrack.algebra import Endomorphism
+from leibrack.algebra import Endomorphism, LeibnizAlgebra
 from leibrack.observables import Covector, PolyObservable
 from leibrack.racks import PairElement, rh_embed
 from leibrack.reports import check_law, samples
@@ -122,3 +123,57 @@ def test_every_distance_keeps_a_later_nan(heisenberg, kind):
     p, q = _nan_pairs(heisenberg)[kind]
     assert math.isnan(p.distance(q))
     assert math.isnan(q.distance(p))
+
+
+def _shared_nan_pairs(alg):
+    """Two equal-looking float points of each kind that hold one NaN object."""
+    coords = [NAN] + [float(k) for k in range(1, alg.dim)]
+    ident = [[float(i == j) for j in range(alg.dim)] for i in range(alg.dim)]
+    poly = {(1, 0, 0): NAN, (0, 1, 0): 2.0}
+    return {
+        "element": (alg.element(coords, "float"), alg.element(coords, "float")),
+        "covector": (Covector(alg, coords, "float"), Covector(alg, coords, "float")),
+        "pair": (PairElement(coords, ident), PairElement(coords, ident)),
+        "poly": (PolyObservable(3, poly), PolyObservable(3, poly)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["element", "covector", "pair", "poly"])
+def test_a_shared_nan_object_still_gives_a_nan_distance(heisenberg, kind):
+    # the containers compare equal, identity first, yet the distance is NaN
+    # and the check fails: no equality shortcut may apply to floats
+    p, q = _shared_nan_pairs(heisenberg)[kind]
+    assert (p.terms == q.terms) if kind == "poly" else (p == q)
+    assert math.isnan(p.distance(q))
+    report = check_law("law", samples([q]), p.distance, tol=1e-9)
+    assert not report.passed and math.isnan(report.max_residual)
+
+
+def test_equal_exact_points_give_the_subtracted_zero(heisenberg):
+    # Fraction(0) where the entries are Fractions, the int 0 on empty points,
+    # int entries and observables: what subtracting gives
+    x = heisenberg.element([Fraction(1, 2), 0, -3])
+    xi = Covector(heisenberg, x.coords)
+    mat = rh_embed(x).matrix
+    point = LeibnizAlgebra(())
+    cases = [
+        (x.distance(heisenberg.element(x.coords)), Fraction),
+        (xi.distance(Covector(heisenberg, x.coords)), Fraction),
+        (PairElement(x.coords, mat).distance(PairElement(x.coords, mat)), Fraction),
+        # int entries are subtracted, as before: int 0
+        (PairElement([1, 2], [[1, 0], [0, 1]]).distance(PairElement([1, 2], [[1, 0], [0, 1]])),
+         int),
+        (point.zero().distance(point.zero()), int),
+        (Covector(point, []).distance(Covector(point, [])), int),
+        (PairElement([], []).distance(PairElement([], [])), int),
+        (PolyObservable(3, {(1, 0, 0): Fraction(1, 3)}).distance(
+            PolyObservable(3, {(1, 0, 0): Fraction(1, 3)})), int),
+        (PolyObservable.zero(3).distance(PolyObservable.zero(3)), int),
+    ]
+    for got, kind in cases:
+        assert got == 0 and type(got) is kind
+
+
+def test_a_poly_distance_still_checks_the_variable_count():
+    with pytest.raises(ValueError, match="different dimensions"):
+        PolyObservable.zero(2).distance(PolyObservable.zero(3))
