@@ -13,36 +13,32 @@ table itself is always exact.
 The dense ``table`` is the input and interchange form and the identity of
 an algebra (equality, hashing).  Most tables are almost all zeros, so every
 kernel that walks the bracket reads a sparse view instead, one per scalar
-kind.  ``sparse``, built in ``__init__``, lists for each i the pairs
-``(j, ((k, c), ...))`` with ``[e_i, e_j]`` nonzero, both indices ascending.
-``int_sparse``, also built in ``__init__``, has the same index structure
-with each entry c replaced by the int ``c * scale``, ``scale`` the lcm of
-the table's denominators.  ``float_sparse`` has it with each entry
-``float(c)``, an entry that underflows to 0.0 included; it is built on its
-first use, so an exact run never converts the table (a coefficient beyond
-the float range would raise ``OverflowError`` there).
+kind.  ``int_sparse``, built in ``__init__``, lists for each i the pairs
+``(j, ((k, a), ...))`` with ``[e_i, e_j]`` nonzero, both indices ascending,
+each entry the int ``a = c * scale``, ``scale`` the lcm of the table's
+denominators.  ``float_sparse`` has the same index with each entry
+``a / scale``, the correctly rounded ``float(c)`` (an entry that underflows
+to 0.0 included); it is built on its first use, so an exact run never
+converts the table (a coefficient beyond the float range would raise
+``OverflowError`` there).
 
-* ``int_sparse`` serves the exact kernels whose answer does not depend on
-  the scale, or that divide it out once at the end: the Leibniz check,
+* ``int_sparse`` serves every exact kernel: exact ``bracket_coords`` and
+  ``ad``, ``bracket_defects``, ``derivation_residual``, the Leibniz check,
   ``is_lie``, ``nilpotency_class``, ``left_center``, ``derivation_algebra``,
-  exact ``ad``, the cocycle identity and the reconstruction check in
-  ``extension``, ``quantize.hessian_matrix``, the exact BCH word sum in
-  ``bch`` and ``racks.int_ad``, the int ad_x of the exact exponential kernel.
-  They sum on ints and make canonical Fractions only for their results.  The
+  the extension data and laws, the exact Poisson bracket, the Hessian, the
+  exact BCH word sum and ``racks.int_ad``.  They scale rational input to
+  ints (``linalg.int_vector``), sum on ints and make canonical Fractions
+  only for their results, dividing the scale out once, or never where the
+  answer does not depend on it (a span, a nullspace, a zero test).  The
   Leibniz check and the two extension laws pack each int row into one int
   (``linalg.pack``), so a whole scaled row is one int multiply-add and a
   zero residual is a zero int.
-* ``float_sparse`` serves float ``bracket_coords`` and ``ad`` and the float
-  BCH word sum.  A Fraction times a float is computed as ``float(c)`` times
-  the float, so reading the converted entry gives the same bits without the
-  conversion on every term.
-* ``sparse`` serves exact ``bracket_coords``, ``bracket_defects``
-  and ``Endomorphism.derivation_residual``, which mix the table with caller
-  scalars.
+* ``float_sparse`` serves float ``bracket_coords`` and ``ad``, the float
+  Poisson bracket and the float BCH word sum.  A Fraction times a float is
+  computed as ``float(c)`` times the float, so reading the converted entry
+  gives the bits of the Fraction table without the conversion on every term.
 
-``sparse_for(mode)`` picks the Fraction or the float view for a scalar
-mode; callers ask for it once, from the mode of their elements.  The
-kernels visit terms in the same order as a dense loop would, so float
+The kernels visit terms in the same order as a dense loop would, so float
 results are bit-for-bit those of the dense sums.
 """
 
@@ -73,23 +69,19 @@ class LeibnizAlgebra:
         if len(self.basis) != dim:
             raise ValueError("basis name count does not match dimension")
         self.name = name
-        self.sparse = tuple(
-            tuple(
-                (j, tuple((k, c) for k, c in enumerate(row) if c != 0))
-                for j, row in enumerate(plane)
-                if any(row)
-            )
-            for plane in self.table
-        )
-        self.scale = lcm(
-            *(c.denominator for plane in self.sparse for _, row in plane for _, c in row)
+        entries = [  # per i, the (j, nonzero (k, c)) of each nonzero [e_i, e_j]
+            [(j, [(k, c) for k, c in enumerate(row) if c]) for j, row in enumerate(p) if any(row)]
+            for p in self.table
+        ]
+        self.scale = scale = lcm(
+            *(c.denominator for plane in entries for _, row in plane for _, c in row)
         )
         self.int_sparse = tuple(
             tuple(
-                (j, tuple((k, c.numerator * (self.scale // c.denominator)) for k, c in row))
+                (j, tuple((k, c.numerator * (scale // c.denominator)) for k, c in row))
                 for j, row in plane
             )
-            for plane in self.sparse
+            for plane in entries
         )
         self._leibniz_violations = None
         self._is_lie = None
@@ -126,27 +118,28 @@ class LeibnizAlgebra:
 
     @cached_property
     def float_sparse(self):
-        """``sparse`` with each entry ``float(c)``, built on first use."""
+        """``int_sparse`` over ``scale``, built on first use: ``float(c)`` bit for bit."""
         return tuple(
-            tuple((j, tuple((k, float(c)) for k, c in row)) for j, row in plane)
-            for plane in self.sparse
+            tuple((j, tuple((k, c / self.scale) for k, c in row)) for j, row in plane)
+            for plane in self.int_sparse
         )
-
-    def sparse_for(self, mode):
-        """The sparse view whose entries match coordinates of the given scalar mode."""
-        return self.float_sparse if mode == FLOAT else self.sparse
 
     # -- bracket and adjoint operators ----------------------------------------
 
     def bracket_coords(self, x, y, sparse=None):
         """Bracket of two coordinate vectors, returned as a coordinate vector.
 
-        ``sparse`` is the view to read, ``self.sparse`` by default: ``float_sparse``
-        for float coordinates, or ``int_sparse`` for int coordinates, whose
-        bracket then comes out times ``scale``.
+        ``sparse`` is the view to read: ``float_sparse`` for float
+        coordinates, or ``int_sparse`` for int ones, whose bracket comes out
+        times ``scale``.  By default x = X / d_x and y = Y / d_y are exact:
+        X and Y are summed on ``int_sparse``, one Fraction per nonzero entry.
         """
+        exact = sparse is None
+        if exact:
+            (x, d_x), (y, d_y) = linalg.int_vector(x), linalg.int_vector(y)
+            sparse = self.int_sparse
         out = [0] * self.dim
-        for xi, plane in zip(x, self.sparse if sparse is None else sparse):
+        for xi, plane in zip(x, sparse):
             if xi == 0:
                 continue
             for j, row in plane:
@@ -156,13 +149,17 @@ class LeibnizAlgebra:
                 w = xi * yj
                 for k, c in row:
                     out[k] = out[k] + w * c
+        if exact:
+            den = d_x * d_y * self.scale
+            return [Fraction(v, den) if v else 0 for v in out]
         return out
 
     def bracket(self, x, y):
-        if x.algebra is not self or y.algebra is not self:
+        if x.algebra is not self:
             raise ValueError("elements belong to a different algebra")
-        mode = _join_modes(x.mode, y.mode)
-        return Element(self, self.bracket_coords(x.coords, y.coords, self.sparse_for(mode)), mode)
+        _, mode = join_elements(x, y)
+        sparse = self.float_sparse if mode == FLOAT else None
+        return Element(self, self.bracket_coords(x.coords, y.coords, sparse), mode)
 
     def ad(self, x):
         """Left multiplication operator ad_x = [x, .] as an endomorphism.
@@ -294,12 +291,6 @@ class LeibnizAlgebra:
         return self.nilpotency_class() is not None
 
 
-def _join_modes(a, b):
-    if a != b:
-        raise ValueError(f"mixed scalar modes {a!r} and {b!r}")
-    return a
-
-
 def join_elements(x, y):
     """The algebra and mode two elements, maps or covectors share; ValueError if not.
 
@@ -307,7 +298,9 @@ def join_elements(x, y):
     """
     if x.algebra is not y.algebra:
         raise ValueError("elements belong to a different algebra")
-    return x.algebra, _join_modes(x.mode, y.mode)
+    if x.mode != y.mode:
+        raise ValueError(f"mixed scalar modes {x.mode!r} and {y.mode!r}")
+    return x.algebra, x.mode
 
 
 def _coerce(values, mode):
@@ -432,13 +425,18 @@ class Endomorphism:
     def derivation_residual(self):
         """Largest defect of D[x,y] = [Dx,y] + [x,Dy] over basis pairs.
 
-        Each defect entry is a row of the derivation system times vec(D).
+        Each defect entry is a row of the derivation system (on ``int_sparse``)
+        times vec(D), over ``scale``; an exact D = M / d is scaled to ints first.
         """
         flat = [x for row in self.matrix for x in row]
-        return linalg.max_abs(
+        exact = self.mode == EXACT
+        flat, d = linalg.int_vector(flat) if exact else (flat, 1)
+        worst = linalg.max_abs(
             reduce(add, (c * flat[col] for col, c in row.items()), 0)
-            for row in _derivation_rows(self.algebra.sparse)
+            for row in _derivation_rows(self.algebra.int_sparse)
         )
+        den = d * self.algebra.scale
+        return Fraction(worst, den) if exact else worst / den
 
     def is_derivation(self, tol=0):
         return self.derivation_residual() <= tol
@@ -461,22 +459,35 @@ def bracket_defects(source, target, matrix):
 
     ``matrix`` is target.dim x source.dim.  Returns ``((i, j), defect)`` for
     every pair with a nonzero defect a[e_i, e_j] - [a e_i, a e_j], 0-based,
-    summing nonzero terms only: a[e_i, e_j] over ``source.sparse`` and the
-    nonzero entries of a, [a e_i, a e_j] by ``target.bracket_coords``.
+    summing nonzero terms only: a[e_i, e_j] over ``source.int_sparse`` and
+    the nonzero entries of a = M / d, M on ints, [a e_i, a e_j] by
+    ``target.bracket_coords``; a defect is an int vector over s·t·d², s and
+    t the scales.  A float a reads ``float_sparse``, with the Fraction bits.
     """
+    m = target.dim
     columns = [[row[i] for row in matrix] for i in range(source.dim)]
+    exact = not any(type(a) is float for column in columns for a in column)
+    if exact:
+        flat, d = linalg.int_vector([a for column in columns for a in column])
+        columns = [flat[i * m : (i + 1) * m] for i in range(source.dim)]
+        s, td, den = source.scale, target.scale * d, source.scale * target.scale * d * d
+        planes, sparse = source.int_sparse, target.int_sparse
+    else:
+        s = td = 1
+        planes, sparse = source.float_sparse, target.float_sparse
     support = [[(r, a) for r, a in enumerate(column) if a] for column in columns]
     defects = []
-    for i, plane in enumerate(source.sparse):
+    for i, plane in enumerate(planes):
         brackets = dict(plane)
         for j in range(source.dim):
-            image = [0] * target.dim
+            image = [0] * m
             for k, c in brackets.get(j, ()):
                 for r, a in support[k]:
                     image[r] += c * a
-            defect = linalg.vec_sub(image, target.bracket_coords(columns[i], columns[j]))
+            pushed = target.bracket_coords(columns[i], columns[j], sparse)
+            defect = [u * td - v * s for u, v in zip(image, pushed)]
             if any(defect):
-                defects.append(((i, j), defect))
+                defects.append(((i, j), [Fraction(x, den) for x in defect] if exact else defect))
     return defects
 
 
@@ -485,10 +496,7 @@ class Subspace:
 
     def __init__(self, algebra, basis_rows):
         self.algebra = algebra
-        rows = [list(map(Fraction, row)) for row in basis_rows]
-        reduced, pivots = linalg.rref(rows) if rows else ([], [])
-        self.basis_rows = reduced
-        self.pivots = pivots
+        self.basis_rows, self.pivots = linalg.rref(basis_rows)
 
     @property
     def dim(self):
@@ -526,17 +534,16 @@ def left_center(algebra):
 
     For a left Leibniz algebra this is a two-sided ideal containing all
     squares [x, x], and the quotient by it is a Lie algebra.  The nullspace
-    does not change when the table is scaled, so its rows come from
-    ``int_sparse``; ``linalg.nullspace`` solves them modulo a prime and
-    checks the basis on ints.
+    does not change when the table is scaled, so its sparse rows come from
+    ``int_sparse``; ``linalg.sparse_nullspace`` solves them modulo a prime
+    and checks the basis on ints.
     """
-    n = algebra.dim
-    rows = {}  # (j, k) -> the row of scale * c[i][j][k] over i
+    rows = {}  # (j, k) -> the row {i: scale * c[i][j][k]}
     for i, plane in enumerate(algebra.int_sparse):
         for j, entries in plane:
             for k, c in entries:
-                rows.setdefault((j, k), [0] * n)[i] = c
-    basis = linalg.nullspace([rows[key] for key in sorted(rows)], cols=n)
+                rows.setdefault((j, k), {})[i] = c
+    basis = linalg.sparse_nullspace([rows[key] for key in sorted(rows)], algebra.dim)
     return Subspace(algebra, basis)
 
 
@@ -556,26 +563,27 @@ class DerivationSummary:
         )
 
 
-def _derivation_rows(sparse):
+def _derivation_rows(int_sparse):
     """The linear system cutting out the derivations, one sparse row per entry.
 
-    ``sparse`` is ``algebra.sparse``, or ``algebra.int_sparse`` for rows
-    scaled by ``algebra.scale``.  The unknown is D, flattened to vec(D) with
+    ``int_sparse`` is ``algebra.int_sparse``, so every row is ``scale``
+    times a row of the system.  The unknown is D, flattened to vec(D) with
     D[m][l] at m * n + l.  For every basis pair (i, j) and coordinate m whose
     identity has a term, yields the dict ``{column: coefficient}`` with
-    row . vec(D) equal to the m-th entry of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].
+    row . vec(D) equal to ``scale`` times the m-th entry of
+    D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].
     """
-    n = len(sparse)
+    n = len(int_sparse)
     # With c = c[p][q][m] != 0: left[q][m] holds (p, c) and right[p][m] holds (q, c).
     left = [[[] for _ in range(n)] for _ in range(n)]
     right = [[[] for _ in range(n)] for _ in range(n)]
-    for p, plane in enumerate(sparse):
+    for p, plane in enumerate(int_sparse):
         for q, entries in plane:
             for m, c in entries:
                 left[q][m].append((p, c))
                 right[p][m].append((q, c))
     for i in range(n):
-        brackets = dict(sparse[i])
+        brackets = dict(int_sparse[i])
         for j in range(n):
             bracket = brackets.get(j, ())
             for m in range(n):
@@ -613,8 +621,8 @@ def derivation_algebra(algebra):
     The rows of ``_derivation_rows`` come from ``int_sparse``, and rows that
     repeat up to a scalar are eliminated once (first occurrence, as a
     primitive int row): the reduced echelon basis of the nullspace depends
-    only on the row space, which no scaling changes.  ``linalg.nullspace``
-    solves the int rows modulo a prime, rebuilds the rational basis and
+    only on the row space, which no scaling changes.  ``linalg.sparse_nullspace``
+    solves those rows modulo a prime, rebuilds the rational basis and
     checks it against every row on ints, so the basis is exact.  Returns a
     DerivationSummary whose basis matrices are the reduced-echelon
     representatives of der(h); inner derivations are the span of the ad_x.
@@ -622,13 +630,7 @@ def derivation_algebra(algebra):
     n = algebra.dim
     unique = dict.fromkeys(map(_primitive, _derivation_rows(algebra.int_sparse)))
     unique.pop((), None)
-    rows = []
-    for entries in unique:
-        row = [0] * (n * n)
-        for col, x in entries:
-            row[col] = x
-        rows.append(row)
-    flat_basis = linalg.nullspace(rows, cols=n * n)
+    flat_basis = linalg.sparse_nullspace(list(unique), n * n)
     basis = [
         Endomorphism(algebra, [row[k * n : (k + 1) * n] for k in range(n)]) for row in flat_basis
     ]

@@ -150,12 +150,12 @@ def require_float(value, what):
 
 
 def require_float_table(algebra):
-    names = algebra.basis
-    for i, plane in enumerate(algebra.sparse):
+    names, scale = algebra.basis, algebra.scale
+    for i, plane in enumerate(algebra.int_sparse):
         for j, row in plane:
             for k, c in row:
                 require_float(
-                    c,
+                    Fraction(c, scale),
                     f"the coefficient of {names[k]} in [{names[i]}, {names[j]}] "
                     f"(bracket i={i + 1}, j={j + 1})",
                 )

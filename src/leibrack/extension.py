@@ -23,8 +23,8 @@ the ``int_sparse`` tables of h and q, scale omega and the center rows to
 ints, and sum packed int vectors (``linalg.pack``): each vector of the law
 is packed once into a single int over one common denominator, a term of a
 residual is one int multiply-add, and only a nonzero total is unpacked
-into Fractions.  ``build_extension``, ``section`` and ``omega`` read the
-Fraction ``sparse`` tables.
+into Fractions.  ``build_extension`` splits the ``int_sparse`` brackets of
+h against the center rows scaled to ints, one Fraction per entry.
 """
 
 from fractions import Fraction
@@ -91,19 +91,23 @@ def build_extension(algebra):
 
     # w = [e_a, e_b] splits as (w - z) + z, with z = sum_p w[p] row_p its
     # part in the center: the quotient cell is w - z on the complement, and
-    # omega(e_a, e_b) = s(pi(w)) - w = -z
+    # omega(e_a, e_b) = s(pi(w)) - w = -z.  On ints, with w from int_sparse
+    # and the rows times their lcm dc, both are over scale * dc.
+    flat, dc = linalg.int_vector([c for row in center.basis_rows for c in row])
+    rows = [flat[b * n : (b + 1) * n] for b in range(center.dim)]
+    den, zero = algebra.scale * dc, Fraction(0)
     quotient_table, omega_table = [], []
     for k_a in complement:
-        plane = dict(algebra.sparse[k_a])
+        plane = dict(algebra.int_sparse[k_a])
         q_row, omega_row = [], []
         for k_b in complement:
             w = dict(plane.get(k_b, ()))
-            z = [Fraction(0)] * n
-            for p, row in zip(center.pivots, center.basis_rows):
+            z = [0] * n
+            for p, row in zip(center.pivots, rows):
                 if w.get(p):
                     z = [x + w[p] * y for x, y in zip(z, row)]
-            q_row.append([w.get(k, 0) - z[k] for k in complement])
-            omega_row.append([-c for c in z])
+            q_row.append([Fraction(w.get(k, 0) * dc - z[k], den) for k in complement])
+            omega_row.append([Fraction(-c, den) if c else zero for c in z])
         quotient_table.append(q_row)
         omega_table.append(omega_row)
     quotient = LeibnizAlgebra(

@@ -97,15 +97,21 @@ def poisson_bracket(algebra, f, g):
     """{f, g}(xi) = sum c[i][j][k] (d_i f)(0) (d_j g)(xi) xi_k.
 
     The sign follows the convention under which the right Leibniz rule
-    {f, gh} = {f, g} h + g {f, h} holds with the stated order.
+    {f, gh} = {f, g} h + g {f, h} holds with the stated order.  An exact
+    a_i = (d_i f)(0) is divided by ``scale`` once and meets ``int_sparse``;
+    a float a_i meets ``float_sparse``, with the bits of the Fraction table.
     """
     n = algebra.dim
     grad0 = f.gradient_at_zero()
     partials = [g.partial(j).terms for j in range(n)]
     result = {}
-    for a_i, plane in zip(grad0, algebra.sparse):
+    for i, a_i in enumerate(grad0):
         if a_i == 0:
             continue
+        if isinstance(a_i, float):
+            plane = algebra.float_sparse[i]
+        else:
+            plane, a_i = algebra.int_sparse[i], Fraction(a_i, algebra.scale)
         for j, row in plane:
             partial = partials[j]
             if not partial:
@@ -169,7 +175,8 @@ def generating_series_terms(x, y, xi, order=DEFAULT_FLOAT_ORDER):
     """
     limit = None if x.mode == "exact" else order
     alg = x.algebra
-    ad_x = partial(alg.bracket_coords, x.coords, sparse=alg.sparse_for(x.mode))
+    sparse = None if limit is None else alg.float_sparse
+    ad_x = partial(alg.bracket_coords, x.coords, sparse=sparse)
     series = exp_terms(ad_x, y.coords, limit)
     terms = [linalg.vec_dot(xi.coords, term) for term in series]
     return terms if limit is None else terms + [0.0] * (order + 1 - len(terms))
@@ -187,7 +194,7 @@ def generating_gradients(x, y, xi, order=DEFAULT_FLOAT_ORDER):
     """
     alg = x.algebra
     bound = alg.dim if x.mode == "exact" else order
-    sparse = alg.sparse_for(x.mode)
+    sparse = None if x.mode == EXACT else alg.float_sparse
     ad_x = partial(alg.bracket_coords, x.coords, sparse=sparse)
 
     def corner(e):

@@ -27,9 +27,11 @@ their least common denominator, for the observable pullback and for exact
 ``exp_endo``, which makes one Fraction per nonzero entry.  Exact
 ``conjugation_lemma_violations`` compares exp(ad_z) exp(ad_x) exp(ad_{-z}) e_j
 with exp(ad_{a(x)}) e_j column by column on ints, with no inverse and no
-matrix product.  ``block_exp_action`` runs the Fraction form on
-[[A, M], [0, B]], whose exponential holds sum A^p M B^q / (p+q+1)! in its
-corner: the rack cocycle series and the x-gradient of the generating function.
+matrix product.  ``block_exp_action`` runs the rational series of
+``exp_terms`` on [[A, M], [0, B]], whose exponential holds
+sum A^p M B^q / (p+q+1)! in its corner: the rack cocycle series and the
+x-gradient of the generating function, with exact ``bracket_coords`` (on
+``int_sparse``) as A and B.
 
 Float mode keeps the truncated Taylor matrix series with scaling and
 squaring (Moler & Van Loan, SIAM Rev. 45(1), 2003): it rejects a matrix

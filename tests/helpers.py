@@ -15,6 +15,43 @@ from leibrack.observables import Covector, PolyObservable
 from leibrack.racks import exp_action, exp_ad
 
 
+def reference_sparse(alg):
+    """The Fraction index of ``alg.table``, built from the dense table alone.
+
+    For each i, the ``(j, ((k, c), ...))`` with [e_i, e_j] nonzero, both
+    indices ascending, c the table entry.
+    """
+    return tuple(
+        tuple(
+            (j, tuple((k, c) for k, c in enumerate(row) if c != 0))
+            for j, row in enumerate(plane)
+            if any(c != 0 for c in row)
+        )
+        for plane in alg.table
+    )
+
+
+def reference_bracket_coords(alg, x, y):
+    """[x, y] summed on the dense Fraction table, nonzero terms only.
+
+    Each term c·x_i·y_j is added in table order (i, j, k ascending) onto an
+    int 0, as the sparse kernels visit them, so float x and y give the bits
+    of the Fraction table.
+    """
+    out = [0] * alg.dim
+    for xi, plane in zip(x, alg.table):
+        if xi == 0:
+            continue
+        for yj, row in zip(y, plane):
+            if yj == 0:
+                continue
+            w = xi * yj
+            for k, c in enumerate(row):
+                if c != 0:
+                    out[k] = out[k] + w * c
+    return out
+
+
 def make_table(dim, entries):
     """Build a dense structure-constant table from a sparse description.
 
@@ -82,7 +119,7 @@ def rebase(algebra, g, name=""):
         plane = []
         for b in range(n):
             col_b = [g[r][b] for r in range(n)]
-            plane.append(linalg.mat_vec(g_inv, algebra.bracket_coords(col_a, col_b)))
+            plane.append(linalg.mat_vec(g_inv, reference_bracket_coords(algebra, col_a, col_b)))
         table.append(plane)
     return LeibnizAlgebra(table, name=name)
 
@@ -123,8 +160,8 @@ def reference_evaluate_word_table(table, x, y, order):
 
     Sum c_w/|w| [w_1,[w_2,[..]]] over table words of degree <= order; a word
     whose suffix evaluates to zero is zero, so its bracket is never taken.
-    Every bracket reads the Fraction table ``algebra.sparse``, in float mode
-    too, and every sum is a Fraction or float Element sum.
+    Every bracket reads the Fraction table (``reference_bracket_coords``),
+    in float mode too, and every sum is a Fraction or float Element sum.
     """
     alg = x.algebra
     values = (x, y)
@@ -138,7 +175,7 @@ def reference_evaluate_word_table(table, x, y, order):
         else:
             inner = nested(word[1:])
             value = None if inner is None else Element(
-                alg, alg.bracket_coords(values[word[0]].coords, inner.coords), x.mode
+                alg, reference_bracket_coords(alg, values[word[0]].coords, inner.coords), x.mode
             )
         if value is not None and value.is_zero():
             value = None
@@ -227,7 +264,7 @@ def reference_nilpotency_class(algebra):
     level = units
     k = 1
     while level:
-        images = [algebra.bracket_coords(unit, w) for unit in units for w in level]
+        images = [reference_bracket_coords(algebra, unit, w) for unit in units for w in level]
         images = [img for img in images if any(img)]
         nxt = reference_rref(images)[0] if images else []
         if len(nxt) >= len(level):
@@ -635,7 +672,7 @@ def reference_poisson_bracket(algebra, f, g):
              for i in range(n)]
     partials = [_ReferencePoly.of(g).partial(j) for j in range(n)]
     result = _ReferencePoly(n)
-    for a_i, plane in zip(grad0, algebra.sparse):
+    for a_i, plane in zip(grad0, reference_sparse(algebra)):
         if a_i == 0:
             continue
         for j, row in plane:
@@ -770,13 +807,13 @@ def reference_log_word_table():
 def reference_bass_product(x, y):
     """exp(ad_x) y by ``exp_action`` on Fraction brackets."""
     alg = x.algebra
-    return Element(alg, exp_action(lambda v: alg.bracket_coords(x.coords, v), y.coords))
+    return Element(alg, exp_action(lambda v: reference_bracket_coords(alg, x.coords, v), y.coords))
 
 
 def reference_dual_bracket(algebra, x, xi):
-    """The covector xi o ad_x on the Fraction ``sparse`` table: entry j is xi([x, e_j])."""
+    """The covector xi o ad_x on the Fraction table: entry j is xi([x, e_j])."""
     out = [0] * algebra.dim
-    for xa, plane in zip(x, algebra.sparse):
+    for xa, plane in zip(x, reference_sparse(algebra)):
         if xa == 0:
             continue
         for j, row in plane:

@@ -23,6 +23,7 @@ from leibrack.linalg import EXACT, FLOAT
 from leibrack.racks import bass_product
 from leibrack.sampling import sample_elements, sample_pairs, sample_triples
 
+import helpers
 from helpers import (
     n_k,
     random_invertible,
@@ -228,19 +229,26 @@ def word_table_pairs(alg, mode=EXACT, scale=Fraction(1)):
 def counted_evaluations(monkeypatch, pairs, order):
     """(new, reference, new bracket count, reference bracket count) per pair.
 
-    Both count ``bracket_coords`` calls.  Every bracket of the kernel must
-    read the view of its scalar kind, ``int_sparse`` for exact input and
-    ``float_sparse`` for float input, and every bracket of the reference
-    the Fraction table.
+    The kernel counts ``bracket_coords`` calls, the reference
+    ``helpers.reference_bracket_coords`` calls.  Every bracket of the kernel
+    must read the view of its scalar kind, ``int_sparse`` for exact input
+    and ``float_sparse`` for float input, and every bracket of the reference
+    the Fraction table, never the kernel.
     """
-    views = []
+    views, references = [], []
     original = LeibnizAlgebra.bracket_coords
+    reference = helpers.reference_bracket_coords
 
     def counting(self, u, v, sparse=None):
         views.append(sparse)
         return original(self, u, v, sparse)
 
+    def counting_reference(alg, u, v):
+        references.append(alg)
+        return reference(alg, u, v)
+
     monkeypatch.setattr(LeibnizAlgebra, "bracket_coords", counting)
+    monkeypatch.setattr(helpers, "reference_bracket_coords", counting_reference)
     table = log_word_table()
     out = []
     for x, y in pairs:
@@ -251,9 +259,10 @@ def counted_evaluations(monkeypatch, pairs, order):
         assert all(seen is view for seen in views)
         got_calls = len(views)
         views.clear()
+        references.clear()
         want = reference_evaluate_word_table(table, x, y, order)
-        assert all(seen is None for seen in views)
-        out.append((got, want, got_calls, len(views)))
+        assert not views
+        out.append((got, want, got_calls, len(references)))
     return out
 
 

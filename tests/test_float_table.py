@@ -3,8 +3,9 @@
 Float ``bracket_coords``, ``ad``, the float BCH word sum and the float
 inverse must give, bit for bit, what the Fraction table gives: a Fraction
 times a float is ``float(c)`` times the float, so reading the converted
-entry changes no result.  The references below bracket on ``sparse`` and
-invert with Fractions; results are compared by ``repr``, which tells -0.0
+entry changes no result.  The references below bracket on the Fraction
+index of the dense table (``helpers.reference_sparse``) and invert with
+Fractions; results are compared by ``repr``, which tells -0.0
 from 0.0.  The float table is built on first float use only, so an exact
 run on a table beyond the float range never converts it.
 """
@@ -12,6 +13,7 @@ run on a table beyond the float range never converts it.
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +30,10 @@ from leibrack.sampling import rational_vector
 
 from helpers import (
     make_table,
+    reference_bracket_coords,
     reference_evaluate_word_table,
     reference_inverse,
+    reference_sparse,
     sl2_semidirect,
 )
 
@@ -60,7 +64,7 @@ def reference_ad(alg, coords):
     """Float ad_x summed on the Fraction table, the loop ``ad`` runs, then made float."""
     n = alg.dim
     rows = [[0] * n for _ in range(n)]
-    for xi, plane in zip(coords, alg.sparse):
+    for xi, plane in zip(coords, reference_sparse(alg)):
         if xi == 0:
             continue
         for j, row in plane:
@@ -90,9 +94,60 @@ def test_float_sparse_converts_every_entry_and_keeps_underflowed_ones():
         return [(i, j, k, c) for i, plane in enumerate(sparse) for j, row in plane for k, c in row]
 
     for name, other in ALGEBRAS.items():
-        want = [(i, j, k, float(c)) for i, j, k, c in entries(other.sparse)]
+        want = [(i, j, k, float(c)) for i, j, k, c in entries(reference_sparse(other))]
         assert entries(other.float_sparse) == want, name
         assert all(type(f) is float for *_, f in entries(other.float_sparse))
+
+
+# Entries whose float value is hard to get right: a numerator and a
+# denominator both beyond 10^400 with a value in range, a denominator that
+# is a large prime (two of them make an lcm scale of ~650 bits), a subnormal,
+# and entries that underflow to 0.0 and -0.0.
+HARD_ENTRIES = [
+    Fraction(2**1400 + 1, 3**900),
+    Fraction(1, 2**127 - 1),
+    Fraction(-5, 2**521 - 1),
+    Fraction(3, 10**310),
+    Fraction(1, 10**400),
+    Fraction(-1, 10**400),
+]
+
+
+def _hard_table(entries):
+    """A table holding the entries as the coefficients of [e1, e1], [e1, e2], ..."""
+    n = len(entries)
+    return make_table(n, {(0, j): {j: c} for j, c in enumerate(entries)})
+
+
+@pytest.mark.parametrize("together", [False, True])
+def test_float_sparse_rounds_hard_entries_as_float_does(together):
+    assert HARD_ENTRIES[0].numerator > 10**400 and HARD_ENTRIES[0].denominator > 10**400
+    groups = [HARD_ENTRIES] if together else [[c] for c in HARD_ENTRIES]
+    for group in groups:
+        alg = LeibnizAlgebra(_hard_table(group))
+        assert alg.scale == lcm(*(c.denominator for c in group))
+        got = [c for _, row in alg.float_sparse[0] for _, c in row]
+        assert bits(got) == bits(float(c) for c in group)
+    assert bits(float(c) for c in HARD_ENTRIES[3:]) == ["3e-310", "0.0", "-0.0"]
+
+
+def test_require_float_table_names_an_entry_beyond_the_float_range():
+    message = (
+        "float mode: the coefficient of b in [a, b] (bracket i=1, j=2) is too large for a float"
+    )
+    for big in (Fraction(2 * 10**308), Fraction(10**709 + 1, 10**400)):
+        # alone (scale 1 or its own denominator) and over the lcm of the hard entries
+        for others in ({}, {0: HARD_ENTRIES[0], 2: HARD_ENTRIES[2]}):
+            table = make_table(3, {(0, 1): {**others, 1: big}})
+            alg = LeibnizAlgebra(table, basis=("a", "b", "c"))
+            with pytest.raises(cli.UsageError) as err:
+                cli.require_float_table(alg)
+            assert str(err.value) == message
+            with pytest.raises(OverflowError):
+                float(big)
+            with pytest.raises(OverflowError):
+                alg.float_sparse
+    cli.require_float_table(LeibnizAlgebra(_hard_table(HARD_ENTRIES)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,7 +156,7 @@ def test_float_bracket_and_ad_have_the_bits_of_the_fraction_table(data, name):
     alg = ALGEBRAS[name]
     x = data.draw(st.lists(FLOATS, min_size=alg.dim, max_size=alg.dim), label="x")
     y = data.draw(st.lists(FLOATS, min_size=alg.dim, max_size=alg.dim), label="y")
-    want = bits(alg.bracket_coords(x, y))
+    want = bits(reference_bracket_coords(alg, x, y))
     assert bits(alg.bracket_coords(x, y, alg.float_sparse)) == want
     ex, ey = alg.element(x, FLOAT), alg.element(y, FLOAT)
     assert bits(ex.bracket(ey).coords) == bits(float(v) for v in want)

@@ -1,7 +1,8 @@
 """The integer structure-constant table and the exact kernels that read it.
 
-``LeibnizAlgebra.int_sparse`` is ``sparse`` with every entry times
-``scale``, the lcm of the table's denominators.  The nilpotency chain, the
+``LeibnizAlgebra.int_sparse`` is the sparse index of the dense table
+(``helpers.reference_sparse``) with every entry times ``scale``, the lcm of
+the table's denominators.  The nilpotency chain, the
 left center, the derivation system, the cocycle identity, exact ``ad``,
 exact ``exp_endo`` and ``racks.int_exp_columns`` run on it, and must give
 exactly what their Fraction references give, on tables with non-integral
@@ -16,6 +17,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leibrack import linalg
 from leibrack.algebra import Endomorphism, LeibnizAlgebra, derivation_algebra, left_center
@@ -23,9 +26,11 @@ from leibrack.cli import basis_defects
 from leibrack.corpus import CORPUS_NAMES, load_corpus
 from leibrack.extension import build_extension, cocycle_identity_violations
 from leibrack.io import load_algebra
+from leibrack.observables import PolyObservable
+from leibrack.quantize import poisson_bracket
 from leibrack.racks import exp_endo, int_ad, int_exp_columns
 from leibrack.reports import check_law
-from leibrack.sampling import sample_elements
+from leibrack.sampling import sample_elements, sample_observables
 
 from helpers import (
     load_bench_gen,
@@ -33,12 +38,15 @@ from helpers import (
     random_invertible,
     rebase,
     reference_ad,
+    reference_bracket_coords,
     reference_cocycle_identity_violations,
     reference_derivations,
     reference_exp_endo,
     reference_int_exp_columns,
     reference_left_center_rows,
     reference_nilpotency_class,
+    reference_poisson_bracket,
+    reference_sparse,
 )
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -69,7 +77,7 @@ def test_int_sparse_over_scale_is_sparse(name):
         tuple((j, tuple((k, Fraction(c, alg.scale)) for k, c in row)) for j, row in plane)
         for plane in alg.int_sparse
     )
-    assert rebuilt == alg.sparse
+    assert rebuilt == reference_sparse(alg)
 
 
 def test_rebased_tables_have_non_integral_constants():
@@ -102,6 +110,21 @@ def test_derivation_algebra_matches_the_fraction_nullspace(name):
     basis, dim_inner = reference_derivations(alg)
     assert [[x for row in d.matrix for x in row] for d in got.basis] == basis
     assert got.dim_inner == dim_inner
+
+
+def test_structural_nullspaces_skip_the_dense_front(monkeypatch):
+    # left_center and derivation_algebra hand their sparse int rows to
+    # linalg.sparse_nullspace; no dense row is built on the way
+    def dense(*args, **kwargs):
+        raise AssertionError("the dense nullspace front was called")
+
+    monkeypatch.setattr(linalg, "nullspace", dense)
+    for alg in (REBASED["n4-rebased"], LADDER["n5"]):
+        assert left_center(alg).basis_rows == reference_left_center_rows(alg)
+        basis, dim_inner = reference_derivations(alg)
+        got = derivation_algebra(alg)
+        assert [[x for row in d.matrix for x in row] for d in got.basis] == basis
+        assert got.dim_inner == dim_inner
 
 
 def test_rebased_n5_derivations_need_the_second_prime(rungs):
@@ -169,7 +192,7 @@ def outcome(fn, *args):
 
 def test_the_kernel_tables_include_a_dense_rebase():
     assert N5_DENSE.scale > 1 and N5_DENSE.dim == 10
-    assert sum(map(len, (row for plane in N5_DENSE.sparse for _, row in plane))) > 400
+    assert sum(map(len, (row for plane in reference_sparse(N5_DENSE) for _, row in plane))) > 400
 
 
 @pytest.mark.parametrize("name", list(KERNEL_ALGEBRAS))
@@ -180,6 +203,51 @@ def test_exact_ad_matches_the_dense_fraction_table(name):
         assert [list(row) for row in got] == reference_ad(alg, x.coords)
         assert all(type(a) is Fraction for row in got for a in row)
         assert alg.ad(list(x.coords)).matrix == got
+
+
+def assert_exact_bracket(alg, x, y):
+    """Exact ``bracket_coords`` equals the Fraction-table sum, a Fraction in each nonzero entry."""
+    got = alg.bracket_coords(x, y)
+    assert got == reference_bracket_coords(alg, x, y)
+    assert all(type(v) is Fraction for v in got if v)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_ALGEBRAS))
+def test_exact_bracket_matches_the_fraction_table(name):
+    alg = KERNEL_ALGEBRAS[name]
+    elements = kernel_elements(alg)
+    for x in elements:
+        for y in elements:
+            assert_exact_bracket(alg, x.coords, y.coords)
+            assert x.bracket(y).coords == tuple(reference_bracket_coords(alg, x.coords, y.coords))
+
+
+@pytest.mark.parametrize("name", ["n4-rebased", "n5-dense", "n5"])
+def test_exact_poisson_bracket_matches_the_fraction_table(name):
+    alg = KERNEL_ALGEBRAS[name]
+    fs = [f + PolyObservable.from_element(x) for f, x in zip(
+        sample_observables(alg, 3, 3), kernel_elements(alg)[1:]
+    )]
+    for f in fs:
+        for g in sample_observables(alg, 2, 4) + fs:
+            got = poisson_bracket(alg, f, g)
+            assert got == reference_poisson_bracket(alg, f, g)
+            assert all(type(c) is Fraction for c in got.terms.values())
+
+
+# numerators up to 2^80 over denominators up to 2^60, zeros among them
+LARGE = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**60)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(KERNEL_ALGEBRAS)))
+def test_exact_bracket_matches_the_fraction_table_on_large_denominators(data, name):
+    alg = KERNEL_ALGEBRAS[name]
+    coords = st.lists(LARGE, min_size=alg.dim, max_size=alg.dim)
+    assert_exact_bracket(alg, data.draw(coords, label="x"), data.draw(coords, label="y"))
 
 
 @pytest.mark.parametrize("name", list(KERNEL_ALGEBRAS))

@@ -34,12 +34,14 @@ from helpers import (
     n_k,
     random_invertible,
     rebase,
+    reference_bracket_coords,
     reference_derivation_residual,
     reference_dual_bracket,
     reference_morphism_residual,
     reference_exp_endo_float,
     reference_nullspace,
     reference_rref,
+    reference_sparse,
     sl2_semidirect,
 )
 
@@ -145,14 +147,20 @@ NILPOTENT = [name for name, alg in ALGEBRAS.items() if alg.is_nilpotent()]
 def test_sparse_index_lists_exactly_the_nonzero_entries(name):
     alg = ALGEBRAS[name]
     n = alg.dim
-    got = {(i, j, k): c for i, plane in enumerate(alg.sparse) for j, row in plane for k, c in row}
+    index = [(i, j, k) for i, plane in enumerate(alg.int_sparse) for j, row in plane for k, _ in row]
+    got = {
+        (i, j, k): Fraction(c, alg.scale)
+        for i, plane in enumerate(alg.int_sparse) for j, row in plane for k, c in row
+    }
     want = {
         (i, j, k): alg.table[i][j][k]
         for i in range(n) for j in range(n) for k in range(n)
         if alg.table[i][j][k] != 0
     }
     assert got == want
-    for plane in alg.sparse:
+    table_index = reference_sparse(alg)
+    assert index == [(i, j, k) for i, plane in enumerate(table_index) for j, row in plane for k, _ in row]
+    for plane in alg.int_sparse:
         assert [j for j, _ in plane] == sorted(j for j, _ in plane)
         for _, row in plane:
             assert [k for k, _ in row] == sorted(k for k, _ in row)
@@ -165,12 +173,16 @@ def test_bracket_and_ad_match_dense_sums(name):
     for _ in range(10):
         x = rational_vector(rng, alg.dim)
         y = rational_vector(rng, alg.dim)
-        assert exact_bits(alg.bracket_coords(x, y)) == exact_bits(dense_bracket(alg, x, y))
+        got, want = alg.bracket_coords(x, y), dense_bracket(alg, x, y)
+        assert got == want == reference_bracket_coords(alg, x, y)
+        assert [type(v) for v in got] == [Fraction if v else int for v in want]
         assert alg.ad(x).matrix == alg.ad(alg.element(x)).matrix
         assert [list(r) for r in alg.ad(x).matrix] == dense_ad(alg, x)
         xf = [float(v) / 3 for v in x]
         yf = [float(v) / 7 for v in y]
-        assert exact_bits(alg.bracket_coords(xf, yf)) == exact_bits(dense_bracket(alg, xf, yf))
+        want = exact_bits(dense_bracket(alg, xf, yf))
+        assert exact_bits(alg.bracket_coords(xf, yf, alg.float_sparse)) == want
+        assert exact_bits(reference_bracket_coords(alg, xf, yf)) == want
         got = alg.ad(alg.element(xf, "float")).matrix
         assert [exact_bits(row) for row in got] == [
             exact_bits(float(v) for v in row) for row in dense_ad(alg, xf)
@@ -393,7 +405,7 @@ def test_bracket_defects_list_every_failing_basis_pair(name):
                 col_i = [a[r][i] for r in range(n)]
                 col_j = [a[r][j] for r in range(n)]
                 want = linalg.vec_sub(
-                    linalg.mat_vec(a, alg.table[i][j]), alg.bracket_coords(col_i, col_j)
+                    linalg.mat_vec(a, alg.table[i][j]), reference_bracket_coords(alg, col_i, col_j)
                 )
                 assert found.get((i, j), [0] * n) == want
 
