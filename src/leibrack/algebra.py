@@ -131,13 +131,17 @@ class LeibnizAlgebra:
 
         ``sparse`` is the view to read: ``float_sparse`` for float
         coordinates, or ``int_sparse`` for int ones, whose bracket comes out
-        times ``scale``.  By default x = X / d_x and y = Y / d_y are exact:
-        X and Y are summed on ``int_sparse``, one Fraction per nonzero entry.
+        times ``scale``.  By default exact x = X / d_x and y = Y / d_y are
+        summed as X and Y on ``int_sparse``, one Fraction per nonzero entry,
+        and float coordinates read ``float_sparse``.
         """
         exact = sparse is None
         if exact:
-            (x, d_x), (y, d_y) = linalg.int_vector(x), linalg.int_vector(y)
-            sparse = self.int_sparse
+            try:
+                (x, d_x), (y, d_y) = linalg.int_vector(x), linalg.int_vector(y)
+                sparse = self.int_sparse
+            except AttributeError:  # a float has no denominator
+                exact, sparse = False, self.float_sparse
         out = [0] * self.dim
         for xi, plane in zip(x, sparse):
             if xi == 0:
@@ -155,9 +159,9 @@ class LeibnizAlgebra:
         return out
 
     def bracket(self, x, y):
-        if x.algebra is not self:
+        if x.algebra is not self or y.algebra is not self:
             raise ValueError("elements belong to a different algebra")
-        _, mode = join_elements(x, y)
+        mode = _join_modes(x.mode, y.mode)
         sparse = self.float_sparse if mode == FLOAT else None
         return Element(self, self.bracket_coords(x.coords, y.coords, sparse), mode)
 
@@ -291,6 +295,12 @@ class LeibnizAlgebra:
         return self.nilpotency_class() is not None
 
 
+def _join_modes(a, b):
+    if a != b:
+        raise ValueError(f"mixed scalar modes {a!r} and {b!r}")
+    return a
+
+
 def join_elements(x, y):
     """The algebra and mode two elements, maps or covectors share; ValueError if not.
 
@@ -298,9 +308,7 @@ def join_elements(x, y):
     """
     if x.algebra is not y.algebra:
         raise ValueError("elements belong to a different algebra")
-    if x.mode != y.mode:
-        raise ValueError(f"mixed scalar modes {x.mode!r} and {y.mode!r}")
-    return x.algebra, x.mode
+    return x.algebra, _join_modes(x.mode, y.mode)
 
 
 def _coerce(values, mode):
@@ -425,18 +433,22 @@ class Endomorphism:
     def derivation_residual(self):
         """Largest defect of D[x,y] = [Dx,y] + [x,Dy] over basis pairs.
 
-        Each defect entry is a row of the derivation system (on ``int_sparse``)
-        times vec(D), over ``scale``; an exact D = M / d is scaled to ints first.
+        Each defect entry is a row of the derivation system times vec(D).
+        The rows come from ``int_sparse``: an exact D = M / d meets them as
+        ints, over d * ``scale``; a float D meets each coefficient c / scale,
+        the float of the Fraction coefficient, so no scaled int is converted.
         """
         flat = [x for row in self.matrix for x in row]
-        exact = self.mode == EXACT
-        flat, d = linalg.int_vector(flat) if exact else (flat, 1)
+        scale = self.algebra.scale
+        rows = _derivation_rows(self.algebra.int_sparse)
+        if self.mode == FLOAT:
+            rows = ({col: c / scale for col, c in row.items()} for row in rows)
+        else:
+            flat, d = linalg.int_vector(flat)
         worst = linalg.max_abs(
-            reduce(add, (c * flat[col] for col, c in row.items()), 0)
-            for row in _derivation_rows(self.algebra.int_sparse)
+            reduce(add, (c * flat[col] for col, c in row.items()), 0) for row in rows
         )
-        den = d * self.algebra.scale
-        return Fraction(worst, den) if exact else worst / den
+        return worst if self.mode == FLOAT else Fraction(worst, d * scale)
 
     def is_derivation(self, tol=0):
         return self.derivation_residual() <= tol
@@ -496,7 +508,10 @@ class Subspace:
 
     def __init__(self, algebra, basis_rows):
         self.algebra = algebra
-        self.basis_rows, self.pivots = linalg.rref(basis_rows)
+        rows = [list(map(Fraction, row)) for row in basis_rows]
+        reduced, pivots = linalg.rref(rows) if rows else ([], [])
+        self.basis_rows = reduced
+        self.pivots = pivots
 
     @property
     def dim(self):
@@ -535,15 +550,15 @@ def left_center(algebra):
     For a left Leibniz algebra this is a two-sided ideal containing all
     squares [x, x], and the quotient by it is a Lie algebra.  The nullspace
     does not change when the table is scaled, so its sparse rows come from
-    ``int_sparse``; ``linalg.sparse_nullspace`` solves them modulo a prime
-    and checks the basis on ints.
+    ``int_sparse``; ``linalg.nullspace`` solves them modulo a prime and
+    checks the basis on ints.
     """
     rows = {}  # (j, k) -> the row {i: scale * c[i][j][k]}
     for i, plane in enumerate(algebra.int_sparse):
         for j, entries in plane:
             for k, c in entries:
                 rows.setdefault((j, k), {})[i] = c
-    basis = linalg.sparse_nullspace([rows[key] for key in sorted(rows)], algebra.dim)
+    basis = linalg.nullspace([rows[key] for key in sorted(rows)], cols=algebra.dim)
     return Subspace(algebra, basis)
 
 
@@ -621,7 +636,7 @@ def derivation_algebra(algebra):
     The rows of ``_derivation_rows`` come from ``int_sparse``, and rows that
     repeat up to a scalar are eliminated once (first occurrence, as a
     primitive int row): the reduced echelon basis of the nullspace depends
-    only on the row space, which no scaling changes.  ``linalg.sparse_nullspace``
+    only on the row space, which no scaling changes.  ``linalg.nullspace``
     solves those rows modulo a prime, rebuilds the rational basis and
     checks it against every row on ints, so the basis is exact.  Returns a
     DerivationSummary whose basis matrices are the reduced-echelon
@@ -630,7 +645,7 @@ def derivation_algebra(algebra):
     n = algebra.dim
     unique = dict.fromkeys(map(_primitive, _derivation_rows(algebra.int_sparse)))
     unique.pop((), None)
-    flat_basis = linalg.sparse_nullspace(list(unique), n * n)
+    flat_basis = linalg.nullspace(list(map(dict, unique)), cols=n * n)
     basis = [
         Endomorphism(algebra, [row[k * n : (k + 1) * n] for k in range(n)]) for row in flat_basis
     ]

@@ -13,15 +13,15 @@ canonical Fractions only at the end.  ``inverse`` and ``float_inverse``
 divide the right half of the echelon rows of ``[matrix | I]`` by their
 pivots, into Fractions or into floats; ``rank`` reads the int rows.
 ``nullspace`` solves modulo a prime instead (Dixon, Numer. Math. 40, 1982;
-von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5) in
-``sparse_nullspace``, on sparse int rows as the structural kernels build
-them: it takes the reduced echelon form of the int rows mod p and of the
-kernel vectors read off it, rebuilds each entry as a rational, and checks
-on ints that every row annihilates every vector.  The check makes the
-answer exact: the rank mod p is at most the rank over Q, so N - rank_p
-independent vectors that pass it span the whole kernel.  The primes are
-the Mersenne primes of ``PRIMES``, smallest first; when no rung passes,
-the fraction-free elimination runs.
+von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5), on dense rows
+or on the sparse int rows the structural kernels build: it takes the
+reduced echelon form of the int rows mod p and of the kernel vectors read
+off it, rebuilds each entry as a rational, and checks on ints that every
+row annihilates every vector.  The check makes the answer exact: the rank
+mod p is at most the rank over Q, so N - rank_p independent vectors that
+pass it span the whole kernel.  The primes are the Mersenne primes of
+``PRIMES``, smallest first; when no rung passes, the fraction-free
+elimination runs.
 ``echelon`` is also the step of ``LeibnizAlgebra.nilpotency_class``, which
 hands it int rows built from ``int_sparse``.  ``pack`` and ``unpack`` hold an
 int vector in one int, with fixed-width signed slots (Kronecker
@@ -345,36 +345,29 @@ def rank(matrix):
 def nullspace(matrix, cols=None):
     """Canonical basis of the right nullspace, rows in reduced echelon form.
 
-    Every row must have ``cols`` entries (by default, as many as the first
-    row); a ValueError names both lengths otherwise.  ``sparse_nullspace``
-    solves the int rows.
+    The rows are dense, each with ``cols`` entries (by default, as many as
+    the first row; a ValueError names both lengths otherwise), or sparse int
+    rows as the structural kernels build them: dicts ``{column: x}``, zero
+    entries left out, with ``cols`` given.  The int rows go to
+    ``_modular_nullspace`` with each prime of ``PRIMES`` in turn, and the
+    first basis that passes its exact check is the answer.  A rung fails
+    when an entry has no rational with |num|, den <= sqrt(p / 2) (p too
+    small for the answer) or when a vector misses a row (p divides a minor
+    that decides the rank).  When every rung fails, the fraction-free
+    elimination runs on the dense int rows: free column f gives L at f and
+    -row[f] * (L // pivot) at each pivot of the echelon rows, L the lcm of
+    the pivots, and ``rref`` makes the basis canonical.
     """
     if cols is None:
         cols = len(matrix[0]) if matrix else 0
-    for i, row in enumerate(matrix):
-        if len(row) != cols:
-            raise ValueError(f"row {i} has length {len(row)}, expected cols = {cols}")
-    rows = [{j: x for j, x in enumerate(row) if x} for row in _int_rows(matrix)[0]]
-    return sparse_nullspace(rows, cols)
-
-
-def sparse_nullspace(rows, cols):
-    """The canonical nullspace basis of sparse int rows, as ``nullspace`` returns it.
-
-    Each row is a dict ``{column: x}`` or a sequence of ``(column, x)``
-    pairs, its zero entries left out.  The rows go to ``_modular_nullspace``
-    with each prime of ``PRIMES`` in turn, and the first basis that passes
-    its exact check is the answer.  A rung fails when an entry has no
-    rational with |num|, den <= sqrt(p / 2) (p too small for the answer) or
-    when a vector misses a row (p divides a minor that decides the rank).
-    When every rung fails, the fraction-free elimination runs on the dense
-    int rows: free column f gives L at f and -row[f] * (L // pivot) at each
-    pivot of the echelon rows, L the lcm of the pivots, and ``rref`` makes
-    the basis canonical.
-    """
+    rows = matrix
+    if matrix and not isinstance(matrix[0], dict):
+        for i, row in enumerate(matrix):
+            if len(row) != cols:
+                raise ValueError(f"row {i} has length {len(row)}, expected cols = {cols}")
+        rows = [{j: x for j, x in enumerate(row) if x} for row in _int_rows(matrix)[0]]
     if not rows:
         return [r[:] for r in identity_matrix(cols)]
-    rows = [dict(row) for row in rows]
     for p in PRIMES:
         basis = _modular_nullspace(rows, cols, p)
         if basis is not None:

@@ -1,11 +1,16 @@
 """Rack cocycle of a left-center extension: exact defect vs. series formula."""
 
+import random
+from functools import partial
+
 import pytest
 
 from leibrack.cocycle import SERIES_SIGN, rack_cocycle_exact, rack_cocycle_series
 from leibrack.extension import build_extension
-from leibrack.racks import bass_product
+from leibrack.racks import bass_product, block_exp_action
 from leibrack.sampling import sample_elements
+
+from helpers import random_invertible, rebase, reference_bracket_coords
 
 
 def quotient_pairs(ext, count, seed):
@@ -86,3 +91,31 @@ def test_cocycle_vanishes_when_section_is_a_morphism(hs1n):
     g = ext.quotient.basis_element(0)
     assert rack_cocycle_exact(ext, g, g).is_zero()
     assert rack_cocycle_series(ext, g, g, order=2).is_zero()
+
+
+def reference_series(ext, x, y, order):
+    """The series with both brackets summed on the dense Fraction tables."""
+    alg, quot = ext.algebra, ext.quotient
+    lift = partial(reference_bracket_coords, alg, ext.section(x).coords)
+    omega = lambda v: ext.omega(x, quot.element(v, x.mode)).coords  # noqa: E731
+    ad_x = partial(reference_bracket_coords, quot, x.coords)
+    corner = block_exp_action(lift, omega, ad_x, alg.dim, y.coords, order)
+    return SERIES_SIGN * alg.element(corner, x.mode)
+
+
+@pytest.mark.parametrize("name", ["leib2", "heisenberg", "freenil3", "freenil3-rebased"])
+def test_float_series_has_the_bits_of_the_fraction_tables(corpus, name):
+    # float quotient elements take the default bracket view, which must read
+    # float_sparse; the rebased table has non-dyadic constants (scale > 1)
+    alg = corpus[name.removesuffix("-rebased")]
+    if name.endswith("-rebased"):
+        alg = rebase(alg, random_invertible(random.Random(7), alg.dim), name)
+        assert alg.scale > 1
+    ext = build_extension(alg)
+    for x, y in quotient_pairs(ext, 6, seed=22):
+        assert rack_cocycle_series(ext, x, y, order=4) == reference_series(ext, x, y, 4)
+        xf, yf = x.to_float(), y.to_float()
+        got = rack_cocycle_series(ext, xf, yf, order=4)
+        assert got.mode == "float"
+        want = reference_series(ext, xf, yf, 4)
+        assert list(map(repr, got.coords)) == list(map(repr, want.coords))

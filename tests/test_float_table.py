@@ -13,14 +13,16 @@ run on a table beyond the float range never converts it.
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibrack import cli, linalg
-from leibrack.algebra import Endomorphism, LeibnizAlgebra
+from leibrack.algebra import Endomorphism, LeibnizAlgebra, _derivation_rows
 from leibrack.bch import evaluate_word_table, log_word_table
 from leibrack.corpus import corpus_path, load_corpus
 from leibrack.io import load_algebra
@@ -150,6 +152,30 @@ def test_require_float_table_names_an_entry_beyond_the_float_range():
     cli.require_float_table(LeibnizAlgebra(_hard_table(HARD_ENTRIES)))
 
 
+def reference_derivation_residual_bits(endo):
+    """Float ``derivation_residual`` on the rows of the Fraction index, made float per term."""
+    flat = [x for row in endo.matrix for x in row]
+    return linalg.max_abs(
+        reduce(add, (c * flat[col] for col, c in row.items()), 0)
+        for row in _derivation_rows(reference_sparse(endo.algebra))
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), name=st.sampled_from(list(ALGEBRAS) + ["hard"]))
+def test_float_derivation_residual_has_the_bits_of_the_fraction_rows(data, name):
+    # "hard" holds entries whose scaled ints, and whose lcm scale, are beyond
+    # the float range, while each entry is a finite float
+    alg = ALGEBRAS.get(name) or LeibnizAlgebra(_hard_table(HARD_ENTRIES))
+    n = alg.dim
+    cells = st.lists(FLOATS, min_size=n * n, max_size=n * n)
+    flat = data.draw(cells, label="D")
+    endo = Endomorphism(alg, [flat[m * n : (m + 1) * n] for m in range(n)], FLOAT)
+    got = endo.derivation_residual()
+    assert type(got) is float or got == 0
+    assert repr(got) == repr(reference_derivation_residual_bits(endo))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), name=st.sampled_from(list(ALGEBRAS)))
 def test_float_bracket_and_ad_have_the_bits_of_the_fraction_table(data, name):
@@ -158,6 +184,7 @@ def test_float_bracket_and_ad_have_the_bits_of_the_fraction_table(data, name):
     y = data.draw(st.lists(FLOATS, min_size=alg.dim, max_size=alg.dim), label="y")
     want = bits(reference_bracket_coords(alg, x, y))
     assert bits(alg.bracket_coords(x, y, alg.float_sparse)) == want
+    assert bits(alg.bracket_coords(x, y)) == want  # the default reads float_sparse too
     ex, ey = alg.element(x, FLOAT), alg.element(y, FLOAT)
     assert bits(ex.bracket(ey).coords) == bits(float(v) for v in want)
     assert matrix_bits(alg.ad(ex).matrix) == matrix_bits(reference_ad(alg, x))

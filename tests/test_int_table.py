@@ -112,19 +112,25 @@ def test_derivation_algebra_matches_the_fraction_nullspace(name):
     assert got.dim_inner == dim_inner
 
 
-def test_structural_nullspaces_skip_the_dense_front(monkeypatch):
+def test_structural_nullspaces_hand_sparse_rows_to_nullspace(monkeypatch):
     # left_center and derivation_algebra hand their sparse int rows to
-    # linalg.sparse_nullspace; no dense row is built on the way
-    def dense(*args, **kwargs):
-        raise AssertionError("the dense nullspace front was called")
+    # linalg.nullspace; no dense row is built on the way
+    solve, seen = linalg.nullspace, []
 
-    monkeypatch.setattr(linalg, "nullspace", dense)
+    def spy(rows, cols=None):
+        seen.append(cols)
+        assert all(type(row) is dict and all(type(x) is int for x in row.values()) for row in rows)
+        return solve(rows, cols)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
     for alg in (REBASED["n4-rebased"], LADDER["n5"]):
+        seen.clear()
         assert left_center(alg).basis_rows == reference_left_center_rows(alg)
         basis, dim_inner = reference_derivations(alg)
         got = derivation_algebra(alg)
         assert [[x for row in d.matrix for x in row] for d in got.basis] == basis
         assert got.dim_inner == dim_inner
+        assert seen == [alg.dim, alg.dim**2]
 
 
 def test_rebased_n5_derivations_need_the_second_prime(rungs):

@@ -181,6 +181,7 @@ def test_bracket_and_ad_match_dense_sums(name):
         xf = [float(v) / 3 for v in x]
         yf = [float(v) / 7 for v in y]
         want = exact_bits(dense_bracket(alg, xf, yf))
+        assert exact_bits(alg.bracket_coords(xf, yf)) == want
         assert exact_bits(alg.bracket_coords(xf, yf, alg.float_sparse)) == want
         assert exact_bits(reference_bracket_coords(alg, xf, yf)) == want
         got = alg.ad(alg.element(xf, "float")).matrix

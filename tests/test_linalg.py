@@ -480,16 +480,13 @@ def test_nullspace_moves_past_an_unlucky_prime(rungs):
 
 
 @pytest.mark.parametrize("bits", [50, 100, 400, 700])
-def test_sparse_nullspace_runs_the_same_rungs_on_dict_and_pair_rows(rungs, bits):
+def test_nullspace_runs_the_same_rungs_on_dense_and_sparse_rows(rungs, bits):
     a, b = 2**bits + 1, 2**bits - 1
     want = linalg.nullspace([[a, b, 0], [0, 0, 0]])
     tried = rungs[:]
-    for rows in ([{0: a, 1: b}, {}], [((0, a), (1, b)), ()]):
-        rungs.clear()
-        assert linalg.sparse_nullspace(rows, 3) == want == [[1, F(-a, b), 0], [0, 0, 1]]
-        assert rungs == tried
     rungs.clear()
-    assert linalg.sparse_nullspace([], 3) == linalg.identity_matrix(3) and rungs == []
+    assert linalg.nullspace([{0: a, 1: b}, {}], cols=3) == want == [[1, F(-a, b), 0], [0, 0, 1]]
+    assert rungs == tried
 
 
 def test_nullspace_rejects_a_row_of_the_wrong_length():
