@@ -175,8 +175,7 @@ def generating_series_terms(x, y, xi, order=DEFAULT_FLOAT_ORDER):
     """
     limit = None if x.mode == "exact" else order
     alg = x.algebra
-    sparse = None if limit is None else alg.float_sparse
-    ad_x = partial(alg.bracket_coords, x.coords, sparse=sparse)
+    ad_x = partial(alg.bracket_coords, x.coords)
     series = exp_terms(ad_x, y.coords, limit)
     terms = [linalg.vec_dot(xi.coords, term) for term in series]
     return terms if limit is None else terms + [0.0] * (order + 1 - len(terms))
@@ -194,11 +193,10 @@ def generating_gradients(x, y, xi, order=DEFAULT_FLOAT_ORDER):
     """
     alg = x.algebra
     bound = alg.dim if x.mode == "exact" else order
-    sparse = None if x.mode == EXACT else alg.float_sparse
-    ad_x = partial(alg.bracket_coords, x.coords, sparse=sparse)
+    ad_x = partial(alg.bracket_coords, x.coords)
 
     def corner(e):
-        ad_e = partial(alg.bracket_coords, e, sparse=sparse)
+        ad_e = partial(alg.bracket_coords, e)
         return block_exp_action(ad_x, ad_e, ad_x, alg.dim, y.coords, bound)
 
     d_x = [linalg.vec_dot(xi.coords, corner(e)) for e in linalg.identity_matrix(alg.dim, x.mode)]
