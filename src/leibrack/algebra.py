@@ -22,7 +22,10 @@ to 0.0 included); it is built on its first use, so an exact run never
 converts the table (a coefficient beyond the float range would raise
 ``OverflowError`` there).
 
-* ``int_sparse`` serves every exact kernel: exact ``bracket_coords`` and
+``bracket_coords`` sums on the view it is given; ``left_bracket`` picks
+the view from a scalar mode, as every element-level bracket does.
+
+* ``int_sparse`` serves every exact kernel: exact ``left_bracket`` and
   ``ad``, ``bracket_defects``, ``derivation_residual``, the Leibniz check,
   ``is_lie``, ``nilpotency_class``, ``left_center``, ``derivation_algebra``,
   the extension data and laws, the exact Poisson bracket, the Hessian, the
@@ -33,7 +36,7 @@ converts the table (a coefficient beyond the float range would raise
   Leibniz check and the two extension laws pack each int row into one int
   (``linalg.pack``), so a whole scaled row is one int multiply-add and a
   zero residual is a zero int.
-* ``float_sparse`` serves float ``bracket_coords`` and ``ad``, the float
+* ``float_sparse`` serves float ``left_bracket`` and ``ad``, the float
   Poisson bracket and the float BCH word sum.  A Fraction times a float is
   computed as ``float(c)`` times the float, so reading the converted entry
   gives the bits of the Fraction table without the conversion on every term.
@@ -44,7 +47,7 @@ results are bit-for-bit those of the dense sums.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from math import gcd, lcm
 from operator import add
 
@@ -126,22 +129,13 @@ class LeibnizAlgebra:
 
     # -- bracket and adjoint operators ----------------------------------------
 
-    def bracket_coords(self, x, y, sparse=None):
+    def bracket_coords(self, x, y, sparse):
         """Bracket of two coordinate vectors, returned as a coordinate vector.
 
         ``sparse`` is the view to read: ``float_sparse`` for float
         coordinates, or ``int_sparse`` for int ones, whose bracket comes out
-        times ``scale``.  By default exact x = X / d_x and y = Y / d_y are
-        summed as X and Y on ``int_sparse``, one Fraction per nonzero entry,
-        and float coordinates read ``float_sparse``.
+        times ``scale``.
         """
-        exact = sparse is None
-        if exact:
-            try:
-                (x, d_x), (y, d_y) = linalg.int_vector(x), linalg.int_vector(y)
-                sparse = self.int_sparse
-            except AttributeError:  # a float has no denominator
-                exact, sparse = False, self.float_sparse
         out = [0] * self.dim
         for xi, plane in zip(x, sparse):
             if xi == 0:
@@ -153,17 +147,33 @@ class LeibnizAlgebra:
                 w = xi * yj
                 for k, c in row:
                     out[k] = out[k] + w * c
-        if exact:
-            den = d_x * d_y * self.scale
-            return [Fraction(v, den) if v else 0 for v in out]
         return out
 
+    def left_bracket(self, x, mode):
+        """y -> [x, y] on coordinate lists, for coordinates x of the mode.
+
+        Exact x = X / d_x is scaled to ints once; each y = Y / d_y is summed
+        as Y on ``int_sparse`` by ``bracket_coords`` and comes back with one
+        Fraction per nonzero entry over d_x·d_y·``scale`` (zero entries are
+        the int 0).  Float x reads ``float_sparse``.
+        """
+        if mode == FLOAT:
+            return partial(self.bracket_coords, x, sparse=self.float_sparse)
+        ints, d_x = linalg.int_vector(x)
+        den_x = d_x * self.scale
+
+        def apply(y):
+            y, d_y = linalg.int_vector(y)
+            out, den = self.bracket_coords(ints, y, self.int_sparse), den_x * d_y
+            return [Fraction(v, den) if v else 0 for v in out]
+
+        return apply
+
     def bracket(self, x, y):
-        if x.algebra is not self or y.algebra is not self:
+        if x.algebra is not self:
             raise ValueError("elements belong to a different algebra")
-        mode = _join_modes(x.mode, y.mode)
-        sparse = self.float_sparse if mode == FLOAT else None
-        return Element(self, self.bracket_coords(x.coords, y.coords, sparse), mode)
+        _, mode = join_elements(x, y)
+        return Element(self, self.left_bracket(x.coords, mode)(y.coords), mode)
 
     def ad(self, x):
         """Left multiplication operator ad_x = [x, .] as an endomorphism.
@@ -295,12 +305,6 @@ class LeibnizAlgebra:
         return self.nilpotency_class() is not None
 
 
-def _join_modes(a, b):
-    if a != b:
-        raise ValueError(f"mixed scalar modes {a!r} and {b!r}")
-    return a
-
-
 def join_elements(x, y):
     """The algebra and mode two elements, maps or covectors share; ValueError if not.
 
@@ -308,7 +312,9 @@ def join_elements(x, y):
     """
     if x.algebra is not y.algebra:
         raise ValueError("elements belong to a different algebra")
-    return x.algebra, _join_modes(x.mode, y.mode)
+    if x.mode != y.mode:
+        raise ValueError(f"mixed scalar modes {x.mode!r} and {y.mode!r}")
+    return x.algebra, x.mode
 
 
 def _coerce(values, mode):
@@ -392,10 +398,6 @@ class Endomorphism:
     def __repr__(self):
         return f"<Endomorphism {self.mode} on dim {self.algebra.dim}>"
 
-    @classmethod
-    def identity(cls, algebra, mode=EXACT):
-        return cls(algebra, linalg.identity_matrix(algebra.dim, mode), mode)
-
     def __call__(self, x):
         alg, mode = join_elements(self, x)
         return Element(alg, linalg.mat_vec(self.matrix, x.coords), mode)
@@ -403,20 +405,6 @@ class Endomorphism:
     def __matmul__(self, other):
         alg, mode = join_elements(self, other)
         return Endomorphism(alg, linalg.mat_mul(self.matrix, other.matrix), mode)
-
-    def __add__(self, other):
-        alg, mode = join_elements(self, other)
-        return Endomorphism(alg, linalg.mat_add(self.matrix, other.matrix), mode)
-
-    def __sub__(self, other):
-        alg, mode = join_elements(self, other)
-        return Endomorphism(alg, linalg.mat_sub(self.matrix, other.matrix), mode)
-
-    def __neg__(self):
-        return Endomorphism(self.algebra, linalg.mat_scale(-1, self.matrix), self.mode)
-
-    def __rmul__(self, scalar):
-        return Endomorphism(self.algebra, linalg.mat_scale(scalar, self.matrix), self.mode)
 
     def distance(self, other):
         join_elements(self, other)
@@ -533,15 +521,6 @@ class Subspace:
 
     def contains(self, element):
         return self.coefficients(element.coords) is not None
-
-    def coordinates(self, element):
-        got = self.coefficients(element.coords)
-        if got is None:
-            raise ValueError("element does not lie in the subspace")
-        return got
-
-    def elements(self, mode=EXACT):
-        return [Element(self.algebra, row, mode) for row in self.basis_rows]
 
 
 def left_center(algebra):

@@ -12,7 +12,7 @@ reduced-echelon basis of Z, one per basis vector of q.
   basis row with pivot p_b); ``pi_matrix`` holds it as a matrix,
 * the cocycle table omega(x, y) = s([x, y]) - [s(x), s(y)] takes values in
   Z (the "section defect" sign convention; the bracket that rebuilds h uses
-  its negative, exposed as ``extension_omega``).  On basis vectors it is
+  its negative).  On basis vectors it is
   -z for v = [s(x), s(y)], so one split of each bracket gives both the
   quotient table and omega, and omega lies in Z by construction.
 
@@ -66,10 +66,6 @@ class ExtensionData:
                     if c:
                         coords[k] = coords[k] + w * c
         return Element(self.algebra, coords, x.mode)
-
-    def extension_omega(self, x, y):
-        """The cocycle signed as it appears in the reconstruction bracket."""
-        return -self.omega(x, y)
 
 
 def build_extension(algebra):

@@ -55,13 +55,6 @@ def pair_defect(pair):
     return f"fraction {num}/{den} is not in lowest terms"
 
 
-def pair_to_fraction(pair, where):
-    value = checked_fraction(pair)
-    if value is None:
-        raise InterchangeError(f"{where}: {pair_defect(pair)}")
-    return value
-
-
 def fraction_to_pair(value):
     f = Fraction(value)
     return [f.numerator, f.denominator]

@@ -13,13 +13,13 @@ canonical Fractions only at the end.  ``inverse`` and ``float_inverse``
 divide the right half of the echelon rows of ``[matrix | I]`` by their
 pivots, into Fractions or into floats; ``rank`` reads the int rows.
 ``nullspace`` solves modulo a prime instead (Dixon, Numer. Math. 40, 1982;
-von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5), on dense rows
-or on the sparse int rows the structural kernels build: it takes the
-reduced echelon form of the int rows mod p and of the kernel vectors read
-off it, rebuilds each entry as a rational, and checks on ints that every
-row annihilates every vector.  The check makes the answer exact: the rank
-mod p is at most the rank over Q, so N - rank_p independent vectors that
-pass it span the whole kernel.  The primes are the Mersenne primes of
+von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5), on the sparse
+int rows (dicts) the structural kernels build: it takes the reduced
+echelon form of the int rows mod p and of the kernel vectors read off it,
+rebuilds each entry as a rational, and checks on ints that every row
+annihilates every vector.  The check makes the answer exact: the rank mod
+p is at most the rank over Q, so N - rank_p independent vectors that pass
+it span the whole kernel.  The primes are the Mersenne primes of
 ``PRIMES``, smallest first; when no rung passes, the fraction-free
 elimination runs.
 ``echelon`` is also the step of ``LeibnizAlgebra.nilpotency_class``, which
@@ -268,10 +268,6 @@ def mat_scale(c, a):
     return [vec_scale(c, row) for row in a]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def mat_norm_1(a):
     """Maximum absolute column sum."""
     return max((reduce(add, map(abs, col), 0) for col in zip(*a)), default=0)
@@ -342,30 +338,20 @@ def rank(matrix):
     return len(echelon(_int_rows(matrix)[0])[1])
 
 
-def nullspace(matrix, cols=None):
+def nullspace(rows, cols):
     """Canonical basis of the right nullspace, rows in reduced echelon form.
 
-    The rows are dense, each with ``cols`` entries (by default, as many as
-    the first row; a ValueError names both lengths otherwise), or sparse int
-    rows as the structural kernels build them: dicts ``{column: x}``, zero
-    entries left out, with ``cols`` given.  The int rows go to
-    ``_modular_nullspace`` with each prime of ``PRIMES`` in turn, and the
-    first basis that passes its exact check is the answer.  A rung fails
-    when an entry has no rational with |num|, den <= sqrt(p / 2) (p too
-    small for the answer) or when a vector misses a row (p divides a minor
-    that decides the rank).  When every rung fails, the fraction-free
+    The rows are sparse int rows as the structural kernels build them:
+    dicts ``{column: x}`` over ``cols`` columns, zero entries left out.
+    They go to ``_modular_nullspace`` with each prime of ``PRIMES`` in
+    turn, and the first basis that passes its exact check is the answer.
+    A rung fails when an entry has no rational with |num|, den <=
+    sqrt(p / 2) (p too small for the answer) or when a vector misses a row
+    (p divides a minor that decides the rank).  When every rung fails, the fraction-free
     elimination runs on the dense int rows: free column f gives L at f and
     -row[f] * (L // pivot) at each pivot of the echelon rows, L the lcm of
     the pivots, and ``rref`` makes the basis canonical.
     """
-    if cols is None:
-        cols = len(matrix[0]) if matrix else 0
-    rows = matrix
-    if matrix and not isinstance(matrix[0], dict):
-        for i, row in enumerate(matrix):
-            if len(row) != cols:
-                raise ValueError(f"row {i} has length {len(row)}, expected cols = {cols}")
-        rows = [{j: x for j, x in enumerate(row) if x} for row in _int_rows(matrix)[0]]
     if not rows:
         return [r[:] for r in identity_matrix(cols)]
     for p in PRIMES:

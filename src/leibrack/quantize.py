@@ -27,7 +27,6 @@ returned as per-order polynomial coefficients, never numbers.
 """
 
 from fractions import Fraction
-from functools import partial
 
 from . import linalg
 from .linalg import EXACT
@@ -55,7 +54,7 @@ def quantum_rack_action(x, observable, order=DEFAULT_FLOAT_ORDER, cache=None):
         cache = [] if cache is None else cache
         if not cache:
             alg = x.algebra
-            cache.append(int_exp_columns(*int_ad(alg, *int_vector(x.coords)), alg.dim))
+            cache.append(int_exp_columns(*int_ad(alg, x.coords), alg.dim))
         return observable.substitute_linear(*cache[0])
     mat = exp_ad(x, order).matrix
     return observable.substitute_linear([list(column) for column in zip(*mat)])
@@ -175,8 +174,7 @@ def generating_series_terms(x, y, xi, order=DEFAULT_FLOAT_ORDER):
     """
     limit = None if x.mode == "exact" else order
     alg = x.algebra
-    ad_x = partial(alg.bracket_coords, x.coords)
-    series = exp_terms(ad_x, y.coords, limit)
+    series = exp_terms(alg.left_bracket(x.coords, x.mode), y.coords, limit)
     terms = [linalg.vec_dot(xi.coords, term) for term in series]
     return terms if limit is None else terms + [0.0] * (order + 1 - len(terms))
 
@@ -193,10 +191,10 @@ def generating_gradients(x, y, xi, order=DEFAULT_FLOAT_ORDER):
     """
     alg = x.algebra
     bound = alg.dim if x.mode == "exact" else order
-    ad_x = partial(alg.bracket_coords, x.coords)
+    ad_x = alg.left_bracket(x.coords, x.mode)
 
     def corner(e):
-        ad_e = partial(alg.bracket_coords, e)
+        ad_e = alg.left_bracket(e, x.mode)
         return block_exp_action(ad_x, ad_e, ad_x, alg.dim, y.coords, bound)
 
     d_x = [linalg.vec_dot(xi.coords, corner(e)) for e in linalg.identity_matrix(alg.dim, x.mode)]

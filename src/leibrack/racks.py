@@ -17,7 +17,7 @@ exact series loop, yields A^k v / k! on one vector, up to the first
 vanishing term or a limit, and ``exp_action`` sums them.  Their int form is
 the exact exp(ad_x) kernel (von zur Gathen & Gerhard, *Modern Computer
 Algebra*, ch. 5): ``int_ad`` reads the int matrix s·ad_x, s = d_x·scale,
-off ``algebra.int_sparse`` by columns for x = X / d_x, and the sum
+off ``algebra.int_sparse`` by columns for rational x = X / d_x, and the sum
 T <- T·k·s + (s·ad_x)^k V runs over the one running denominator K!·s^K.
 ``exact_exp_action`` runs it on one vector v = V / d_v and makes one
 canonical Fraction per coordinate (v itself when ad_x v = 0): exact
@@ -30,8 +30,8 @@ with exp(ad_{a(x)}) e_j column by column on ints, with no inverse and no
 matrix product.  ``block_exp_action`` runs the rational series of
 ``exp_terms`` on [[A, M], [0, B]], whose exponential holds
 sum A^p M B^q / (p+q+1)! in its corner: the rack cocycle series and the
-x-gradient of the generating function, with exact ``bracket_coords`` (on
-``int_sparse``) as A and B.
+x-gradient of the generating function, with ``left_bracket`` maps as A and
+B (exact x scaled to ints once, each vector summed on ``int_sparse``).
 
 Float mode keeps the truncated Taylor matrix series with scaling and
 squaring (Moler & Van Loan, SIAM Rev. 45(1), 2003): it rejects a matrix
@@ -113,13 +113,14 @@ def exp_action(apply, v, limit=None, step=None):
     return total, den
 
 
-def int_ad(algebra, x, d=1):
-    """ad_{x/d} on ints for an int list x: (columns, s) with s = d·scale.
+def int_ad(algebra, x):
+    """ad_x on ints for a rational list x = X / d: (columns, s) with s = d·scale.
 
     ``columns`` lists (j, ((k, a), ...)) for the nonzero columns of the int
-    matrix s·ad_{x/d}, read off ``algebra.int_sparse``:
-    a = sum_i x_i·c[i][j][k]·scale, nonzero.
+    matrix s·ad_x, read off ``algebra.int_sparse``:
+    a = sum_i X_i·c[i][j][k]·scale, nonzero.
     """
+    x, d = int_vector(x)
     found = {}
     for xi, plane in zip(x, algebra.int_sparse):
         if xi:
@@ -274,7 +275,7 @@ def bass_product(x, y, order=DEFAULT_FLOAT_ORDER):
     """x > y = exp(ad_x)(y)."""
     alg = x.algebra
     if x.mode == y.mode == EXACT:
-        return Element(alg, exact_exp_action(*int_ad(alg, *int_vector(x.coords)), y.coords))
+        return Element(alg, exact_exp_action(*int_ad(alg, x.coords), y.coords))
     return exp_ad(x, order)(y)
 
 
@@ -282,8 +283,7 @@ def coadjoint(x, xi, order=DEFAULT_FLOAT_ORDER):
     """Coadjoint rack action on covectors: xi composed with exp(-ad_x)."""
     alg = x.algebra
     if x.mode == xi.mode == EXACT:
-        ints, d = int_vector(x.coords)
-        neg = int_ad(alg, [-c for c in ints], d)
+        neg = int_ad(alg, [-c for c in x.coords])
         return Covector(alg, exact_exp_action(*neg, xi.coords, transpose=True))
     mat = exp_ad(-x, order).matrix
     return Covector(alg, linalg.vec_mat(xi.coords, mat), xi.mode)
@@ -395,11 +395,11 @@ def exact_conjugation_residual(z, x):
     """
     alg = z.algebra
     n = alg.dim
-    ad_z, s_z = int_ad(alg, *int_vector(z.coords))
+    ad_z, s_z = int_ad(alg, z.coords)
     neg = [(j, tuple((k, -a) for k, a in col)) for j, col in ad_z]
-    ad_x = int_ad(alg, *int_vector(x.coords))
+    ad_x = int_ad(alg, x.coords)
     ax = exact_exp_action(ad_z, s_z, x.coords)
-    rhs, rhs_den = int_exp_columns(*int_ad(alg, *int_vector(ax)), n)
+    rhs, rhs_den = int_exp_columns(*int_ad(alg, ax), n)
     maps = [(int_apply(m, n), s) for m, s in ((neg, s_z), ad_x, (ad_z, s_z))]
     worst, worst_den = 0, 1
     for j, want in enumerate(rhs):

@@ -52,6 +52,21 @@ def reference_bracket_coords(alg, x, y):
     return out
 
 
+def sparse_int_rows(matrix):
+    """The rows of a dense matrix in the row format of ``linalg.nullspace``.
+
+    Each row is scaled by the lcm of its denominators (a pure int row by 1)
+    and returned as a dict ``{column: int}`` of its nonzero entries; scaling
+    a row keeps the row space.
+    """
+    rows = []
+    for row in matrix:
+        row = [Fraction(x) for x in row]
+        d = lcm(*(x.denominator for x in row))
+        rows.append({j: x.numerator * (d // x.denominator) for j, x in enumerate(row) if x})
+    return rows
+
+
 def make_table(dim, entries):
     """Build a dense structure-constant table from a sparse description.
 
@@ -327,7 +342,7 @@ def reference_reconstruction_violations(ext):
     alg = ext.algebra
     quot = ext.quotient
     violations = []
-    center_elements = ext.center.elements() + [alg.zero()]
+    center_elements = [Element(alg, row) for row in ext.center.basis_rows] + [alg.zero()]
     for i, x in enumerate(quot.basis_elements()):
         sx = ext.section(x)
         for j, y in enumerate(quot.basis_elements()):
@@ -838,7 +853,7 @@ def reference_exp_endo(endo):
 
     units = linalg.identity_matrix(endo.algebra.dim)
     columns = [exp_action(apply, unit) for unit in units]
-    return Endomorphism(endo.algebra, linalg.transpose(columns))
+    return Endomorphism(endo.algebra, [list(row) for row in zip(*columns)])
 
 
 def reference_quantum_rack_action(x, observable):

@@ -109,12 +109,15 @@ def test_derivation_dims(corpus, name):
         assert d.is_derivation()
 
 
+def commutator(a, b):
+    return Endomorphism(a.algebra, linalg.mat_sub((a @ b).matrix, (b @ a).matrix))
+
+
 def test_derivations_closed_under_commutator(heisenberg):
     basis = derivation_algebra(heisenberg).basis
     for a in basis:
         for b in basis:
-            comm = a @ b - b @ a
-            assert comm.is_derivation()
+            assert commutator(a, b).is_derivation()
 
 
 def test_derivation_bracket_with_inner(heisenberg):
@@ -123,7 +126,7 @@ def test_derivation_bracket_with_inner(heisenberg):
     for d in basis:
         for x in heisenberg.basis_elements():
             adx = heisenberg.ad(x)
-            lhs = d @ adx - adx @ d
+            lhs = commutator(d, adx)
             rhs = heisenberg.ad(d(x))
             assert lhs.distance(rhs) == 0
 
@@ -199,8 +202,10 @@ def test_mode_mixing_rejected(heisenberg):
     floaty = exact.to_float()
     with pytest.raises(ValueError):
         exact + floaty
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mixed scalar modes 'exact' and 'float'$"):
         exact.bracket(floaty)
+    with pytest.raises(ValueError, match="^mixed scalar modes 'float' and 'exact'$"):
+        heisenberg.bracket(floaty, exact)
 
 
 @pytest.mark.parametrize("other", ["freenil3", "heisenberg-copy"])
@@ -245,8 +250,12 @@ def test_table_keeps_fractions_and_converts_the_rest():
     assert hash(alg) == hash(LeibnizAlgebra(converted))
 
 
+def identity(algebra):
+    return Endomorphism(algebra, linalg.identity_matrix(algebra.dim))
+
+
 def test_endomorphism_algebra(heisenberg):
-    ident = Endomorphism.identity(heisenberg)
+    ident = identity(heisenberg)
     assert ident.is_endomorphism()
     assert ident.is_automorphism()
     scale = Endomorphism(
@@ -326,10 +335,9 @@ def test_subspace_membership(heisenberg):
     center = left_center(heisenberg)
     e3 = heisenberg.basis_element(2)
     assert center.contains(2 * e3)
-    assert center.coordinates(2 * e3) == [Fraction(2)]
+    assert center.coefficients((2 * e3).coords) == [Fraction(2)]
     assert not center.contains(heisenberg.basis_element(0))
-    with pytest.raises(ValueError):
-        center.coordinates(heisenberg.basis_element(0))
+    assert center.coefficients(heisenberg.basis_element(0).coords) is None
 
 
 # -- every binary op joins its operands: same algebra (by identity), same mode -------
@@ -348,12 +356,13 @@ def _cross(heisenberg, freenil3):
 CROSS_ALGEBRA_OPS = {
     "endomorphism-call": lambda c: c["h_ad"](c["f1"]),
     "endomorphism-matmul": lambda c: c["h_ad"] @ c["f_ad"],
-    "endomorphism-add": lambda c: c["h_ad"] + c["f_ad"],
-    "endomorphism-sub": lambda c: c["h_ad"] - c["f_ad"],
     "endomorphism-distance": lambda c: c["h_ad"].distance(c["f_ad"]),
     "element-distance": lambda c: c["h1"].distance(c["f2"]),
     "covector-distance": lambda c: c["h_xi"].distance(c["f_xi"]),
     "covector-pair": lambda c: c["h_xi"].pair(c["f1"]),
+    "element-bracket": lambda c: c["h1"].bracket(c["f1"]),
+    "element-bracket-reversed": lambda c: c["f1"].bracket(c["h1"]),
+    "algebra-bracket": lambda c: c["h1"].algebra.bracket(c["f1"], c["f2"]),
 }
 
 
@@ -365,10 +374,10 @@ def test_binary_ops_reject_operands_of_another_algebra(heisenberg, freenil3, op)
 
 
 def test_endomorphism_equality_compares_the_algebra(heisenberg, abelian3):
-    assert Endomorphism.identity(heisenberg) != Endomorphism.identity(abelian3)
-    assert Endomorphism.identity(heisenberg) == Endomorphism.identity(heisenberg)
+    assert identity(heisenberg) != identity(abelian3)
+    assert identity(heisenberg) == identity(heisenberg)
     copy = LeibnizAlgebra(heisenberg.table)
-    assert Endomorphism.identity(heisenberg) == Endomorphism.identity(copy)
+    assert identity(heisenberg) == identity(copy)
 
 
 def test_covector_equality_compares_the_algebra(heisenberg, abelian3):

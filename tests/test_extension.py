@@ -81,7 +81,7 @@ def test_leib2_omega_table(leib2):
     e2 = leib2.basis_element(1)
     # section defect: s([x, x]) - [s(x), s(x)] = 0 - e2
     assert ext.omega(x, x) == -e2
-    assert ext.extension_omega(x, x) == e2
+    assert -ext.omega(x, x) == e2  # the cocycle of the reconstruction bracket
 
 
 def test_heisenberg_omega_table(heisenberg):

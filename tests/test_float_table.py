@@ -184,7 +184,7 @@ def test_float_bracket_and_ad_have_the_bits_of_the_fraction_table(data, name):
     y = data.draw(st.lists(FLOATS, min_size=alg.dim, max_size=alg.dim), label="y")
     want = bits(reference_bracket_coords(alg, x, y))
     assert bits(alg.bracket_coords(x, y, alg.float_sparse)) == want
-    assert bits(alg.bracket_coords(x, y)) == want  # the default reads float_sparse too
+    assert bits(alg.left_bracket(x, FLOAT)(y)) == want
     ex, ey = alg.element(x, FLOAT), alg.element(y, FLOAT)
     assert bits(ex.bracket(ey).coords) == bits(float(v) for v in want)
     assert matrix_bits(alg.ad(ex).matrix) == matrix_bits(reference_ad(alg, x))
@@ -219,7 +219,8 @@ def test_float_endomorphism_inverse_rounds_the_exact_inverse(name):
         got = a.inverse()
         assert got.mode == FLOAT
         assert matrix_bits(got.matrix) == matrix_bits(reference_float_inverse(a.matrix))
-    exact = alg.ad(alg.element(rational_vector(rng, alg.dim))) + Endomorphism.identity(alg)
+    ad = alg.ad(alg.element(rational_vector(rng, alg.dim)))
+    exact = Endomorphism(alg, linalg.mat_add(ad.matrix, linalg.identity_matrix(alg.dim)))
     assert exact.inverse().matrix == tuple(map(tuple, reference_inverse(exact.matrix)))
 
 

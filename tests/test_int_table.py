@@ -212,8 +212,8 @@ def test_exact_ad_matches_the_dense_fraction_table(name):
 
 
 def assert_exact_bracket(alg, x, y):
-    """Exact ``bracket_coords`` equals the Fraction-table sum, a Fraction in each nonzero entry."""
-    got = alg.bracket_coords(x, y)
+    """Exact ``left_bracket`` equals the Fraction-table sum, a Fraction in each nonzero entry."""
+    got = alg.left_bracket(x, "exact")(y)
     assert got == reference_bracket_coords(alg, x, y)
     assert all(type(v) is Fraction for v in got if v)
 
@@ -239,6 +239,27 @@ def test_exact_poisson_bracket_matches_the_fraction_table(name):
             got = poisson_bracket(alg, f, g)
             assert got == reference_poisson_bracket(alg, f, g)
             assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_left_bracket_scales_x_once_and_brackets_through_bracket_coords(monkeypatch):
+    alg = KERNEL_ALGEBRAS["n4-rebased"]
+    x, *ys = (v.coords for v in kernel_elements(alg))
+    calls = {"int_vector": 0, "bracket_coords": 0}
+    int_vector, bracket_coords = linalg.int_vector, LeibnizAlgebra.bracket_coords
+
+    def count(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(linalg, "int_vector", count("int_vector", int_vector))
+    monkeypatch.setattr(LeibnizAlgebra, "bracket_coords", count("bracket_coords", bracket_coords))
+    apply = alg.left_bracket(x, "exact")
+    assert calls == {"int_vector": 1, "bracket_coords": 0}
+    for y in ys:
+        assert apply(y) == reference_bracket_coords(alg, x, y)
+    assert calls == {"int_vector": 1 + len(ys), "bracket_coords": len(ys)}
 
 
 # numerators up to 2^80 over denominators up to 2^60, zeros among them
@@ -267,7 +288,7 @@ def test_exact_exponentials_match_the_fraction_series(name):
             assert "nilpotent" in got
             continue
         assert all(type(a) is Fraction for row in got.matrix for a in row)
-        columns, den = int_exp_columns(*int_ad(alg, *linalg.int_vector(x.coords)), alg.dim)
+        columns, den = int_exp_columns(*int_ad(alg, x.coords), alg.dim)
         assert (columns, den) == reference_int_exp_columns(ad.matrix)
         assert all(type(t) is int for column in columns for t in column)
 
@@ -275,5 +296,5 @@ def test_exact_exponentials_match_the_fraction_series(name):
 def test_a_zero_dimensional_algebra_has_the_identity_exponential():
     point = LeibnizAlgebra(())
     assert point.ad(point.zero()).matrix == ()
-    assert exp_endo(point.ad(point.zero())) == Endomorphism.identity(point)
+    assert exp_endo(point.ad(point.zero())) == Endomorphism(point, linalg.identity_matrix(0))
     assert int_exp_columns([], 1, 0) == ([], 1)

@@ -11,9 +11,10 @@ from leibrack.io import (
     InterchangeError,
     algebra_from_dict,
     algebra_to_dict,
+    checked_fraction,
     fraction_to_pair,
     load_algebra,
-    pair_to_fraction,
+    pair_defect,
     save_algebra,
     scalar_repr,
 )
@@ -47,9 +48,9 @@ def test_corpus_files_match_schema():
 
 
 def test_pair_to_fraction_accepts_lowest_terms():
-    assert pair_to_fraction([3, 2], "x") == Fraction(3, 2)
-    assert pair_to_fraction([0, 1], "x") == 0
-    assert pair_to_fraction([-5, 3], "x") == Fraction(-5, 3)
+    assert checked_fraction([3, 2]) == Fraction(3, 2)
+    assert checked_fraction([0, 1]) == 0
+    assert checked_fraction([-5, 3]) == Fraction(-5, 3)
 
 
 REJECTED_PAIRS = [
@@ -72,15 +73,20 @@ REJECTED_PAIRS = [
     ids=[p if isinstance(p, str) else f"pair{k}" for k, (p, _) in enumerate(REJECTED_PAIRS)],
 )
 def test_pair_to_fraction_rejects(pair, message):
-    with pytest.raises(InterchangeError, match=f"^x: {re.escape(message)}$"):
-        pair_to_fraction(pair, "x")
+    assert checked_fraction(pair) is None
+    assert pair_defect(pair) == message
+    doc = base_doc()
+    doc["brackets"][0]["value"][1] = pair
+    where = re.escape("brackets[0].value[1]")
+    with pytest.raises(InterchangeError, match=f"^{where}: {re.escape(message)}$"):
+        algebra_from_dict(doc)
 
 
 def test_zero_entries_share_one_fraction():
     alg = algebra_from_dict(base_doc())
     assert alg.table[0][0][0] == 0 and alg.table[0][0][1] == 1
     zeros = {id(c) for plane in alg.table for row in plane for c in row if c == 0}
-    assert zeros == {id(pair_to_fraction([0, 1], "x"))}
+    assert zeros == {id(checked_fraction([0, 1]))}
 
 
 def test_fraction_to_pair_lowest_terms():
