@@ -20,7 +20,7 @@ from .algebra import (
 )
 from .bch import bch, conj_star, verify_conj_identity
 from .cocycle import SERIES_SIGN, rack_cocycle_exact, rack_cocycle_series
-from .corpus import CORPUS_NAMES, load_all_corpus, load_corpus
+from .corpus import CORPUS_NAMES, load_corpus
 from .digroup import (
     dig_inverse,
     dig_left,

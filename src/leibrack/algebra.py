@@ -26,9 +26,9 @@ converts the table (a coefficient beyond the float range would raise
 the view from a scalar mode, as every element-level bracket does.
 
 * ``int_sparse`` serves every exact kernel: exact ``left_bracket`` and
-  ``ad``, ``bracket_defects``, ``derivation_residual``, the Leibniz check,
-  ``is_lie``, ``nilpotency_class``, ``left_center``, ``derivation_algebra``,
-  the extension data and laws, the exact Poisson bracket, the Hessian, the
+  ``ad``, ``bracket_defects``, the Leibniz check, ``is_lie``,
+  ``nilpotency_class``, ``left_center``, ``derivation_algebra``, the
+  extension data and laws, the exact Poisson bracket, the Hessian, the
   exact BCH word sum and ``racks.int_ad``.  They scale rational input to
   ints (``linalg.int_vector``), sum on ints and make canonical Fractions
   only for their results, dividing the scale out once, or never where the
@@ -47,9 +47,8 @@ results are bit-for-bit those of the dense sums.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 from math import gcd, lcm
-from operator import add
 
 from . import linalg
 from .linalg import EXACT, FLOAT, check_mode
@@ -415,43 +414,6 @@ class Endomorphism:
     def inverse(self):
         invert = linalg.float_inverse if self.mode == FLOAT else linalg.inverse
         return Endomorphism(self.algebra, invert(self.matrix), self.mode)
-
-    # -- structural predicates -------------------------------------------------
-
-    def derivation_residual(self):
-        """Largest defect of D[x,y] = [Dx,y] + [x,Dy] over basis pairs.
-
-        Each defect entry is a row of the derivation system times vec(D).
-        The rows come from ``int_sparse``: an exact D = M / d meets them as
-        ints, over d * ``scale``; a float D meets each coefficient c / scale,
-        the float of the Fraction coefficient, so no scaled int is converted.
-        """
-        flat = [x for row in self.matrix for x in row]
-        scale = self.algebra.scale
-        rows = _derivation_rows(self.algebra.int_sparse)
-        if self.mode == FLOAT:
-            rows = ({col: c / scale for col, c in row.items()} for row in rows)
-        else:
-            flat, d = linalg.int_vector(flat)
-        worst = linalg.max_abs(
-            reduce(add, (c * flat[col] for col, c in row.items()), 0) for row in rows
-        )
-        return worst if self.mode == FLOAT else Fraction(worst, d * scale)
-
-    def is_derivation(self, tol=0):
-        return self.derivation_residual() <= tol
-
-    def morphism_residual(self):
-        """Largest defect of a[x,y] = [ax, ay] over basis pairs."""
-        defects = bracket_defects(self.algebra, self.algebra, self.matrix)
-        return linalg.max_abs(c for _, defect in defects for c in defect)
-
-    def is_endomorphism(self, tol=0):
-        """True when the map preserves the bracket on basis pairs."""
-        return self.morphism_residual() <= tol
-
-    def is_automorphism(self, tol=0):
-        return self.is_endomorphism(tol) and linalg.det(self.matrix) != 0
 
 
 def bracket_defects(source, target, matrix):

@@ -24,6 +24,3 @@ def load_corpus(name):
     doc = json.loads(corpus_path(name).read_text(encoding="utf-8"))
     return algebra_from_dict(doc)
 
-
-def load_all_corpus():
-    return {name: load_corpus(name) for name in CORPUS_NAMES}

@@ -212,13 +212,6 @@ class HessianReport:
         self.determinant = determinant
         self.inertia = inertia
         self.signature = inertia[0] - inertia[1]
-        n = algebra.dim
-        self.critical_point = {
-            "x": [Fraction(0)] * n,
-            "y": [Fraction(0)] * n,
-            "zeta": [Fraction(0)] * n,
-            "eta": [Fraction(c) for c in xi.coords],
-        }
 
     def __repr__(self):
         return (

@@ -21,10 +21,11 @@ off ``algebra.int_sparse`` by columns for rational x = X / d_x, and the sum
 T <- T·k·s + (s·ad_x)^k V runs over the one running denominator K!·s^K.
 ``exact_exp_action`` runs it on one vector v = V / d_v and makes one
 canonical Fraction per coordinate (v itself when ad_x v = 0): exact
-``bass_product`` and ``coadjoint`` (on the transpose).  ``int_exp_columns``
-runs it on every unit vector and returns the columns of exp(A) as ints over
-their least common denominator, for the observable pullback and for exact
-``exp_endo``, which makes one Fraction per nonzero entry.  Exact
+``bass_product``, and ``coadjoint`` on the columns of the transpose of
+s·ad_{-x}.  ``int_exp_columns`` runs it on every unit vector and returns
+the columns of exp(A) as ints over their least common denominator, for the
+observable pullback and for exact ``exp_endo``, which makes one Fraction
+per nonzero entry.  Exact
 ``conjugation_lemma_violations`` compares exp(ad_z) exp(ad_x) exp(ad_{-z}) e_j
 with exp(ad_{a(x)}) e_j column by column on ints, with no inverse and no
 matrix product.  ``block_exp_action`` runs the rational series of
@@ -132,35 +133,28 @@ def int_ad(algebra, x):
     return [column for column in columns if column[1]], d * algebra.scale
 
 
-def int_apply(columns, n, transpose=False):
-    """The int map of ``columns`` on lists of length n, or of its transpose."""
-    if transpose:
-        def apply(u):
-            out = [0] * n
-            for j, column in columns:
-                out[j] = sum(a * u[k] for k, a in column)
-            return out
-    else:
-        def apply(w):
-            out = [0] * n
-            for j, column in columns:
-                wj = w[j]
-                if wj:
-                    for k, a in column:
-                        out[k] += wj * a
-            return out
+def int_apply(columns, n):
+    """The int map of ``columns`` on lists of length n."""
+    def apply(w):
+        out = [0] * n
+        for j, column in columns:
+            wj = w[j]
+            if wj:
+                for k, a in column:
+                    out[k] += wj * a
+        return out
     return apply
 
 
-def exact_exp_action(columns, step, v, transpose=False):
+def exact_exp_action(columns, step, v):
     """exp(A) v for a rational list v, A = columns / step as ``int_ad`` gives it.
 
     The sum runs on ints (``exp_action``'s int form) and one canonical
     Fraction is made per coordinate at the end; v comes back as it is when
-    A v = 0.  With ``transpose`` it is exp(A^T) v, the covector v o exp(A).
+    A v = 0.
     """
     ints, d = int_vector(v)
-    total, den = exp_action(int_apply(columns, len(ints), transpose), ints, step=step)
+    total, den = exp_action(int_apply(columns, len(ints)), ints, step=step)
     if den == 1 and total == ints:
         return v
     den *= d
@@ -283,8 +277,13 @@ def coadjoint(x, xi, order=DEFAULT_FLOAT_ORDER):
     """Coadjoint rack action on covectors: xi composed with exp(-ad_x)."""
     alg = x.algebra
     if x.mode == xi.mode == EXACT:
-        neg = int_ad(alg, [-c for c in x.coords])
-        return Covector(alg, exact_exp_action(*neg, xi.coords, transpose=True))
+        # xi o exp(A) = exp(A^T) xi: the columns of s·ad_{-x}, regrouped by row
+        columns, s = int_ad(alg, [-c for c in x.coords])
+        rows = {}
+        for j, column in columns:
+            for k, a in column:
+                rows.setdefault(k, []).append((j, a))
+        return Covector(alg, exact_exp_action(list(rows.items()), s, xi.coords))
     mat = exp_ad(-x, order).matrix
     return Covector(alg, linalg.vec_mat(xi.coords, mat), xi.mode)
 

@@ -9,7 +9,7 @@ returned as one of the shared Fractions of ``RATIONALS``.
 import random
 from fractions import Fraction
 
-from .linalg import EXACT, det
+from .linalg import EXACT
 
 RATIONALS = {(n, d): Fraction(n, d) for n in range(-3, 4) for d in (1, 2)}
 
@@ -62,14 +62,3 @@ def sample_observables(algebra, count, seed, max_degree=3):
         out.append(poly)
     return out
 
-
-def sample_invertible_matrix(rng, n):
-    """A random rational matrix redrawn until it is invertible."""
-    while True:
-        m = [rational_vector(rng, n) for _ in range(n)]
-        if det(m) != 0:
-            return m
-
-
-def sample_vectors(rng, dim, count):
-    return [rational_vector(rng, dim) for _ in range(count)]

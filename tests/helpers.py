@@ -11,8 +11,10 @@ from operator import add, mul
 
 from leibrack import linalg
 from leibrack.algebra import Element, Endomorphism, LeibnizAlgebra, hemi_semi_direct
+from leibrack.corpus import CORPUS_NAMES, load_corpus
 from leibrack.observables import Covector, PolyObservable
 from leibrack.racks import exp_action, exp_ad
+from leibrack.sampling import rational_vector
 
 
 def reference_sparse(alg):
@@ -147,6 +149,22 @@ def random_invertible(rng, n):
             return g
 
 
+def sample_invertible_matrix(rng, n):
+    """A random rational matrix redrawn until it is invertible."""
+    while True:
+        m = [rational_vector(rng, n) for _ in range(n)]
+        if linalg.det(m) != 0:
+            return m
+
+
+def sample_vectors(rng, dim, count):
+    return [rational_vector(rng, dim) for _ in range(count)]
+
+
+def load_all_corpus():
+    return {name: load_corpus(name) for name in CORPUS_NAMES}
+
+
 def sl2_semidirect(sl2, m):
     """sl2 acting on binary forms of degree m (dim m + 1), glued hemi-semi-directly.
 
@@ -210,8 +228,8 @@ def reference_evaluate_word_table(table, x, y, order):
 def reference_morphism_residual(algebra, a):
     """Largest defect of a[x,y] = [ax, ay] over basis pairs, by the dense n^5 sum.
 
-    The former ``Endomorphism.morphism_residual``, kept as the oracle for the
-    sparse ``bracket_defects`` kernel.
+    The oracle for the sparse ``bracket_defects`` kernel, and the bracket half
+    of the automorphism checks in the tests.
     """
     n = algebra.dim
     c = algebra.table
@@ -233,8 +251,8 @@ def reference_morphism_residual(algebra, a):
 def reference_derivation_residual(endo):
     """Largest defect of D[x,y] = [Dx,y] + [x,Dy] over basis pairs, by the dense n^4 sum.
 
-    The former ``Endomorphism.derivation_residual``, kept as the oracle for
-    the sparse derivation-system rows.
+    The oracle for ``derivation_algebra``: D is a derivation exactly when
+    the residual is 0.
     """
     n = endo.algebra.dim
     c = endo.algebra.table

@@ -13,7 +13,7 @@ from fractions import Fraction
 from leibrack.bch import conj_star, verify_conj_identity
 from leibrack.cli import main as cli_main
 from leibrack.cocycle import rack_cocycle_exact, rack_cocycle_series
-from leibrack.corpus import CORPUS_NAMES, corpus_path, load_all_corpus
+from leibrack.corpus import corpus_path
 from leibrack.digroup import digroup_axiom_violations, digroup_rack_product
 from leibrack.extension import (
     build_extension,
@@ -35,16 +35,15 @@ from leibrack.racks import (
     hs_rack_product,
 )
 from leibrack.algebra import LeibnizAlgebra
-from leibrack.sampling import (
-    sample_elements,
-    sample_invertible_matrix,
-    sample_observables,
-    sample_triples,
-    sample_vectors,
-)
+from leibrack.sampling import sample_elements, sample_observables, sample_triples
 from leibrack.tangent import max_table_error, tangent_recover
 
-from helpers import build_hs1_nilpotentized
+from helpers import (
+    build_hs1_nilpotentized,
+    load_all_corpus,
+    sample_invertible_matrix,
+    sample_vectors,
+)
 
 NILPOTENT = ("abelian3", "leib2", "heisenberg", "freenil3")
 NILPOTENT_LIE = ("abelian3", "heisenberg", "freenil3")

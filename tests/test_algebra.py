@@ -18,7 +18,12 @@ from leibrack.io import load_algebra
 from leibrack.observables import Covector, PolyObservable
 from leibrack.racks import PairElement, exp_endo
 
-from helpers import make_table, sl2_module_action
+from helpers import (
+    make_table,
+    reference_derivation_residual,
+    reference_morphism_residual,
+    sl2_module_action,
+)
 
 FLAGS = {
     # name: (is_leibniz, is_lie, nilpotency_class)
@@ -92,7 +97,7 @@ def test_ad_maps_are_derivations(corpus, name):
     alg = corpus[name]
     for x in alg.basis_elements():
         ad = alg.ad(x)
-        assert ad.is_derivation()
+        assert reference_derivation_residual(ad) == 0
         # ad(x)(y) is the bracket [x, y]
         for y in alg.basis_elements():
             assert ad(y) == x.bracket(y)
@@ -106,7 +111,7 @@ def test_derivation_dims(corpus, name):
     assert summary.dim_inner == dim_inner
     assert summary.dim_outer == dim_der - dim_inner
     for d in summary.basis:
-        assert d.is_derivation()
+        assert reference_derivation_residual(d) == 0
 
 
 def commutator(a, b):
@@ -117,7 +122,7 @@ def test_derivations_closed_under_commutator(heisenberg):
     basis = derivation_algebra(heisenberg).basis
     for a in basis:
         for b in basis:
-            assert commutator(a, b).is_derivation()
+            assert reference_derivation_residual(commutator(a, b)) == 0
 
 
 def test_derivation_bracket_with_inner(heisenberg):
@@ -131,10 +136,17 @@ def test_derivation_bracket_with_inner(heisenberg):
             assert lhs.distance(rhs) == 0
 
 
+def is_automorphism(endo):
+    return (
+        reference_morphism_residual(endo.algebra, endo.matrix) == 0
+        and linalg.det(endo.matrix) != 0
+    )
+
+
 def test_exp_of_inner_derivation_is_automorphism(heisenberg, freenil3):
     for alg in (heisenberg, freenil3):
         for x in alg.basis_elements():
-            assert exp_endo(alg.ad(x)).is_automorphism()
+            assert is_automorphism(exp_endo(alg.ad(x)))
 
 
 def test_element_arithmetic(heisenberg):
@@ -256,19 +268,18 @@ def identity(algebra):
 
 def test_endomorphism_algebra(heisenberg):
     ident = identity(heisenberg)
-    assert ident.is_endomorphism()
-    assert ident.is_automorphism()
+    assert reference_morphism_residual(heisenberg, ident.matrix) == 0
+    assert is_automorphism(ident)
     scale = Endomorphism(
         heisenberg, [[Fraction(1), 0, 0], [0, Fraction(2), 0], [0, 0, Fraction(2)]]
     )
     # scaling e2 and e3 by two respects [e1, e2] = e3
-    assert scale.is_automorphism()
+    assert is_automorphism(scale)
     assert (scale @ scale.inverse()).distance(ident) == 0
     bad = Endomorphism(
         heisenberg, [[Fraction(1), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(5)]]
     )
-    assert not bad.is_endomorphism()
-    assert bad.morphism_residual() > 0
+    assert reference_morphism_residual(heisenberg, bad.matrix) > 0
 
 
 def test_heisenberg_single_entry_perturbation_fails(heisenberg):

@@ -14,7 +14,8 @@ from leibrack.digroup import (
     digroup_rack_product,
 )
 from leibrack.racks import PairElement, hs_rack_product
-from leibrack.sampling import sample_invertible_matrix, sample_vectors
+
+from helpers import sample_invertible_matrix, sample_vectors
 
 
 def sample_pairs(count, dim, seed):

@@ -13,12 +13,13 @@ from leibrack.algebra import Subspace
 from leibrack.corpus import load_corpus
 from leibrack.observables import Covector
 from leibrack.quantize import hessian_matrix
-from leibrack.sampling import rational_vector, sample_invertible_matrix
+from leibrack.sampling import rational_vector
 
 from helpers import (
     n_k,
     random_invertible,
     rebase,
+    sample_invertible_matrix,
     reference_det,
     reference_inertia_and_det,
     reference_inverse,

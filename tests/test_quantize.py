@@ -301,16 +301,6 @@ def test_hessian_matrix_entries(heisenberg):
     assert b[n + 2][3 * n + 2] == -1
 
 
-def test_hessian_critical_point(heisenberg):
-    xi = Covector(heisenberg, (Fraction(1), Fraction(2), Fraction(3)))
-    report = hessian_check(heisenberg, xi)
-    point = report.critical_point
-    assert all(c == 0 for c in point["x"])
-    assert all(c == 0 for c in point["y"])
-    assert all(c == 0 for c in point["zeta"])
-    assert list(point["eta"]) == [Fraction(1), Fraction(2), Fraction(3)]
-
-
 def test_hessian_rejects_float_covector(heisenberg):
     xi = Covector(heisenberg, (0.5, 0.0, 0.0), mode="float")
     with pytest.raises(ValueError, match="rational"):

@@ -23,14 +23,15 @@ from leibrack.racks import (
     rh_embed,
 )
 from leibrack.observables import Covector
-from leibrack.sampling import (
-    rational_vector,
-    sample_elements,
-    sample_invertible_matrix,
-    sample_triples,
-)
+from leibrack.sampling import rational_vector, sample_elements, sample_triples
 
-from helpers import make_table, reference_rh_product, sl2_semidirect
+from helpers import (
+    make_table,
+    reference_morphism_residual,
+    reference_rh_product,
+    sample_invertible_matrix,
+    sl2_semidirect,
+)
 
 
 def test_exp_endo_exact_nilpotent(heisenberg):
@@ -43,7 +44,8 @@ def test_exp_endo_exact_nilpotent(heisenberg):
         [Fraction(0), Fraction(1), Fraction(1)],
     ]
     assert exp.matrix == tuple(tuple(row) for row in expected)
-    assert exp.is_automorphism()
+    assert reference_morphism_residual(heisenberg, exp.matrix) == 0
+    assert linalg.det(exp.matrix) != 0
 
 
 def test_exp_endo_exact_rejects_non_nilpotent(sl2):
