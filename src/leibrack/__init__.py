@@ -21,14 +21,6 @@ from .algebra import (
 from .bch import bch, conj_star, verify_conj_identity
 from .cocycle import SERIES_SIGN, rack_cocycle_exact, rack_cocycle_series
 from .corpus import CORPUS_NAMES, load_corpus
-from .digroup import (
-    dig_inverse,
-    dig_left,
-    dig_right,
-    dig_unit,
-    digroup_axiom_violations,
-    digroup_rack_product,
-)
 from .extension import (
     ExtensionData,
     build_extension,

@@ -38,16 +38,18 @@ def _truncated_product(a, b, max_degree):
     """Product of two word series on ints, dropping words above ``max_degree``.
 
     An int c on a word of degree d stands for the coefficient c / d!, so
-    words of degree i and j multiply with the factor C(i + j, i).
+    words of degree i and j multiply with the factor C(i + j, i).  Each word
+    of ``a`` walks ``b`` shortest word first and stops past ``max_degree``.
     """
     out = {}
+    by_length = sorted((len(wb), wb, cb) for wb, cb in b.items())
     for wa, ca in a.items():
-        for wb, cb in b.items():
-            degree = len(wa) + len(wb)
-            if degree > max_degree:
-                continue
+        i = len(wa)
+        for j, wb, cb in by_length:
+            if i + j > max_degree:
+                break
             key = wa + wb
-            out[key] = out.get(key, 0) + ca * cb * comb(degree, len(wa))
+            out[key] = out.get(key, 0) + ca * cb * comb(i + j, i)
     return out
 
 

@@ -270,6 +270,11 @@ def cmd_bch(algebra, args):
     if not 1 <= order <= MAX_ORDER:
         raise UsageError(f"--order must be between 1 and {MAX_ORDER} for bch")
     require_nilpotent(algebra, mode, "exact BCH comparison")
+    if mode == EXACT and args.order is None and algebra.nilpotency_class() > MAX_ORDER:
+        raise UsageError(
+            f"exact bch needs a nilpotency class of at most MAX_ORDER = {MAX_ORDER}, "
+            f"got class {algebra.nilpotency_class()}; rerun with --mode float"
+        )
     tol = 0 if mode == EXACT else 1e-6
     details = {}
     if (args.x is None) != (args.y is None):
@@ -350,7 +355,7 @@ def cmd_quantize(algebra, args):
         serialize_check(_linear_observable_check(algebra, linear_pairs)),
         serialize_check(_order0_associativity_check(algebra, triples_obs)),
     ]
-    if algebra.is_lie() and algebra.is_nilpotent():
+    if algebra.is_lie() and algebra.is_nilpotent() and algebra.nilpotency_class() <= MAX_ORDER:
         checks.append(serialize_check(_gutt_match_check(algebra, args)))
     else:
         checks.append(serialize_check(check_law("gutt-vs-quantum", []), status="skipped"))

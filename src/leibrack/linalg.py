@@ -33,8 +33,9 @@ Every inner product has the bits of a plain left fold,
 one onto an ``int`` 0.  ``sum()`` would compute the same thing up to Python
 3.11, but from 3.12 it adds floats with compensated summation, which moves
 float results (and the reports built on them) between interpreter versions.
-``vec_dot``, ``mat_vec`` and ``vec_mat`` are that fold.  ``mat_mul`` picks
-its path from its input:
+``vec_dot``, ``mat_vec`` and ``vec_mat`` are that fold.  No matrix sum is
+kept here: no command adds two matrices, and the tests that do keep their
+own helpers in ``tests/helpers.py``.  ``mat_mul`` picks its path from its input:
 
 * all entries finite floats: ``float_product``, which adds x * v into an
   accumulator row that starts at 0.0, k ascending, for the nonzero x = a[i][k]
@@ -254,14 +255,6 @@ def float_product(a, b_rows, cols):
                     acc[j] += x * v
         out.append(acc)
     return out
-
-
-def mat_add(a, b):
-    return [vec_add(ra, rb) for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [vec_sub(ra, rb) for ra, rb in zip(a, b)]
 
 
 def mat_scale(c, a):

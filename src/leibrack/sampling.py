@@ -46,19 +46,18 @@ def sample_triples(algebra, count, seed, mode=EXACT, scale=Fraction(1)):
 
 
 def sample_observables(algebra, count, seed, max_degree=3):
-    """Random sparse polynomial observables of bounded degree."""
+    """Random sparse polynomial observables of bounded degree, each summed in one dict."""
     from .observables import PolyObservable
 
     rng = random.Random(seed)
     n = algebra.dim
     out = []
     for _ in range(count):
-        poly = PolyObservable.zero(n)
+        terms = {}
         for _ in range(rng.randint(1, 4)):
-            exps = [0] * n
-            for _ in range(rng.randint(0, max_degree)):
-                exps[rng.randrange(n)] += 1
-            poly = poly + PolyObservable(n, {tuple(exps): rational_scalar(rng)})
-        out.append(poly)
+            picks = [rng.randrange(n) for _ in range(rng.randint(0, max_degree))]
+            exps = tuple(map(picks.count, range(n)))
+            terms[exps] = terms.get(exps, 0) + rational_scalar(rng)
+        out.append(PolyObservable(n, terms))
     return out
 

@@ -13,7 +13,8 @@ from leibrack import linalg
 from leibrack.algebra import Element, Endomorphism, LeibnizAlgebra, hemi_semi_direct
 from leibrack.corpus import CORPUS_NAMES, load_corpus
 from leibrack.observables import Covector, PolyObservable
-from leibrack.racks import exp_action, exp_ad
+from leibrack.racks import PairElement, exp_action, exp_ad, hs_rack_product
+from leibrack.reports import check_law, samples
 from leibrack.sampling import rational_vector
 
 
@@ -900,6 +901,14 @@ def reference_rh_product(a, b):
     return aut_a(y), aut_a @ aut_b @ aut_a.inverse()
 
 
+def mat_add(a, b):
+    return [linalg.vec_add(ra, rb) for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b):
+    return [linalg.vec_sub(ra, rb) for ra, rb in zip(a, b)]
+
+
 def reference_mat_mul(a, b):
     """``linalg.mat_mul`` as a left fold per entry, whatever the input."""
     cols = list(zip(*b))
@@ -923,7 +932,7 @@ def reference_exp_endo_float(matrix, order):
     power = linalg.identity_matrix(n, linalg.FLOAT)
     for k in range(1, order + 1):
         power = linalg.mat_scale(1.0 / k, reference_mat_mul(power, scaled))
-        total = linalg.mat_add(total, power)
+        total = mat_add(total, power)
     for _ in range(squarings):
         total = reference_mat_mul(total, total)
     return total
@@ -992,3 +1001,66 @@ def reference_int_exp_columns(matrix):
     exp = reference_exp_endo(Endomorphism(LeibnizAlgebra(make_table(n, {})), matrix)).matrix
     den = lcm(*(a.denominator for row in exp for a in row))
     return [[int(row[j] * den) for row in exp] for j in range(n)], den
+
+
+# -- linear digroups -------------------------------------------------------------
+# Kinyon, "Leibniz algebras, Lie racks, and digroups", J. Lie Theory 17 (2007):
+# the carrier is the set of (vector, invertible matrix) pairs with
+#
+#     (u, g) |- (v, h) = (g v, g h)        (left product)
+#     (u, g) -| (v, h) = (u, g h)          (right product)
+#     (u, g)^-1 = (0, g^-1),  bar unit 1 = (0, I),
+#
+# and conjugation x |- y -| x^-1 lands back on the conjugation rack for pairs.
+# No CLI command runs it; acceptance criterion 10 and tests/test_digroup.py do.
+
+
+def dig_left(a, b):
+    return PairElement(
+        linalg.mat_vec(a.matrix, list(b.vector)), linalg.mat_mul(a.matrix, b.matrix)
+    )
+
+
+def dig_right(a, b):
+    return PairElement(a.vector, linalg.mat_mul(a.matrix, b.matrix))
+
+
+def dig_inverse(a):
+    return PairElement([0 * v for v in a.vector], linalg.inverse(a.matrix))
+
+
+def dig_unit(dim):
+    return PairElement([Fraction(0)] * dim, linalg.identity_matrix(dim))
+
+
+def digroup_rack_product(a, b):
+    """x > y = x |- y -| x^-1."""
+    return dig_right(dig_left(a, b), dig_inverse(a))
+
+
+def digroup_axiom_violations(triples, tol=0):
+    """Check the digroup laws on sampled triples of pair elements.
+
+    Covers: both products associative, the three mixed compatibility laws,
+    the bar-unit laws 1 |- x = x = x -| 1, and one-sided inverses
+    x |- x^-1 = 1 = x^-1 -| x.
+    """
+
+    def laws(triple):
+        x, y, z = triple
+        unit = dig_unit(len(x.vector))
+        sides = {
+            "left-associative": (dig_left(x, dig_left(y, z)), dig_left(dig_left(x, y), z)),
+            "right-associative": (dig_right(x, dig_right(y, z)), dig_right(dig_right(x, y), z)),
+            "mixed-left-over-right": (dig_left(x, dig_right(y, z)), dig_right(dig_left(x, y), z)),
+            "mixed-right-absorbs": (dig_right(x, dig_left(y, z)), dig_right(x, dig_right(y, z))),
+            "mixed-left-ignores": (dig_left(dig_right(x, y), z), dig_left(dig_left(x, y), z)),
+            "bar-unit-left": (dig_left(unit, x), x),
+            "bar-unit-right": (dig_right(x, unit), x),
+            "inverse-left": (dig_left(x, dig_inverse(x)), unit),
+            "inverse-right": (dig_right(dig_inverse(x), x), unit),
+            "rack-matches-conjugation": (digroup_rack_product(x, y), hs_rack_product(x, y)),
+        }
+        return {axiom: got.distance(want) for axiom, (got, want) in sides.items()}
+
+    return check_law("digroup-axioms", samples(triples), laws, tol)

@@ -14,7 +14,6 @@ from leibrack.bch import conj_star, verify_conj_identity
 from leibrack.cli import main as cli_main
 from leibrack.cocycle import rack_cocycle_exact, rack_cocycle_series
 from leibrack.corpus import corpus_path
-from leibrack.digroup import digroup_axiom_violations, digroup_rack_product
 from leibrack.extension import (
     build_extension,
     cocycle_identity_violations,
@@ -40,6 +39,8 @@ from leibrack.tangent import max_table_error, tangent_recover
 
 from helpers import (
     build_hs1_nilpotentized,
+    digroup_axiom_violations,
+    digroup_rack_product,
     load_all_corpus,
     sample_invertible_matrix,
     sample_vectors,

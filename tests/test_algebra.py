@@ -20,6 +20,7 @@ from leibrack.racks import PairElement, exp_endo
 
 from helpers import (
     make_table,
+    mat_sub,
     reference_derivation_residual,
     reference_morphism_residual,
     sl2_module_action,
@@ -115,7 +116,7 @@ def test_derivation_dims(corpus, name):
 
 
 def commutator(a, b):
-    return Endomorphism(a.algebra, linalg.mat_sub((a @ b).matrix, (b @ a).matrix))
+    return Endomorphism(a.algebra, mat_sub((a @ b).matrix, (b @ a).matrix))
 
 
 def test_derivations_closed_under_commutator(heisenberg):
@@ -338,7 +339,7 @@ def test_hemi_semi_direct_rejects_non_lie(leib2):
 def test_hemi_semi_direct_rejects_non_representation(sl2):
     broken = sl2_module_action()
     broken[2] = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"basis pair \(2, 3\)"):
         hemi_semi_direct(sl2, broken, 2)
 
 

@@ -9,6 +9,9 @@ import pytest
 from leibrack import cli
 from leibrack.bch import MAX_ORDER
 from leibrack.corpus import CORPUS_NAMES, corpus_path
+from leibrack.io import save_algebra
+
+from helpers import n_k
 
 
 def run_cli(*args):
@@ -76,6 +79,7 @@ def test_validate_failure_exits_one(tmp_path):
         ("cocycle", "sl2"),  # requires a nilpotent algebra
         ("hessian", "heisenberg", "--xi", "1,oops"),
         ("hessian", "heisenberg", "--xi", "1,2"),  # wrong length
+        ("hessian", "heisenberg", "--xi", "1,oops,3"),  # right length, bad fraction
         ("frobnicate", "heisenberg"),
     ],
 )
@@ -196,6 +200,41 @@ def test_quantize_skips_gutt_off_lie_corpus(tmp_path):
     doc = json.loads(out.read_text())
     statuses = {c["name"]: c["status"] for c in doc["checks"]}
     assert statuses["gutt-vs-quantum"] == "skipped"
+
+
+@pytest.fixture(scope="module")
+def n10_file(tmp_path_factory):
+    """n_10, the strictly upper-triangular 10 x 10 matrices: dim 45, class 9 > MAX_ORDER."""
+    path = tmp_path_factory.mktemp("n10") / "n10.json"
+    save_algebra(n_k(10), path)
+    return str(path)
+
+
+def test_exact_bch_above_max_order_exits_two(n10_file, capsys):
+    # the degree-8 word table cannot reproduce exp(ad_x) on a class-9 table,
+    # so a default exact run is refused rather than failed
+    ones, last = ",".join(["1"] * 45), ",".join(["0"] * 44 + ["1"])
+    for flags in (("--samples", "1"), (f"--x={ones}", f"--y={last}")):
+        assert cli.main(["bch", n10_file, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: exact bch needs a nilpotency class of at most MAX_ORDER = {MAX_ORDER}, "
+            "got class 9; rerun with --mode float\n"
+        )
+
+
+def test_exact_bch_below_the_class_keeps_its_failing_report(n10_file, capsys):
+    assert cli.main(["bch", n10_file, "--samples", "1", "--order", str(MAX_ORDER)]) == 1
+    assert "conj-identity: fail" in capsys.readouterr().out
+
+
+def test_quantize_skips_gutt_above_max_order(n10_file, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert cli.main(["quantize", n10_file, "--samples", "1", "--json", str(out)]) == 0
+    capsys.readouterr()
+    statuses = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+    assert statuses.pop("gutt-vs-quantum") == "skipped"
+    assert set(statuses.values()) == {"pass"}
 
 
 @pytest.mark.parametrize(

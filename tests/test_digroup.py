@@ -1,21 +1,22 @@
-"""Digroup structure on (vector, invertible matrix) pairs."""
+"""Digroup structure on (vector, invertible matrix) pairs, as kept in ``tests/helpers.py``."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from leibrack.digroup import (
+from leibrack.racks import PairElement, hs_rack_product
+
+from helpers import (
     dig_inverse,
     dig_left,
     dig_right,
     dig_unit,
     digroup_axiom_violations,
     digroup_rack_product,
+    sample_invertible_matrix,
+    sample_vectors,
 )
-from leibrack.racks import PairElement, hs_rack_product
-
-from helpers import sample_invertible_matrix, sample_vectors
 
 
 def sample_pairs(count, dim, seed):

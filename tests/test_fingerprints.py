@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_golden import BCH_POINTS
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "cli_fingerprints.py"
 
@@ -45,6 +47,27 @@ def test_ladder_fingerprints_compare_equal_to_themselves(tmp_path):
         assert value["exit"] == (1 if fails else 0)
         assert value["json_sha256"]
     assert found["usage frobnicate heisenberg"]["json_sha256"] is None
+    # flag paths that no workload takes: bch at the golden points and at 0
+    # (exit 0), bch below freenil3's class 3 (exit 1), cocycle --order 0 (exit 2)
+    flag_paths = {
+        f"usage bch {name} {'--mode float ' if mode == 'float' else ''}--x={x} --y={y}": 0
+        for (name, mode), (x, y) in BCH_POINTS.items()
+    }
+    flag_paths |= {
+        "usage bch heisenberg --x=0,0,0 --y=0,0,0": 0,
+        "usage bch freenil3 --order 2": 1,
+        "usage cocycle heisenberg --order 0": 2,
+    }
+    for key, code in flag_paths.items():
+        assert found[key]["exit"] == code, key
+        assert (found[key]["json_sha256"] is None) == (code == 2), key
+    assert found["usage cocycle heisenberg --order 0"]["stderr"] == (
+        "error: --order must be at least 1\n"
+    )
+    bad_fraction = found["usage hessian heisenberg --xi 1,oops,3"]
+    assert bad_fraction["exit"] == 2
+    assert bad_fraction["stderr"].startswith("error: --xi: ")
+    assert "'oops'" in bad_fraction["stderr"]
     # an unrecognized argument is the top-level parser's error, whose usage
     # names every command; a bad flag value is the subcommand parser's
     top = "usage: leibrack [-h] {validate,analyze,rack,bch,cocycle,quantize,quantize-check,"

@@ -30,6 +30,7 @@ from leibrack.sampling import rational_vector
 
 from helpers import (
     make_table,
+    mat_add,
     reference_bracket_coords,
     reference_evaluate_word_table,
     reference_inverse,
@@ -194,7 +195,7 @@ def test_float_endomorphism_inverse_rounds_the_exact_inverse(name):
         assert got.mode == FLOAT
         assert matrix_bits(got.matrix) == matrix_bits(reference_float_inverse(a.matrix))
     ad = alg.ad(alg.element(rational_vector(rng, alg.dim)))
-    exact = Endomorphism(alg, linalg.mat_add(ad.matrix, linalg.identity_matrix(alg.dim)))
+    exact = Endomorphism(alg, mat_add(ad.matrix, linalg.identity_matrix(alg.dim)))
     assert exact.inverse().matrix == tuple(map(tuple, reference_inverse(exact.matrix)))
 
 

@@ -32,6 +32,7 @@ from leibrack.sampling import rational_vector
 from helpers import (
     dense_derivation_rows,
     make_table,
+    mat_add,
     n_k,
     random_invertible,
     rebase,
@@ -120,7 +121,7 @@ def dense_exp(matrix):
     power = linalg.identity_matrix(n)
     for k in range(1, n + 1):
         power = linalg.mat_mul(power, matrix)
-        total = linalg.mat_add(total, linalg.mat_scale(Fraction(1, factorial(k)), power))
+        total = mat_add(total, linalg.mat_scale(Fraction(1, factorial(k)), power))
     return total
 
 

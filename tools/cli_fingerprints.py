@@ -8,7 +8,8 @@ from ``CHECKOUT/bench/workloads.py`` (read only: no bytecode is written).
 It runs every op of the chosen workloads at the chosen seeds (default: all
 four workloads at seeds 1, 2, 3), then ``DATA_CASES`` at the same seeds,
 then ``USAGE_CASES`` (the usage errors of ``tests/test_cli.py``, argparse
-rejections and every command's ``--help``), each as one in-process
+rejections, every command's ``--help``, and the ``bch`` and ``cocycle``
+flag paths that no workload takes), each as one in-process
 ``leibrack.cli.main(argv)`` call with ``--json`` into a scratch file.  Per
 op it records the SHA-256 of stdout and of the ``--json`` bytes (None when
 no file was written), the stderr text and the exit code.  Run it once on
@@ -42,7 +43,8 @@ DATA_CASES = [
     for command in ("validate", "analyze", "rack", "cocycle", "quantize", "hessian", "bch")
 ]
 
-# Usage errors and help: (command, corpus name, flags).
+# Usage errors, help, and flag paths no workload takes: (command, corpus
+# name, flags).
 USAGE_CASES = [
     ("validate", None, ()),
     ("rack", "sl2", ()),
@@ -52,6 +54,7 @@ USAGE_CASES = [
     ("cocycle", "sl2", ()),
     ("hessian", "heisenberg", ("--xi", "1,oops")),
     ("hessian", "heisenberg", ("--xi", "1,2")),
+    ("hessian", "heisenberg", ("--xi", "1,oops,3")),  # the right length, one bad fraction
     ("frobnicate", "heisenberg", ()),
     ("rack", "heisenberg", ("--samples", "0")),
     ("rack", "heisenberg", ("--samples", "-3")),
@@ -67,6 +70,15 @@ USAGE_CASES = [
         for command in ("validate", "analyze", "cocycle", "hessian")
     ],
     ("bch", "heisenberg", ("--mode", "float", "--x", "0,1e400,0", "--y", "1,0,0")),
+    # bch at a fixed point at the default order: the points of BCH_POINTS in
+    # tests/test_golden.py, written --x=... so that argparse never reads a
+    # leading minus sign as a flag
+    ("bch", "heisenberg", ("--x=1/2,-3,2", "--y=2,1/3,-1")),
+    ("bch", "freenil3", ("--x=1/2,-1,3,2/3,-5", "--y=-2,1/3,1,0,7/4")),
+    ("bch", "sl2", ("--mode", "float", "--x=1/12,-1/6,1/8", "--y=1/10,1/7,-1/9")),
+    ("bch", "heisenberg", ("--x=0,0,0", "--y=0,0,0")),  # no nonzero word to sum
+    ("bch", "freenil3", ("--order", "2")),  # below the class 3: exits 1
+    ("cocycle", "heisenberg", ("--order", "0")),
     # rejected by argparse itself, and --help: the text of the parser main builds
     ("rack", "heisenberg", ("extra",)),
     ("rack", "heisenberg", ("--samples", "x")),
