@@ -43,19 +43,54 @@ the view from a scalar mode, as every element-level bracket does.
 
 The kernels visit terms in the same order as a dense loop would, so float
 results are bit-for-bit those of the dense sums.
+
+``Element``, ``Endomorphism`` and the value types of ``observables`` and
+``racks`` are plain classes on ``Value``: each keeps its fields in
+``_``-prefixed slots behind read-only properties, so assigning or deleting
+a field raises ``AttributeError``; two values are equal when they are of
+one class with equal fields, the algebra compared by table; the hash
+leaves the algebra out; and ``copy``, ``deepcopy`` and ``pickle`` rebuild
+the slots.  ``LeibnizAlgebra`` shares ``Value``'s equality and hash, on
+its table.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, lcm
+from operator import attrgetter
 
 from . import linalg
 from .linalg import EXACT, FLOAT, check_mode
 
 
-class LeibnizAlgebra:
+class Value:
+    """Equality by class and ``_fields``, and a hash of the fields but ``_algebra``.
+
+    A value type makes its fields its ``__slots__`` and exposes each
+    through ``read_only``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and all(
+            getattr(self, f) == getattr(other, f) for f in self._fields
+        )
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._fields if f != "_algebra"))
+
+
+def read_only(name):
+    """The read-only property over the slot ``name``."""
+    return property(attrgetter(name))
+
+
+class LeibnizAlgebra(Value):
     """A Leibniz algebra presented by its structure-constant table."""
+
+    _fields = ("table",)
 
     def __init__(self, table, basis=None, name=""):
         dim = len(table)
@@ -93,12 +128,6 @@ class LeibnizAlgebra:
     def __repr__(self):
         label = self.name or "LeibnizAlgebra"
         return f"<{label} dim={self.dim}>"
-
-    def __eq__(self, other):
-        return isinstance(other, LeibnizAlgebra) and self.table == other.table
-
-    def __hash__(self):
-        return hash(self.table)
 
     # -- element constructors -------------------------------------------------
 
@@ -323,25 +352,23 @@ def _coerce(values, mode):
     return tuple(c if type(c) is Fraction else Fraction(c) for c in values)
 
 
-@dataclass(frozen=True, slots=True)
-class Element:
+class Element(Value):
     """An algebra element: coordinates in the defining basis plus a scalar mode.
 
     Equality compares coords, mode and then the algebra (by table); the hash
     leaves the algebra out.  ``Endomorphism`` and ``Covector`` do the same.
     """
 
-    coords: tuple
-    mode: str
-    algebra: LeibnizAlgebra = field(hash=False)
+    __slots__ = _fields = ("_coords", "_mode", "_algebra")
+    coords, mode, algebra = map(read_only, _fields)
 
     def __init__(self, algebra, coords, mode=EXACT):
         check_mode(mode)
         if len(coords) != algebra.dim:
             raise ValueError(f"expected {algebra.dim} coordinates, got {len(coords)}")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", _coerce(coords, mode))
-        object.__setattr__(self, "mode", mode)
+        self._algebra = algebra
+        self._coords = _coerce(coords, mode)
+        self._mode = mode
 
     def __repr__(self):
         terms = [
@@ -377,22 +404,20 @@ class Element:
         return Element(self.algebra, [float(c) for c in self.coords], FLOAT)
 
 
-@dataclass(frozen=True, slots=True)
-class Endomorphism:
+class Endomorphism(Value):
     """A linear self-map of the algebra, stored as a matrix acting on coordinates."""
 
-    matrix: tuple
-    mode: str
-    algebra: LeibnizAlgebra = field(hash=False)
+    __slots__ = _fields = ("_matrix", "_mode", "_algebra")
+    matrix, mode, algebra = map(read_only, _fields)
 
     def __init__(self, algebra, matrix, mode=EXACT):
         check_mode(mode)
         n = algebra.dim
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("endomorphism matrix must be dim x dim")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "matrix", tuple(_coerce(row, mode) for row in matrix))
-        object.__setattr__(self, "mode", mode)
+        self._algebra = algebra
+        self._matrix = tuple(_coerce(row, mode) for row in matrix)
+        self._mode = mode
 
     def __repr__(self):
         return f"<Endomorphism {self.mode} on dim {self.algebra.dim}>"

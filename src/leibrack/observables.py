@@ -14,31 +14,33 @@ monomial factor by factor in one working dict, adds the expansions into one
 result dict, and builds a single observable at the end.  Given int forms
 over one denominator, as the exact ``quantize.quantum_rack_action`` passes
 them, it runs that expansion on ints and makes one Fraction per result key.
+
+Both are value types on ``algebra.Value``: read-only fields over slots,
+equality by class and fields (a covector's algebra by table), a hash
+without the algebra, and ``copy``/``pickle`` support.  A covector coerces
+its coordinates as ``Element`` does.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from .algebra import LeibnizAlgebra, join_elements
-from .linalg import EXACT, check_mode, gap, int_vector, max_abs, scalar, vec_dot
+from .algebra import Value, _coerce, join_elements, read_only
+from .linalg import EXACT, check_mode, gap, int_vector, max_abs, vec_dot
 
 
-@dataclass(frozen=True, slots=True)
-class Covector:
+class Covector(Value):
     """A dual-space point: coordinates against the dual basis."""
 
-    coords: tuple
-    mode: str
-    algebra: LeibnizAlgebra = field(hash=False)
+    __slots__ = _fields = ("_coords", "_mode", "_algebra")
+    coords, mode, algebra = map(read_only, _fields)
 
     def __init__(self, algebra, coords, mode=EXACT):
         check_mode(mode)
         if len(coords) != algebra.dim:
             raise ValueError(f"expected {algebra.dim} coordinates, got {len(coords)}")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", tuple(scalar(c, mode) for c in coords))
-        object.__setattr__(self, "mode", mode)
+        self._algebra = algebra
+        self._coords = _coerce(coords, mode)
+        self._mode = mode
 
     def __repr__(self):
         return f"Covector({list(self.coords)!r})"
@@ -66,8 +68,7 @@ def _unit(n, i):
     return (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class PolyObservable:
+class PolyObservable(Value):
     """Sparse polynomial in the dual coordinates.
 
     ``terms`` maps exponent tuples to nonzero coefficients, in sorted key
@@ -75,8 +76,8 @@ class PolyObservable:
     hash is written out over its items.
     """
 
-    nvars: int
-    terms: dict
+    __slots__ = _fields = ("_nvars", "_terms")
+    nvars, terms = map(read_only, _fields)
 
     def __init__(self, nvars, terms=None):
         terms = terms or {}
@@ -85,17 +86,15 @@ class PolyObservable:
                 raise ValueError("exponent tuple length does not match variable count")
             if not all(type(e) is int and e >= 0 for e in exponents):
                 raise ValueError(f"exponents must be non-negative ints, got {exponents!r}")
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(
-            self, "terms", _normalised({tuple(k): v for k, v in terms.items()})
-        )
+        self._nvars = nvars
+        self._terms = _normalised({tuple(k): v for k, v in terms.items()})
 
     @classmethod
     def _from_terms(cls, nvars, terms):
         """An observable from a dict of valid keys, without validation."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "terms", _normalised(terms))
+        poly._nvars = nvars
+        poly._terms = _normalised(terms)
         return poly
 
     # -- constructors ----------------------------------------------------------

@@ -48,15 +48,18 @@ Every caller that needs the matrix exp(ad_x) (the float paths and
 once per algebra object, keyed by ``(x.coords, x.mode, order)``; nothing is
 kept at module level.  ``exp_endo`` is the one place where an exponential
 matrix is computed.
+
+A ``PairElement`` is a value type on ``algebra.Value``: its vector and
+matrix are read-only fields over slots, equality and the hash compare both,
+and ``copy`` and ``pickle`` rebuild it.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isfinite, lcm
 
 from . import linalg
-from .algebra import Element, Endomorphism, bracket_defects
+from .algebra import Element, Endomorphism, Value, bracket_defects, read_only
 from .linalg import EXACT, FLOAT, int_vector
 from .observables import Covector
 from .reports import check_law, samples
@@ -288,16 +291,15 @@ def coadjoint(x, xi, order=DEFAULT_FLOAT_ORDER):
     return Covector(alg, linalg.vec_mat(xi.coords, mat), xi.mode)
 
 
-@dataclass(frozen=True, slots=True)
-class PairElement:
+class PairElement(Value):
     """A point of the conjugation rack: a module vector and a group matrix."""
 
-    vector: tuple
-    matrix: tuple
+    __slots__ = _fields = ("_vector", "_matrix")
+    vector, matrix = map(read_only, _fields)
 
     def __init__(self, vector, matrix):
-        object.__setattr__(self, "vector", tuple(vector))
-        object.__setattr__(self, "matrix", tuple(tuple(row) for row in matrix))
+        self._vector = tuple(vector)
+        self._matrix = tuple(tuple(row) for row in matrix)
 
     def distance(self, other):
         """The larger ``linalg.gap`` of the vectors and of the matrices, exact if all Fractions."""

@@ -4,21 +4,22 @@ Every identity leibrack checks, from the rack axioms to the Hessian, is a
 call to ``check_law``: a list of witnesses, a residual per witness, and a
 tolerance.  A witness passes iff its residual r satisfies ``r <= tol``, so
 a NaN residual fails.
-"""
 
-from dataclasses import dataclass, field
+A ``CheckReport`` is a plain mutable record of four attributes set in
+``__init__``: not a value type, so it compares and hashes by identity.
+"""
 
 from .linalg import max_abs
 
 
-@dataclass
 class CheckReport:
     """Outcome of one sampled or exhaustive property check."""
 
-    name: str
-    checked: int
-    violations: list = field(default_factory=list)
-    max_residual: object = 0
+    def __init__(self, name, checked, violations, max_residual):
+        self.name = name
+        self.checked = checked
+        self.violations = violations
+        self.max_residual = max_residual
 
     @property
     def passed(self):

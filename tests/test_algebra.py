@@ -1,5 +1,7 @@
 """Structure constants, brackets, derivations, and product constructions."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -190,14 +192,22 @@ def _make_value(alg, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(VALUE_FIELDS))
-def test_value_types_are_frozen_and_hash_by_value(heisenberg, kind):
+def test_value_types_are_frozen_and_hash_by_value(heisenberg, freenil3, kind):
     a, b = _make_value(heisenberg, kind), _make_value(heisenberg, kind)
     assert a is not b
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     field = VALUE_FIELDS[kind]
-    with pytest.raises(AttributeError):
-        setattr(a, field, getattr(b, field))
+    for copied in (a, copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert copied == b and hash(copied) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(copied, field, getattr(b, field))
+        with pytest.raises(AttributeError):
+            delattr(copied, field)
+    # algebras share the value base: equal and hashed by table
+    one, two = (load_algebra(corpus_path("heisenberg")) for _ in range(2))
+    assert one is not two and one == two and hash(one) == hash(two)
+    assert one != freenil3
 
 
 def test_element_hash_ignores_the_algebra_object():

@@ -1,6 +1,7 @@
 """End-to-end command line runs through a subprocess."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -24,6 +25,22 @@ def run_cli(*args):
 
 def corpus_file(name):
     return str(corpus_path(name))
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # each CLI process pays its imports: a fresh interpreter importing the
+    # CLI and building the BCH word table adds neither module, measured
+    # against a bare interpreter so that a site hook cannot count
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    setup = "import leibrack.cli; from leibrack.bch import log_word_table; log_word_table()"
+    listing = "import sys; print(*sys.modules)"
+    bare, loaded = (
+        set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout.split())
+        for code in (listing, f"{setup}; {listing}")
+    )
+    assert "leibrack.cli" in loaded
+    assert not (loaded - bare) & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(
