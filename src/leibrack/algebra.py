@@ -10,13 +10,13 @@ the coefficient of ``e_k`` in ``[e_i, e_j]``, stored as exact rationals.
 Elements and endomorphisms can live in exact (Fraction) or float mode; the
 table itself is always exact.
 
-The dense ``table`` is the input and interchange form and the identity of
-an algebra (equality, hashing).  Most tables are almost all zeros, so every
-kernel that walks the bracket reads a sparse view instead, one per scalar
-kind.  ``int_sparse``, built in ``__init__``, lists for each i the pairs
-``(j, ((k, a), ...))`` with ``[e_i, e_j]`` nonzero, both indices ascending,
-each entry the int ``a = c * scale``, ``scale`` the lcm of the table's
-denominators.  ``float_sparse`` has the same index with each entry
+An algebra stores ``int_sparse`` and ``scale``, its identity (equality,
+hashing).  Most tables are almost all zeros, so ``int_sparse`` lists for
+each i only the pairs ``(j, ((k, a), ...))`` with ``[e_i, e_j]`` nonzero,
+both indices ascending, each entry the int ``a = c * scale``, ``scale`` the
+lcm of the table's denominators.  The dense Fraction ``table`` is kept
+when ``__init__`` is given one, else built on first use (files load
+``from_entries``).  ``float_sparse`` has the same index with each entry
 ``a / scale``, the correctly rounded ``float(c)`` (an entry that underflows
 to 0.0 included); it is built on its first use, so an exact run never
 converts the table (a coefficient beyond the float range would raise
@@ -48,10 +48,11 @@ results are bit-for-bit those of the dense sums.
 ``racks`` are plain classes on ``Value``: each keeps its fields in
 ``_``-prefixed slots behind read-only properties, so assigning or deleting
 a field raises ``AttributeError``; two values are equal when they are of
-one class with equal fields, the algebra compared by table; the hash
-leaves the algebra out; and ``copy``, ``deepcopy`` and ``pickle`` rebuild
-the slots.  ``LeibnizAlgebra`` shares ``Value``'s equality and hash, on
-its table.
+one class with equal fields, the algebra compared by its int table; the
+hash leaves the algebra out; and ``copy``, ``deepcopy`` and ``pickle``
+rebuild the slots.  ``LeibnizAlgebra`` shares ``Value``'s equality and
+hash, on ``(scale, int_sparse)``: both are canonical, so that is equality
+of tables, and comparing two algebras builds no table.
 """
 
 from fractions import Fraction
@@ -61,6 +62,8 @@ from operator import attrgetter
 
 from . import linalg
 from .linalg import EXACT, FLOAT, check_mode
+
+ZERO = Fraction(0)  # every zero entry of every built ``table``
 
 
 class Value:
@@ -90,36 +93,45 @@ def read_only(name):
 class LeibnizAlgebra(Value):
     """A Leibniz algebra presented by its structure-constant table."""
 
-    _fields = ("table",)
+    _fields = ("scale", "int_sparse")
 
     def __init__(self, table, basis=None, name=""):
         dim = len(table)
-        self.table = tuple(
-            tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in plane)
-            for plane in table
-        )
+        self.table = tuple(tuple(_coerce(row, EXACT) for row in plane) for plane in table)
         for plane in self.table:
             if len(plane) != dim or any(len(row) != dim for row in plane):
                 raise ValueError("structure-constant table must be dim x dim x dim")
+        entries = {
+            (i, j): [(k, c.numerator, c.denominator) for k, c in enumerate(row) if c]
+            for i, plane in enumerate(self.table)
+            for j, row in enumerate(plane)
+        }
+        self._setup(dim, entries, basis, name)
+
+    @classmethod
+    def from_entries(cls, dim, entries, basis=None, name=""):
+        """The algebra whose [e_i, e_j] has the nonzero entries of ``entries[i, j]``.
+
+        Each entry is ``(k, num, den)``, k ascending, num/den in lowest terms
+        with den > 0; the 0-based pairs (i, j) come in any order, and a
+        missing pair is a zero bracket.  No dense table is built.
+        """
+        algebra = cls.__new__(cls)
+        algebra._setup(dim, entries, basis, name)
+        return algebra
+
+    def _setup(self, dim, entries, basis, name):
         self.dim = dim
         self.basis = tuple(basis) if basis else tuple(f"e{i + 1}" for i in range(dim))
         if len(self.basis) != dim:
             raise ValueError("basis name count does not match dimension")
         self.name = name
-        entries = [  # per i, the (j, nonzero (k, c)) of each nonzero [e_i, e_j]
-            [(j, [(k, c) for k, c in enumerate(row) if c]) for j, row in enumerate(p) if any(row)]
-            for p in self.table
-        ]
-        self.scale = scale = lcm(
-            *(c.denominator for plane in entries for _, row in plane for _, c in row)
-        )
-        self.int_sparse = tuple(
-            tuple(
-                (j, tuple((k, c.numerator * (scale // c.denominator)) for k, c in row))
-                for j, row in plane
-            )
-            for plane in entries
-        )
+        self.scale = scale = lcm(*(den for row in entries.values() for _, _, den in row))
+        planes = [[] for _ in range(dim)]
+        for (i, j), row in sorted(entries.items()):
+            if row:
+                planes[i].append((j, tuple((k, num * (scale // den)) for k, num, den in row)))
+        self.int_sparse = tuple(map(tuple, planes))
         self._leibniz_violations = None
         self._is_lie = None
         self._exp_ad = {}  # racks.exp_ad: (coords, mode, order) -> exp(ad_x)
@@ -145,7 +157,21 @@ class LeibnizAlgebra(Value):
     def basis_elements(self, mode=EXACT):
         return [self.basis_element(i, mode) for i in range(self.dim)]
 
-    # -- sparse views ------------------------------------------------------------
+    # -- table views -------------------------------------------------------------
+
+    @cached_property
+    def table(self):
+        """The dense Fraction table ``c[i][j][k]``, built from ``int_sparse`` on first use.
+
+        Every zero entry is the shared ``ZERO``.  ``__init__`` keeps the table it is given.
+        """
+        n = self.dim
+        table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for i, plane in enumerate(self.int_sparse):
+            for j, entries in plane:
+                for k, a in entries:
+                    table[i][j][k] = Fraction(a, self.scale)
+        return tuple(tuple(map(tuple, plane)) for plane in table)
 
     @cached_property
     def float_sparse(self):
@@ -355,7 +381,7 @@ def _coerce(values, mode):
 class Element(Value):
     """An algebra element: coordinates in the defining basis plus a scalar mode.
 
-    Equality compares coords, mode and then the algebra (by table); the hash
+    Equality compares coords, mode and then the algebra (by int table); the hash
     leaves the algebra out.  ``Endomorphism`` and ``Covector`` do the same.
     """
 

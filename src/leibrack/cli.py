@@ -98,6 +98,7 @@ def vector_repr(coords):
 
 
 def emit(command, algebra, checks, config, seed, json_path, extra_details=None):
+    """Print each check and the verdict, write the report in one write; return the exit code."""
     doc = {
         "command": command,
         "algebra_name": algebra.name or "(unnamed)",
@@ -116,8 +117,7 @@ def emit(command, algebra, checks, config, seed, json_path, extra_details=None):
     print(f"overall: {doc['status']}")
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0 if doc["status"] == "pass" else 1
 
 
@@ -199,15 +199,10 @@ def cmd_analyze(algebra, args):
         raise UsageError("analyze needs a Leibniz algebra; run validate first")
     ext = build_extension(algebra)
     ders = derivation_algebra(algebra)
-    quotient_entries = [
-        {
-            "i": a + 1,
-            "j": b + 1,
-            "value": vector_repr(ext.quotient.table[a][b]),
-        }
-        for a in range(ext.quotient.dim)
-        for b in range(ext.quotient.dim)
-        if any(c != 0 for c in ext.quotient.table[a][b])
+    quotient_entries = [  # int_sparse lists the nonzero brackets in (i, j) order
+        {"i": a + 1, "j": b + 1, "value": vector_repr(ext.quotient.table[a][b])}
+        for a, plane in enumerate(ext.quotient.int_sparse)
+        for b, _ in plane
     ]
     details = {
         "left_center_dim": ext.center.dim,

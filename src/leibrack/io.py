@@ -15,6 +15,9 @@ An algebra file looks like::
 Indices are 1-based, each value is a dense coordinate vector of fractions as
 ``[numerator, denominator]`` pairs in lowest terms with positive denominator,
 and omitted (i, j) pairs mean a zero bracket.
+
+Loading keeps the nonzero pairs as ints for ``LeibnizAlgebra.from_entries``,
+with no Fraction and no dense table; saving walks ``int_sparse``.
 """
 
 import json
@@ -28,24 +31,8 @@ class InterchangeError(ValueError):
     """Raised when an algebra JSON document is malformed."""
 
 
-ZERO = Fraction(0)  # shared by every zero entry a document loads
-
-
-def checked_fraction(pair):
-    """The value of a valid ``[numerator, denominator]`` pair, else None.
-
-    One pass: two ints (``type(x) is int`` also rejects bool), a positive
-    denominator, lowest terms.  Every zero is the shared ``ZERO``.
-    """
-    if isinstance(pair, (list, tuple)) and len(pair) == 2:
-        num, den = pair
-        if type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1:
-            return Fraction(num, den) if num else ZERO
-    return None
-
-
 def pair_defect(pair):
-    """What makes ``pair`` invalid, for a pair that ``checked_fraction`` refuses."""
+    """What makes ``pair`` invalid, for a pair that ``algebra_from_dict`` refuses."""
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2
             and all(type(x) is int for x in pair)):
         return f"expected [numerator, denominator] integers, got {pair!r}"
@@ -55,8 +42,9 @@ def pair_defect(pair):
     return f"fraction {num}/{den} is not in lowest terms"
 
 
-def fraction_to_pair(value):
-    f = Fraction(value)
+def fraction_to_pair(num, den=1):
+    """``num / den`` in lowest terms, as a ``[numerator, denominator]`` pair."""
+    f = Fraction(num, den)
     return [f.numerator, f.denominator]
 
 
@@ -78,8 +66,7 @@ def algebra_from_dict(doc):
     entries = doc.get("brackets", [])
     if not isinstance(entries, list):
         raise InterchangeError("brackets: expected a list")
-    table = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    seen = set()
+    rows = {}  # 0-based (i, j) -> the nonzero (k, num, den) of its value
     for pos, entry in enumerate(entries):
         where = f"brackets[{pos}]"
         if not isinstance(entry, dict):
@@ -94,35 +81,38 @@ def algebra_from_dict(doc):
         for label, idx in (("i", i), ("j", j)):
             if not isinstance(idx, int) or isinstance(idx, bool) or not 1 <= idx <= dim:
                 raise InterchangeError(f"{where}.{label}: index {idx!r} outside 1..{dim}")
-        if (i, j) in seen:
+        if (i - 1, j - 1) in rows:
             raise InterchangeError(f"{where}: duplicate bracket for pair ({i}, {j})")
-        seen.add((i, j))
         if not isinstance(value, list) or len(value) != dim:
             raise InterchangeError(f"{where}.value: expected {dim} fraction pairs")
-        row = table[i - 1][j - 1]
+        rows[i - 1, j - 1] = row = []
         for k, pair in enumerate(value):
-            entry = checked_fraction(pair)
-            if entry is None:
-                raise InterchangeError(f"{where}.value[{k}]: {pair_defect(pair)}")
-            row[k] = entry
-    return LeibnizAlgebra(table, basis=basis, name=name)
+            # two ints (``type(x) is int`` also rejects bool), a positive
+            # denominator, lowest terms
+            if isinstance(pair, (list, tuple)) and len(pair) == 2:
+                num, den = pair
+                if type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1:
+                    if num:
+                        row.append((k, num, den))
+                    continue
+            raise InterchangeError(f"{where}.value[{k}]: {pair_defect(pair)}")
+    return LeibnizAlgebra.from_entries(dim, rows, basis=basis, name=name)
 
 
 def algebra_to_dict(algebra):
-    doc = {
+    brackets = []
+    for i, plane in enumerate(algebra.int_sparse):
+        for j, entries in plane:
+            value = [[0, 1] for _ in range(algebra.dim)]
+            for k, a in entries:
+                value[k] = fraction_to_pair(a, algebra.scale)
+            brackets.append({"i": i + 1, "j": j + 1, "value": value})
+    return {
         "name": algebra.name,
         "dim": algebra.dim,
         "basis": list(algebra.basis),
-        "brackets": [],
+        "brackets": brackets,
     }
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            row = algebra.table[i][j]
-            if any(c != 0 for c in row):
-                doc["brackets"].append(
-                    {"i": i + 1, "j": j + 1, "value": [fraction_to_pair(c) for c in row]}
-                )
-    return doc
 
 
 def load_algebra(path):
@@ -141,7 +131,10 @@ def save_algebra(algebra, path):
 
 
 def scalar_repr(value):
-    """Deterministic string form of an exact or float scalar for reports."""
+    """Deterministic string form of an exact or float scalar for reports.
+
+    Any exact value but an int or a Fraction goes through ``Fraction``: ``True`` prints ``1``.
+    """
     if isinstance(value, float):
         return repr(value)
-    return str(Fraction(value))
+    return str(value if type(value) in (int, Fraction) else Fraction(value))

@@ -6,16 +6,30 @@ import random
 import sys
 from fractions import Fraction
 from functools import reduce
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add, mul
 
 from leibrack import linalg
-from leibrack.algebra import Element, Endomorphism, LeibnizAlgebra, hemi_semi_direct
+from leibrack.algebra import ZERO, Element, Endomorphism, LeibnizAlgebra, hemi_semi_direct
 from leibrack.corpus import CORPUS_NAMES, load_corpus
 from leibrack.observables import Covector, PolyObservable
 from leibrack.racks import PairElement, exp_action, exp_ad, hs_rack_product
 from leibrack.reports import check_law, samples
 from leibrack.sampling import rational_vector
+
+
+def checked_fraction(pair):
+    """The value of a valid ``[numerator, denominator]`` pair, else None.
+
+    The pair check of ``io.algebra_from_dict`` on its own: two ints
+    (``type(x) is int`` also rejects bool), a positive denominator, lowest
+    terms.  Every zero is ``algebra.ZERO``, the zero of every built table.
+    """
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+        num, den = pair
+        if type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1:
+            return Fraction(num, den) if num else ZERO
+    return None
 
 
 def reference_sparse(alg):

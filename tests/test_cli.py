@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from leibrack import cli
+from leibrack.algebra import LeibnizAlgebra
 from leibrack.bch import MAX_ORDER
 from leibrack.corpus import CORPUS_NAMES, corpus_path
 from leibrack.io import save_algebra
@@ -116,6 +118,50 @@ def test_parse_error_exits_two(tmp_path):
         json.dumps({"dim": 1, "brackets": [{"i": 1, "j": 1, "value": [[2, 4]]}]})
     )
     assert run_cli("validate", not_lowest).returncode == 2
+
+
+Z = [0, 1]
+HEIS = [{"i": 1, "j": 2, "value": [Z, Z, [1, 1]]}, {"i": 2, "j": 1, "value": [Z, Z, [-1, 1]]}]
+ZERO_33 = {"i": 3, "j": 3, "value": [Z, Z, Z]}
+
+# (file, dim, brackets, exit code, stderr): the loader keeps each (i, j)
+# listed, zero or not, for the duplicate check, skips zero values, sorts
+# the pairs and reports the first bad pair where it stands.  The codes and
+# messages are those of the dense loader it replaced.
+LOADER_EDGES = [
+    ("zero-value", 3, HEIS + [ZERO_33], 0, ""),
+    ("zero-then-duplicate", 3, HEIS + [ZERO_33, {"i": 3, "j": 3, "value": [Z, Z, [1, 1]]}], 2,
+     "error: brackets[3]: duplicate bracket for pair (3, 3)\n"),
+    ("late-malformed", 3, HEIS + [{"i": 3, "j": 1, "value": [Z, Z, [2, 4]]}], 2,
+     "error: brackets[2].value[2]: fraction 2/4 is not in lowest terms\n"),
+    ("out-of-order", 3, HEIS[::-1], 0, ""),
+    ("wide-dim", 5, [{**e, "value": e["value"] + [Z, Z]} for e in HEIS], 0, ""),
+]
+
+
+@pytest.mark.parametrize("name, dim, brackets, code, err", LOADER_EDGES,
+                         ids=[case[0] for case in LOADER_EDGES])
+def test_loader_edge_files_keep_their_exit_codes_and_messages(
+    tmp_path, capsys, name, dim, brackets, code, err
+):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": "edge", "dim": dim, "brackets": brackets}))
+    # a file that loads reports what the same table saved in order reports
+    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for entry in brackets:
+        table[entry["i"] - 1][entry["j"] - 1] = [Fraction(*p) for p in entry["value"]]
+    plain = tmp_path / "plain.json"
+    save_algebra(LeibnizAlgebra(table, name="edge"), plain)
+    for command in ("validate", "analyze"):
+        out, expected = tmp_path / f"{command}.json", tmp_path / f"{command}-plain.json"
+        assert cli.main([command, str(path), "--json", str(out)]) == code
+        assert capsys.readouterr().err == err
+        if code:
+            assert not out.exists()
+            continue
+        assert cli.main([command, str(plain), "--json", str(expected)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == expected.read_bytes()
 
 
 def test_analyze_leib2_details(tmp_path):

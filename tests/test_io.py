@@ -1,17 +1,22 @@
 """JSON interchange format: round trips and validation."""
 
 import json
+import os
 import re
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import checked_fraction, load_bench_gen
+from leibrack.algebra import LeibnizAlgebra
 from leibrack.corpus import CORPUS_NAMES, corpus_path
 from leibrack.io import (
     InterchangeError,
     algebra_from_dict,
     algebra_to_dict,
-    checked_fraction,
     fraction_to_pair,
     load_algebra,
     pair_defect,
@@ -161,3 +166,111 @@ def test_scalar_repr():
     assert scalar_repr(Fraction(-3)) == "-3"
     assert scalar_repr(0.5) == "0.5"
     assert scalar_repr(1e-17) == "1e-17"
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+DATA_PATHS = {name: str(corpus_path(name)) for name in CORPUS_NAMES}
+DATA_PATHS.update(
+    (file.removesuffix(".json"), os.path.join(DATA, file)) for file in sorted(os.listdir(DATA))
+)
+GEN = load_bench_gen()
+
+
+def dense_algebra(doc):
+    """The algebra of a document, through the dense constructor and not the loader."""
+    n = doc["dim"]
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for entry in doc.get("brackets", []):
+        table[entry["i"] - 1][entry["j"] - 1] = [Fraction(*pair) for pair in entry["value"]]
+    return LeibnizAlgebra(table, basis=doc.get("basis"), name=doc.get("name", ""))
+
+
+def reference_document_bytes(alg):
+    """What ``save_algebra`` wrote when it walked the dense table."""
+    doc = {"name": alg.name, "dim": alg.dim, "basis": list(alg.basis), "brackets": []}
+    for i, plane in enumerate(alg.table):
+        for j, row in enumerate(plane):
+            if any(row):
+                doc["brackets"].append(
+                    {"i": i + 1, "j": j + 1, "value": [[c.numerator, c.denominator] for c in row]}
+                )
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def assert_loads_as(path, expected):
+    alg = load_algebra(path)
+    assert "table" not in vars(alg)
+    assert alg.int_sparse == expected.int_sparse and alg.scale == expected.scale
+    assert alg == expected and hash(alg) == hash(expected)
+    assert (alg.basis, alg.name) == (expected.basis, expected.name)
+    assert "table" not in vars(alg)  # equality and hash read the int table
+    assert alg.table == expected.table
+
+
+def loading_cases():
+    """Each data file as its document, and n_4..n_6 of ``bench/gen.py`` as algebras."""
+    cases = [
+        pytest.param(json.loads(open(path, encoding="utf-8").read()), id=name)
+        for name, path in DATA_PATHS.items()
+    ]
+    return cases + [pytest.param(GEN.n_k(k), id=f"gen-n{k}") for k in (4, 5, 6)]
+
+
+@pytest.mark.parametrize("source", loading_cases())
+def test_loading_gives_the_dense_algebra_without_its_table(tmp_path, source):
+    if isinstance(source, dict):
+        base = dense_algebra(source)
+        path = tmp_path / "file.json"
+        path.write_text(json.dumps(source), encoding="utf-8")
+        assert_loads_as(path, base)
+    else:
+        base = source
+    g = GEN.random_basis_change(GEN.seeded_rng(7, base.name or "unnamed"), base.dim)
+    for expected in (base, GEN.rebase(base, g, f"{base.name}r")):
+        path = tmp_path / "saved.json"
+        save_algebra(expected, path)
+        assert path.read_bytes() == reference_document_bytes(expected)
+        assert_loads_as(path, expected)
+
+
+@pytest.mark.parametrize("name", list(DATA_PATHS))
+def test_saving_writes_the_dense_bytes_without_building_the_table(tmp_path, name):
+    alg = load_algebra(DATA_PATHS[name])
+    save_algebra(alg, tmp_path / "saved.json")
+    assert "table" not in vars(alg)
+    assert (tmp_path / "saved.json").read_bytes() == reference_document_bytes(alg)
+
+
+def test_empty_wide_document_loads_without_dense_cells(tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"dim": 200, "brackets": []}), encoding="utf-8")
+    alg = load_algebra(path)
+    assert alg.int_sparse == ((),) * 200 and alg.scale == 1
+    assert "table" not in vars(alg)
+
+
+BIG = 2**80
+ENTRY = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)).filter(bool)
+
+
+@st.composite
+def sparse_tables(draw):
+    n = draw(st.integers(1, 5))
+    index = st.tuples(*[st.integers(0, n - 1)] * 3)
+    entries = draw(st.dictionaries(index, ENTRY, max_size=2 * n * n))
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), c in entries.items():
+        table[i][j][k] = c
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_tables())
+def test_save_load_round_trip_on_random_sparse_tables(table):
+    alg = LeibnizAlgebra(table, name="random")
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "t.json")
+        save_algebra(alg, path)
+        with open(path, "rb") as handle:
+            assert handle.read() == reference_document_bytes(alg)
+        assert_loads_as(path, alg)
