@@ -100,10 +100,6 @@ def vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
 
 
-def vec_scale(c, v):
-    return [c * a for a in v]
-
-
 def vec_dot(u, v):
     return reduce(add, map(mul, u, v), 0)
 
@@ -257,10 +253,6 @@ def float_product(a, b_rows, cols):
     return out
 
 
-def mat_scale(c, a):
-    return [vec_scale(c, row) for row in a]
-
-
 def mat_norm_1(a):
     """Maximum absolute column sum."""
     return max((reduce(add, map(abs, col), 0) for col in zip(*a)), default=0)
@@ -271,9 +263,11 @@ def _int_rows(matrix):
 
     Scaling a row by a positive constant keeps the row space.  A row of
     plain ints is passed through as it is, with scale 1, after one pass over
-    its types; no caller changes the rows it gets.  Otherwise ints and
-    Fractions are read as they are, and any other entry (a float) goes
-    through ``Fraction`` first.
+    its types; no caller changes the rows it gets.  Any other row is read
+    entry by entry with ``as_integer_ratio``, the exact (num, den) in lowest
+    terms that ``Fraction`` would hold, and no Fraction is made.  A float
+    is dyadic, so a row of ints and floats has the largest of its
+    denominators as its lcm.
     """
     rows, scales = [], []
     for row in matrix:
@@ -281,9 +275,9 @@ def _int_rows(matrix):
             rows.append(row)
             scales.append(1)
             continue
-        row = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in row]
-        d = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (d // x.denominator) for x in row])
+        ratios = [x.as_integer_ratio() for x in row]
+        d = lcm(*(den for _, den in ratios))
+        rows.append([num * (d // den) for num, den in ratios])
         scales.append(d)
     return rows, scales
 
@@ -473,7 +467,7 @@ def _inverse_rows(matrix):
     a zero numerator over its pivot is +0.  Raises ValueError when singular.
     """
     n = len(matrix)
-    augmented = [list(row) + irow for row, irow in zip(matrix, identity_matrix(n))]
+    augmented = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(matrix)]
     rows, pivots = echelon(_int_rows(augmented)[0])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

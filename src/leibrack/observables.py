@@ -10,8 +10,9 @@ terms: every key must be a tuple of ``nvars`` non-negative ints.  Every
 operator builds a plain dict and hands it to one private normaliser,
 ``_normalised``, which sorts the keys and drops zero coefficients; results of
 operators are never re-validated.  ``substitute_linear`` expands each
-monomial factor by factor in one working dict, adds the expansions into one
-result dict, and builds a single observable at the end.  Given int forms
+monomial factor by factor in one working dict, on keys packed into ints,
+adds the expansions into one result dict, and builds one observable at the
+end, unpacking its keys to tuples once.  Given int forms
 over one denominator, as the exact ``quantize.quantum_rack_action`` passes
 them, it runs that expansion on ints and makes one Fraction per result key.
 
@@ -23,9 +24,12 @@ its coordinates as ``Element`` does.
 
 from fractions import Fraction
 from operator import add
+from struct import Struct
 
 from .algebra import Value, _coerce, join_elements, read_only
 from .linalg import EXACT, check_mode, gap, int_vector, max_abs, vec_dot
+
+SLOTS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))  # a packed key's slot bytes, struct code
 
 
 class Covector(Value):
@@ -209,6 +213,12 @@ class PolyObservable(Value):
         partial product walks its keys in sorted order and drops exact zeros
         before the next factor, and no sum goes through ``sum()``.
 
+        A key is one int, xi_{j+1}'s exponent in the slot at byte (n-1-j)·size,
+        slots as wide as the largest degree needs: int order is tuple order,
+        so every sum keeps its order, and a bump is one int add.  Fraction *
+        float is float(Fraction) * float, so on float nonzero forms a
+        non-constant coefficient is made float once.
+
         With ``den`` the forms are int numerators over the int ``den`` and
         every coefficient is exact.  The expansion then runs on ints, on the
         coefficients times L, the lcm of their denominators, and a key of
@@ -219,34 +229,34 @@ class PolyObservable(Value):
             raise ValueError("need one linear form per variable")
         if any(len(form) != n for form in forms):
             raise ValueError(f"each linear form needs {n} coefficients")
-        linears = [[(j, c) for j, c in enumerate(form) if c != 0] for form in forms]
-        # steps[i][key]: the (key + e_j, forms[i][j]) that multiplying by form i makes
-        steps = [{} for _ in range(n)]
+        degree = max(map(sum, self.terms), default=0)
+        size, code = next(slot for slot in SLOTS if degree < 256 ** slot[0])
+        unpack = Struct(f">{n}{code}").unpack
+        linears = [[(1 << 8 * size * (n - 1 - j), c) for j, c in enumerate(form) if c != 0]
+                   for form in forms]
         if den is None:
             one = Fraction(1)  # an int coeff turns Fraction, as in a product
-            start = {exps: coeff * one for exps, coeff in self.terms.items()}
+            floats = all(linears) and all(type(c) is float for lin in linears for _, c in lin)
+            start = {exps: float(coeff) if floats and any(exps) else coeff * one
+                     for exps, coeff in self.terms.items()}
         else:
             nums, lcd = int_vector(list(self.terms.values()))
             start = dict(zip(self.terms, nums))
         result = {}
         for exps, coeff in start.items():
-            term = {(0,) * n: coeff}
-            for i, e in enumerate(exps):
-                step_i, linear = steps[i], linears[i]
+            term = {0: coeff}
+            for e, linear in zip(exps, linears):
                 for _ in range(e):
                     product = {}
                     for key, value in term.items():
-                        step = step_i.get(key)
-                        if step is None:
-                            step = step_i[key] = [
-                                (key[:j] + (key[j] + 1,) + key[j + 1:], c) for j, c in linear
-                            ]
-                        for bumped, c in step:
+                        for unit, c in linear:
+                            bumped = key + unit
                             product[bumped] = product.get(bumped, 0) + value * c
                     # int sums do not depend on their order
                     term = _normalised(product) if den is None else product
             for key, value in term.items():
                 result[key] = result.get(key, 0) + value
+        result = {unpack(key.to_bytes(n * size, "big")): v for key, v in result.items()}
         if den is not None:
             result = {key: Fraction(v, lcd * den ** sum(key)) for key, v in result.items() if v}
         return PolyObservable._from_terms(n, result)

@@ -36,12 +36,14 @@ B (exact x scaled to ints once, each vector summed on ``int_sparse``).
 
 Float mode keeps the truncated Taylor matrix series with scaling and
 squaring (Moler & Van Loan, SIAM Rev. 45(1), 2003): it rejects a matrix
-with a non-finite entry or 1-norm, halves the matrix until its 1-norm is at
-most 1, then runs ``order`` products power <- (power @ A) / k, adding each
-power to the total.  The nonzero rows of the scaled A are listed once per
-call, and each product goes through ``linalg.float_product``, which forms
-no product with a zero factor and gives ``mat_mul``'s bits; ad_x of
-sl2 x| V_m is mostly zero blocks.  The squarings are ``mat_mul`` calls.
+with a non-finite entry or 1-norm, halves it to B of 1-norm at most 1, and
+adds B^k / k!, k <= ``order``, into the identity.  A power is kept as the
+nonzero (j, v) of its rows, made by the ``linalg.float_product`` fold and
+divided by k entry by entry; an all-zero power ends the sum.  The squarings
+are ``float_product`` calls, each checked for a non-finite entry.  These
+are the float operations of the dense loop in its order, so the bits are
+its bits: a skipped zero leaves a total (never -0.0) as it is, and a
+non-finite entry stays non-finite in every later square.
 
 Every caller that needs the matrix exp(ad_x) (the float paths and
 ``rh_embed``) asks ``exp_ad(x, order)``, which computes ``exp_endo(ad_x)``
@@ -219,29 +221,38 @@ def exp_endo(endo, order=DEFAULT_FLOAT_ORDER):
     while norm > 1.0:
         norm /= 2.0
         squarings += 1
-    scaled = linalg.mat_scale(1.0 / (1 << squarings), endo.matrix) if squarings else endo.matrix
-    scaled = [[float(x) for x in row] for row in scaled]
-    # ||scaled||_1 <= 1 bounds every power by 1/k!, so all stay finite and
-    # float_product gives mat_mul's bits without checking again
-    entries = linalg.nonzero_rows(scaled)
+    scale = 1.0 / (1 << squarings)
+    # the first power, B: I·B adds 1.0 * v onto 0.0, which is v
+    entries = [[(j, v) for j, x in enumerate(row) if (v := scale * x)] for row in endo.matrix]
     total = linalg.identity_matrix(n, FLOAT)
-    power = linalg.identity_matrix(n, FLOAT)
-    for k in range(1, order + 1):
+    power = entries if order > 0 else []
+    for row, acc in zip(power, total):
+        for j, v in row:
+            acc[j] += v
+    for k in range(2, order + 1):
         inv = 1.0 / k
-        power = linalg.float_product(power, entries, n)
-        # scale the fresh product in place and add it into the total, skipping
-        # zeros: a zero times 1/k is the same zero, and adding a zero to a
-        # total that is never -0.0 leaves it as it is; a product that
-        # underflows is still added
+        fresh = []
         for row, acc in zip(power, total):
-            for j, v in enumerate(row):
-                if v:
-                    row[j] = v = inv * v
+            # ||B||_1 <= 1 bounds every power by 1/k!, so all stay finite
+            out = [0.0] * n
+            for i, x in row:
+                for j, v in entries[i]:
+                    out[j] += x * v
+            kept = []
+            for j, v in enumerate(out):
+                if v and (v := inv * v):
+                    kept.append((j, v))
                     acc[j] += v
+            fresh.append(kept)
+        power = fresh
+        if not any(power):
+            break
+    # a non-finite entry of the fold's square stays non-finite in every later
+    # one (its product with the diagonal entry of its column is inf or nan)
     for _ in range(squarings):
-        total = linalg.mat_mul(total, total)
-    if not all(isfinite(x) for row in total for x in row):
-        raise _overflowed(endo)
+        total = linalg.float_product(total, linalg.nonzero_rows(total), n)
+        if not all(map(isfinite, chain.from_iterable(total))):
+            raise _overflowed(endo)
     return Endomorphism(endo.algebra, total, FLOAT)
 
 

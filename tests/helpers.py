@@ -923,6 +923,14 @@ def mat_sub(a, b):
     return [linalg.vec_sub(ra, rb) for ra, rb in zip(a, b)]
 
 
+def vec_scale(c, v):
+    return [c * a for a in v]
+
+
+def mat_scale(c, a):
+    return [vec_scale(c, row) for row in a]
+
+
 def reference_mat_mul(a, b):
     """``linalg.mat_mul`` as a left fold per entry, whatever the input."""
     cols = list(zip(*b))
@@ -940,12 +948,12 @@ def reference_exp_endo_float(matrix, order):
     while norm > 1.0:
         norm /= 2.0
         squarings += 1
-    scaled = linalg.mat_scale(1.0 / (1 << squarings), matrix) if squarings else matrix
+    scaled = mat_scale(1.0 / (1 << squarings), matrix) if squarings else matrix
     scaled = [[float(x) for x in row] for row in scaled]
     total = linalg.identity_matrix(n, linalg.FLOAT)
     power = linalg.identity_matrix(n, linalg.FLOAT)
     for k in range(1, order + 1):
-        power = linalg.mat_scale(1.0 / k, reference_mat_mul(power, scaled))
+        power = mat_scale(1.0 / k, reference_mat_mul(power, scaled))
         total = mat_add(total, power)
     for _ in range(squarings):
         total = reference_mat_mul(total, total)

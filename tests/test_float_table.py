@@ -207,6 +207,23 @@ def test_float_inverse_is_the_exact_inverse_rounded(data, n):
     assert outcome(linalg.float_inverse, m) == outcome(reference_float_inverse, m)
 
 
+# a float row is read as dyadic rationals, an int or Fraction row as it is
+MIXED = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1000, 2.0**1000, -(2.0**1000)]),
+    st.floats(-4, 4),
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(0, 4))
+def test_float_inverse_on_rows_mixing_ints_fractions_and_floats(data, n):
+    m = [[data.draw(MIXED) for _ in range(n)] for _ in range(n)]
+    assert outcome(linalg.float_inverse, m) == outcome(reference_float_inverse, m)
+    assert outcome(linalg.inverse, m) == outcome(reference_inverse, m)
+
+
 # -- the float table is lazy ---------------------------------------------------
 
 

@@ -9,7 +9,8 @@ memoized ``exp_ad`` must return exactly what ``exp_endo(ad_x)`` computes.
 import random
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from itertools import chain
+from math import factorial, isfinite
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +34,7 @@ from helpers import (
     dense_derivation_rows,
     make_table,
     mat_add,
+    mat_scale,
     n_k,
     random_invertible,
     rebase,
@@ -121,7 +123,7 @@ def dense_exp(matrix):
     power = linalg.identity_matrix(n)
     for k in range(1, n + 1):
         power = linalg.mat_mul(power, matrix)
-        total = mat_add(total, linalg.mat_scale(Fraction(1, factorial(k)), power))
+        total = mat_add(total, mat_scale(Fraction(1, factorial(k)), power))
     return total
 
 
@@ -550,6 +552,67 @@ def test_exp_endo_float_on_products_that_underflow(matrix, order):
     endo = Endomorphism(LeibnizAlgebra(make_table(len(matrix), {})), matrix, "float")
     want = reference_exp_endo_float(matrix, order)
     assert matrix_bits(exp_endo(endo, order)) == [exact_bits(row) for row in want]
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl2xV4"])
+def test_exp_endo_float_at_order_0_is_the_squared_identity(name):
+    # no Taylor term at all: the squarings of I, not I + B, whatever the norm
+    alg = SL2_FAMILY[name]
+    rng = random.Random(name + "order0")
+    identity = [exact_bits(row) for row in linalg.identity_matrix(alg.dim, "float")]
+    for scale in (0.1, 1.0, 40.0):
+        x = alg.element([scale * float(v) for v in rational_vector(rng, alg.dim)], "float")
+        ad = alg.ad(x)
+        want = reference_exp_endo_float(ad.matrix, 0)
+        assert matrix_bits(exp_endo(ad, 0)) == [exact_bits(row) for row in want] == identity
+
+
+def overflow_message(matrix):
+    return (
+        "float exponential overflowed: exp of a matrix with 1-norm "
+        f"{linalg.mat_norm_1(matrix)} has a non-finite entry"
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@example(matrix=[[800.0]], order=12)
+@example(matrix=[[0.0, 1000.0], [-1000.0, 0.0]], order=12)
+@example(matrix=[[700.0, 5.0], [0.0, -3.0]], order=1)
+@given(
+    matrix=st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(-1e3, 1e3)),
+                min_size=n,
+                max_size=n,
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    order=st.sampled_from([0, 1, 12, 16]),
+)
+def test_exp_endo_float_at_large_norms(matrix, order):
+    # a 1-norm up to 4e3 takes up to 12 squarings; where the dense loop ends
+    # on a non-finite entry, exp_endo raises the overflow error instead
+    endo = Endomorphism(LeibnizAlgebra(make_table(len(matrix), {})), matrix, "float")
+    want = reference_exp_endo_float(matrix, order)
+    if all(map(isfinite, chain.from_iterable(want))):
+        assert matrix_bits(exp_endo(endo, order)) == [exact_bits(row) for row in want]
+    else:
+        with pytest.raises(ValueError) as err:
+            exp_endo(endo, order)
+        assert str(err.value) == overflow_message(matrix)
+
+
+def test_exp_endo_float_overflow_keeps_its_message():
+    # e^800 is beyond the float range: the tenth squaring overflows
+    endo = Endomorphism(LeibnizAlgebra(make_table(1, {})), [[800.0]], "float")
+    assert not isfinite(reference_exp_endo_float([[800.0]], 12)[0][0])
+    with pytest.raises(ValueError) as err:
+        exp_endo(endo)
+    assert str(err.value) == overflow_message([[800.0]])
+    assert str(err.value).endswith("1-norm 800.0 has a non-finite entry")
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "freenil3"])

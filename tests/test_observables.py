@@ -123,6 +123,49 @@ def test_poisson_dense_float_matches_reference():
         assert same_bits(poisson_bracket(algebra, f, g), reference_poisson_bracket(algebra, f, g))
 
 
+# -- packed keys ---------------------------------------------------------------
+
+
+def items(poly):
+    """The terms in their order, each coefficient by ``repr``: float bits and types."""
+    return [(key, repr(value)) for key, value in poly.terms.items()]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 7, 8, 16, 255, 256])
+def test_substitute_linear_at_slot_boundaries(degree):
+    # a key holds one exponent per slot of 1, 2, 4 or 8 bytes, as many as the
+    # largest total degree needs: 255 is the last degree with 1-byte slots
+    rng = random.Random(degree)
+    n = 3
+    mixed = [0] * n
+    for _ in range(min(degree, 6)):
+        mixed[rng.randrange(n)] += 1
+    terms = {(0, 0, 0): Fraction(-1, 5), tuple(mixed): Fraction(1, 7), (degree, 0, 0): 3}
+    f = PolyObservable(n, terms)
+    # the first form has two nonzero entries, so xi1^degree expands to
+    # degree + 1 keys
+    floats = [[rng.uniform(-1.5, 1.5) for _ in range(n)] for _ in range(n)]
+    floats[0][2] = 0.0
+    nums = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    nums[0] = [2, -1, 0]
+    den = 3
+    fractions = [[Fraction(c, den) for c in form] for form in nums]
+    assert items(f.substitute_linear(floats)) == items(reference_substitute_linear(f, floats))
+    want = reference_substitute_linear(f, fractions)
+    for got in (f.substitute_linear(fractions), f.substitute_linear(nums, den)):
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert items(got) == items(want)
+
+
+def test_constant_term_stays_a_fraction_under_a_float_action():
+    f = PolyObservable(2, {(0, 0): Fraction(1, 3), (1, 0): Fraction(2, 7), (0, 2): 5})
+    forms = [[0.5, -0.25], [1e-3, 3.0]]
+    got = f.substitute_linear(forms)
+    assert items(got) == items(reference_substitute_linear(f, forms))
+    assert type(got.terms[(0, 0)]) is Fraction and got.terms[(0, 0)] == Fraction(1, 3)
+    assert all(type(c) is float for key, c in got.terms.items() if any(key))
+
+
 # -- exact values ----------------------------------------------------------------
 
 
