@@ -193,7 +193,7 @@ def mat_mul(a, b):
     """Matrix product, with the bits of a left fold per entry (see the module doc)."""
     kind = _product_kind(a, b)
     if kind == FLOAT:
-        return float_product(a, nonzero_rows(b), len(b[0]))
+        return float_product(nonzero_rows(a), nonzero_rows(b), len(b[0]))
     cols = list(zip(*b))
     if kind == EXACT:
         rows, row_scales = _int_rows(a)
@@ -233,22 +233,21 @@ def nonzero_rows(m):
     return [[(j, v) for j, v in enumerate(row) if v] for row in m]
 
 
-def float_product(a, b_rows, cols):
-    """a times b for finite float matrices, b given as ``nonzero_rows(b)``.
+def float_product(a_rows, b_rows, cols):
+    """a times b for finite float matrices, given as ``nonzero_rows(a)`` and ``nonzero_rows(b)``.
 
-    Row i is an accumulator that starts at 0.0 and takes x * v for k
-    ascending, x = a[i][k] nonzero and (j, v) in ``b_rows[k]``; no product
-    with a zero factor is formed.  On finite input this is the left fold of
-    ``mat_mul`` bit for bit; an infinite or NaN factor would need its
-    products with zeros, so callers check finiteness first.
+    Row i is an accumulator that starts at 0.0 and takes x * v for (k, x)
+    in ``a_rows[i]`` and (j, v) in ``b_rows[k]``; no product with a zero
+    factor is formed.  On finite input this is the left fold of ``mat_mul``
+    bit for bit; an infinite or NaN factor would need its products with
+    zeros, so callers check finiteness first.
     """
     out = []
-    for row in a:
+    for row in a_rows:
         acc = [0.0] * cols
-        for x, entries in zip(row, b_rows):
-            if x:
-                for j, v in entries:
-                    acc[j] += x * v
+        for k, x in row:
+            for j, v in b_rows[k]:
+                acc[j] += x * v
         out.append(acc)
     return out
 
@@ -265,9 +264,7 @@ def _int_rows(matrix):
     plain ints is passed through as it is, with scale 1, after one pass over
     its types; no caller changes the rows it gets.  Any other row is read
     entry by entry with ``as_integer_ratio``, the exact (num, den) in lowest
-    terms that ``Fraction`` would hold, and no Fraction is made.  A float
-    is dyadic, so a row of ints and floats has the largest of its
-    denominators as its lcm.
+    terms that ``Fraction`` would hold, and no Fraction is made.
     """
     rows, scales = [], []
     for row in matrix:

@@ -12,9 +12,9 @@ operator builds a plain dict and hands it to one private normaliser,
 operators are never re-validated.  ``substitute_linear`` expands each
 monomial factor by factor in one working dict, on keys packed into ints,
 adds the expansions into one result dict, and builds one observable at the
-end, unpacking its keys to tuples once.  Given int forms
-over one denominator, as the exact ``quantize.quantum_rack_action`` passes
-them, it runs that expansion on ints and makes one Fraction per result key.
+end, unpacking its keys to tuples once.  Given int forms over one
+denominator, as the exact ``quantize.quantum_rack_action`` passes them, it
+runs that expansion on ints and makes one Fraction per result key.
 
 Both are value types on ``algebra.Value``: read-only fields over slots,
 equality by class and fields (a covector's algebra by table), a hash
@@ -211,13 +211,10 @@ class PolyObservable(Value):
         replacing the i-th coordinate.  Float results are bit-for-bit those
         of multiplying each monomial out one linear factor at a time: each
         partial product walks its keys in sorted order and drops exact zeros
-        before the next factor, and no sum goes through ``sum()``.
-
-        A key is one int, xi_{j+1}'s exponent in the slot at byte (n-1-j)·size,
-        slots as wide as the largest degree needs: int order is tuple order,
-        so every sum keeps its order, and a bump is one int add.  Fraction *
-        float is float(Fraction) * float, so on float nonzero forms a
-        non-constant coefficient is made float once.
+        before the next factor, and no sum goes through ``sum()``.  A key is
+        one int, xi_{j+1}'s exponent in the slot at byte (n-1-j)·size, slots
+        as wide as the largest degree needs: int order is tuple order, so
+        every sum keeps its order, and a bump is one int add.
 
         With ``den`` the forms are int numerators over the int ``den`` and
         every coefficient is exact.  The expansion then runs on ints, on the
@@ -236,9 +233,7 @@ class PolyObservable(Value):
                    for form in forms]
         if den is None:
             one = Fraction(1)  # an int coeff turns Fraction, as in a product
-            floats = all(linears) and all(type(c) is float for lin in linears for _, c in lin)
-            start = {exps: float(coeff) if floats and any(exps) else coeff * one
-                     for exps, coeff in self.terms.items()}
+            start = {exps: coeff * one for exps, coeff in self.terms.items()}
         else:
             nums, lcd = int_vector(list(self.terms.values()))
             start = dict(zip(self.terms, nums))

@@ -37,13 +37,14 @@ B (exact x scaled to ints once, each vector summed on ``int_sparse``).
 Float mode keeps the truncated Taylor matrix series with scaling and
 squaring (Moler & Van Loan, SIAM Rev. 45(1), 2003): it rejects a matrix
 with a non-finite entry or 1-norm, halves it to B of 1-norm at most 1, and
-adds B^k / k!, k <= ``order``, into the identity.  A power is kept as the
-nonzero (j, v) of its rows, made by the ``linalg.float_product`` fold and
-divided by k entry by entry; an all-zero power ends the sum.  The squarings
-are ``float_product`` calls, each checked for a non-finite entry.  These
-are the float operations of the dense loop in its order, so the bits are
-its bits: a skipped zero leaves a total (never -0.0) as it is, and a
-non-finite entry stays non-finite in every later square.
+adds B^k / k!, k <= ``order``, into the identity.  Each power is kept as
+the nonzero (j, v) of its rows: B itself, then the ``linalg.float_product``
+of the last power and B, divided by k entry by entry; an all-zero power
+ends the sum.  The squarings are ``float_product`` calls, each checked for
+a non-finite entry.  These are the float operations of the dense loop in
+its order, so the bits are its bits: a skipped zero leaves a total (never
+-0.0) as it is, and a non-finite entry of a square stays non-finite in
+every later one (its product with its column's diagonal entry is inf or nan).
 
 Every caller that needs the matrix exp(ad_x) (the float paths and
 ``rh_embed``) asks ``exp_ad(x, order)``, which computes ``exp_endo(ad_x)``
@@ -222,35 +223,28 @@ def exp_endo(endo, order=DEFAULT_FLOAT_ORDER):
         norm /= 2.0
         squarings += 1
     scale = 1.0 / (1 << squarings)
-    # the first power, B: I·B adds 1.0 * v onto 0.0, which is v
     entries = [[(j, v) for j, x in enumerate(row) if (v := scale * x)] for row in endo.matrix]
     total = linalg.identity_matrix(n, FLOAT)
-    power = entries if order > 0 else []
-    for row, acc in zip(power, total):
+    power = entries  # the first power: I·B adds 1.0 * v onto 0.0, which is v
+    for row, acc in zip(power if order else (), total):
         for j, v in row:
             acc[j] += v
     for k in range(2, order + 1):
+        # ||B||_1 <= 1 bounds every power by 1/k!, so all stay finite
         inv = 1.0 / k
-        fresh = []
-        for row, acc in zip(power, total):
-            # ||B||_1 <= 1 bounds every power by 1/k!, so all stay finite
-            out = [0.0] * n
-            for i, x in row:
-                for j, v in entries[i]:
-                    out[j] += x * v
+        power, product = [], linalg.float_product(power, entries, n)
+        for row, acc in zip(product, total):
             kept = []
-            for j, v in enumerate(out):
+            for j, v in enumerate(row):
                 if v and (v := inv * v):
                     kept.append((j, v))
                     acc[j] += v
-            fresh.append(kept)
-        power = fresh
+            power.append(kept)
         if not any(power):
             break
-    # a non-finite entry of the fold's square stays non-finite in every later
-    # one (its product with the diagonal entry of its column is inf or nan)
     for _ in range(squarings):
-        total = linalg.float_product(total, linalg.nonzero_rows(total), n)
+        rows = linalg.nonzero_rows(total)
+        total = linalg.float_product(rows, rows, n)
         if not all(map(isfinite, chain.from_iterable(total))):
             raise _overflowed(endo)
     return Endomorphism(endo.algebra, total, FLOAT)

@@ -386,7 +386,7 @@ def test_float_product_forms_no_product_with_a_zero_factor(data):
     b = data.draw(shaped_matrices(entry, inner, cols), label="b")
     b_rows = [[(j, CountingFloat(v)) for j, v in row] for row in linalg.nonzero_rows(b)]
     CountingFloat.products = 0
-    got = linalg.float_product(a, b_rows, cols)
+    got = linalg.float_product(linalg.nonzero_rows(a), b_rows, cols)
     assert CountingFloat.products == sum(
         1 for row in a for x, b_row in zip(row, b) for v in b_row if x and v
     )
