@@ -18,7 +18,7 @@ from .algebra import (
     hemi_semi_direct,
     left_center,
 )
-from .bch import bch, conj_star, verify_conj_identity
+from .bch import conj_star, verify_conj_identity
 from .cocycle import SERIES_SIGN, rack_cocycle_exact, rack_cocycle_series
 from .corpus import CORPUS_NAMES, load_corpus
 from .extension import (

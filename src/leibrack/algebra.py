@@ -23,15 +23,18 @@ converts the table (a coefficient beyond the float range would raise
 ``OverflowError`` there).
 
 ``bracket_coords`` sums on the view it is given; ``left_bracket`` picks
-the view from a scalar mode, as every element-level bracket does.
+the view from a scalar mode, as every element-level bracket does.  Plane i
+of a view is the column list of ad_{e_i}, and ``int_ad`` is the one adjoint
+sum: the nonzero int columns of s·ad_x for exact x = X / d, s = d·``scale``
+(float ``ad`` runs it on ``float_sparse``); ``int_apply`` applies columns.
 
 * ``int_sparse`` serves every exact kernel: exact ``left_bracket`` and
-  ``ad``, ``bracket_defects``, the Leibniz check, ``is_lie``,
+  ``int_ad``, ``bracket_defects``, the Leibniz check, ``is_lie``,
   ``nilpotency_class``, ``left_center``, ``derivation_algebra``, the
-  extension data and laws, the exact Poisson bracket, the Hessian, the
-  exact BCH word sum and ``racks.int_ad``.  They scale rational input to
-  ints (``linalg.int_vector``), sum on ints and make canonical Fractions
-  only for their results, dividing the scale out once, or never where the
+  extension data and laws, the exact Poisson bracket, the Hessian and the
+  exact BCH word sum.  They scale rational input to ints
+  (``linalg.int_vector``), sum on ints and make canonical Fractions only
+  for their results, dividing the scale out once, or never where the
   answer does not depend on it (a span, a nullspace, a zero test).  The
   Leibniz check and the two extension laws pack each int row into one int
   (``linalg.pack``), so a whole scaled row is one int multiply-add and a
@@ -45,7 +48,8 @@ The kernels visit terms in the same order as a dense loop would, so float
 results are bit-for-bit those of the dense sums.
 
 ``Element``, ``Endomorphism`` and the value types of ``observables`` and
-``racks`` are plain classes on ``Value``: each keeps its fields in
+``racks`` are plain classes on ``Value`` (``Element`` and
+``observables.Covector`` through ``Coordinates``): each keeps its fields in
 ``_``-prefixed slots behind read-only properties, so assigning or deleting
 a field raises ``AttributeError``; two values are equal when they are of
 one class with equal fields, the algebra compared by its int table; the
@@ -229,27 +233,50 @@ class LeibnizAlgebra(Value):
         _, mode = join_elements(x, y)
         return Element(self, self.left_bracket(x.coords, mode)(y.coords), mode)
 
+    def int_ad(self, coords):
+        """ad_x on ints for a rational list x = X / d: (columns, s) with s = d·``scale``.
+
+        ``columns`` lists (j, [(k, a), ...]) for the nonzero columns of the
+        int matrix s·ad_x, a = sum_i X_i·c[i][j][k]·``scale``, nonzero.
+        """
+        x, d = linalg.int_vector(coords)
+        columns = enumerate(self._ad_columns(x, self.int_sparse))
+        nonzero = [(j, [(k, a) for k, a in enumerate(c) if a]) for j, c in columns if any(c)]
+        return nonzero, d * self.scale
+
+    def _ad_columns(self, x, sparse):
+        """The dense columns of sum_i x_i·(plane i of ``sparse``): ad_x, times ``scale`` on ints.
+
+        Plane i lists the columns of ad_{e_i}.  Each entry starts from the
+        int 0 and adds its terms in ascending i, as a dense loop does.
+        """
+        columns = [[0] * self.dim for _ in range(self.dim)]
+        for xi, plane in zip(x, sparse):
+            if xi:
+                for j, row in plane:
+                    column = columns[j]
+                    for k, c in row:
+                        column[k] += xi * c
+        return columns
+
     def ad(self, x):
         """Left multiplication operator ad_x = [x, .] as an endomorphism.
 
-        ``x`` is an Element, or an exact coordinate list.  Exact ad_x is
-        summed on ``int_sparse``, with one Fraction per nonzero entry.
+        ``x`` is an Element, or an exact coordinate list.  Exact ad_x makes
+        one Fraction over s per nonzero entry of ``int_ad``; float ad_x runs
+        the same column sum on ``float_sparse``.
         """
         n = self.dim
         coords, mode = (x.coords, x.mode) if isinstance(x, Element) else (x, EXACT)
-        if mode == EXACT:
-            coords, den = linalg.int_vector(coords)
-        rows = [[0] * n for _ in range(n)]
-        for xi, plane in zip(coords, self.int_sparse if mode == EXACT else self.float_sparse):
-            if xi == 0:
-                continue
-            for j, row in plane:
-                for k, c in row:
-                    rows[k][j] = rows[k][j] + xi * c
-        if mode == EXACT:
-            zero, den = Fraction(0), den * self.scale
-            rows = [[Fraction(a, den) if a else zero for a in row] for row in rows]
-        return Endomorphism(self, rows, mode)
+        if mode == FLOAT:
+            columns = self._ad_columns(coords, self.float_sparse)
+            return Endomorphism(self, list(zip(*columns)), FLOAT)
+        columns, s = self.int_ad(coords)
+        rows = [[ZERO] * n for _ in range(n)]
+        for j, column in columns:
+            for k, a in column:
+                rows[k][j] = Fraction(a, s)
+        return Endomorphism(self, rows)
 
     # -- identities ------------------------------------------------------------
 
@@ -333,16 +360,8 @@ class LeibnizAlgebra(Value):
         k = 1
         while level:
             images = []
-            for plane in self.int_sparse:
-                for w in level:
-                    img = [0] * n  # scale * [e_i, w]
-                    for j, row in plane:
-                        wj = w[j]
-                        if wj:
-                            for m, c in row:
-                                img[m] += wj * c
-                    if any(img):
-                        images.append(img)
+            for plane in self.int_sparse:  # the columns of scale·ad_{e_i}
+                images += filter(any, map(int_apply(plane, n), level))
             nxt = linalg.echelon(images)[0] if images else []
             if len(nxt) >= len(level):
                 self._nilpotency_class = None
@@ -357,6 +376,19 @@ class LeibnizAlgebra(Value):
 
     def is_nilpotent(self):
         return self.nilpotency_class() is not None
+
+
+def int_apply(columns, n):
+    """The int map of ``columns`` (j, ((k, a), ...)) on lists of length n."""
+    def apply(w):
+        out = [0] * n
+        for j, column in columns:
+            wj = w[j]
+            if wj:
+                for k, a in column:
+                    out[k] += wj * a
+        return out
+    return apply
 
 
 def join_elements(x, y):
@@ -378,11 +410,11 @@ def _coerce(values, mode):
     return tuple(c if type(c) is Fraction else Fraction(c) for c in values)
 
 
-class Element(Value):
-    """An algebra element: coordinates in the defining basis plus a scalar mode.
+class Coordinates(Value):
+    """Coordinates in a scalar mode: the base of ``Element`` and ``observables.Covector``.
 
-    Equality compares coords, mode and then the algebra (by int table); the hash
-    leaves the algebra out.  ``Endomorphism`` and ``Covector`` do the same.
+    Equality compares class, coords, mode and then the algebra (by int
+    table); the hash leaves the algebra out.  ``Endomorphism`` does the same.
     """
 
     __slots__ = _fields = ("_coords", "_mode", "_algebra")
@@ -395,6 +427,19 @@ class Element(Value):
         self._algebra = algebra
         self._coords = _coerce(coords, mode)
         self._mode = mode
+
+    def distance(self, other):
+        join_elements(self, other)
+        return linalg.gap(self.coords, other.coords, self.mode == EXACT)
+
+    def to_float(self):
+        return type(self)(self.algebra, [float(c) for c in self.coords], FLOAT)
+
+
+class Element(Coordinates):
+    """An algebra element: coordinates in the defining basis plus a scalar mode."""
+
+    __slots__ = ()
 
     def __repr__(self):
         terms = [
@@ -419,15 +464,8 @@ class Element(Value):
     def bracket(self, other):
         return self.algebra.bracket(self, other)
 
-    def distance(self, other):
-        join_elements(self, other)
-        return linalg.gap(self.coords, other.coords, self.mode == EXACT)
-
     def is_zero(self):
         return all(c == 0 for c in self.coords)
-
-    def to_float(self):
-        return Element(self.algebra, [float(c) for c in self.coords], FLOAT)
 
 
 class Endomorphism(Value):

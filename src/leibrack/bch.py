@@ -27,8 +27,8 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 
 from .algebra import join_elements
-from .linalg import EXACT
-from .racks import bass_product, int_vector
+from .linalg import EXACT, int_vector
+from .racks import bass_product
 from .reports import check_law, samples
 
 MAX_ORDER = 8
@@ -127,7 +127,7 @@ def evaluate_word_table(table, x, y, order):
     it as it is.
 
     Exact input reads ``int_sparse`` with the int letters X = x·d_x and
-    Y = y·d_y (``racks.int_vector``), so a word with a x-letters and b
+    Y = y·d_y (``linalg.int_vector``), so a word with a x-letters and b
     y-letters has an int value over d_x^a·d_y^b·scale^(a+b-1).  The terms
     are summed on ints over one common denominator, and one canonical
     Fraction is made per coordinate.  One Element is built at the end.

@@ -18,33 +18,25 @@ runs that expansion on ints and makes one Fraction per result key.
 
 Both are value types on ``algebra.Value``: read-only fields over slots,
 equality by class and fields (a covector's algebra by table), a hash
-without the algebra, and ``copy``/``pickle`` support.  A covector coerces
-its coordinates as ``Element`` does.
+without the algebra, and ``copy``/``pickle`` support.  A covector shares
+``algebra.Coordinates`` with ``Element``: its fields, its coordinate
+checks and coercion, ``distance`` and ``to_float``.
 """
 
 from fractions import Fraction
 from operator import add
 from struct import Struct
 
-from .algebra import Value, _coerce, join_elements, read_only
-from .linalg import EXACT, check_mode, gap, int_vector, max_abs, vec_dot
+from .algebra import Coordinates, Value, join_elements, read_only
+from .linalg import int_vector, max_abs, vec_dot
 
 SLOTS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))  # a packed key's slot bytes, struct code
 
 
-class Covector(Value):
+class Covector(Coordinates):
     """A dual-space point: coordinates against the dual basis."""
 
-    __slots__ = _fields = ("_coords", "_mode", "_algebra")
-    coords, mode, algebra = map(read_only, _fields)
-
-    def __init__(self, algebra, coords, mode=EXACT):
-        check_mode(mode)
-        if len(coords) != algebra.dim:
-            raise ValueError(f"expected {algebra.dim} coordinates, got {len(coords)}")
-        self._algebra = algebra
-        self._coords = _coerce(coords, mode)
-        self._mode = mode
+    __slots__ = ()
 
     def __repr__(self):
         return f"Covector({list(self.coords)!r})"
@@ -53,13 +45,6 @@ class Covector(Value):
         """Natural pairing <xi, x> in dual coordinates."""
         join_elements(self, element)
         return vec_dot(self.coords, element.coords)
-
-    def distance(self, other):
-        join_elements(self, other)
-        return gap(self.coords, other.coords, self.mode == EXACT)
-
-    def to_float(self):
-        return Covector(self.algebra, [float(c) for c in self.coords], "float")
 
 
 def _normalised(terms):

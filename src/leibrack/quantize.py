@@ -29,12 +29,12 @@ returned as per-order polynomial coefficients, never numbers.
 from fractions import Fraction
 
 from . import linalg
-from .linalg import EXACT
+from .linalg import EXACT, int_vector
 from .observables import Covector, PolyObservable
 # exp_endo stays bound here although only exp_ad calls it: the bench tracer
 # (bench/spans.py) wraps every binding of it, and its self-test checks this one.
 from .racks import DEFAULT_FLOAT_ORDER, bass_product, coadjoint, exp_ad, exp_endo  # noqa: F401
-from .racks import block_exp_action, exp_terms, int_ad, int_exp_columns, int_vector
+from .racks import block_exp_action, exp_terms, int_exp_columns
 from .reports import check_law, samples
 
 
@@ -54,7 +54,7 @@ def quantum_rack_action(x, observable, order=DEFAULT_FLOAT_ORDER, cache=None):
         cache = [] if cache is None else cache
         if not cache:
             alg = x.algebra
-            cache.append(int_exp_columns(*int_ad(alg, x.coords), alg.dim))
+            cache.append(int_exp_columns(*alg.int_ad(x.coords), alg.dim))
         return observable.substitute_linear(*cache[0])
     mat = exp_ad(x, order).matrix
     return observable.substitute_linear([list(column) for column in zip(*mat)])

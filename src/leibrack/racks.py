@@ -16,9 +16,10 @@ Exact exponentials never form matrix powers.  ``exp_terms``, the one
 exact series loop, yields A^k v / k! on one vector, up to the first
 vanishing term or a limit, and ``exp_action`` sums them.  Their int form is
 the exact exp(ad_x) kernel (von zur Gathen & Gerhard, *Modern Computer
-Algebra*, ch. 5): ``int_ad`` reads the int matrix s·ad_x, s = d_x·scale,
-off ``algebra.int_sparse`` by columns for rational x = X / d_x, and the sum
-T <- T·k·s + (s·ad_x)^k V runs over the one running denominator K!·s^K.
+Algebra*, ch. 5): ``LeibnizAlgebra.int_ad``, the one adjoint sum, gives
+the int matrix s·ad_x, s = d_x·scale, by columns for rational x = X / d_x,
+``algebra.int_apply`` applies it, and the sum T <- T·k·s + (s·ad_x)^k V
+runs over the one running denominator K!·s^K.
 ``exact_exp_action`` runs it on one vector v = V / d_v and makes one
 canonical Fraction per coordinate (v itself when ad_x v = 0): exact
 ``bass_product``, and ``coadjoint`` on the columns of the transpose of
@@ -32,7 +33,7 @@ matrix product.  ``block_exp_action`` runs the rational series of
 ``exp_terms`` on [[A, M], [0, B]], whose exponential holds
 sum A^p M B^q / (p+q+1)! in its corner: the rack cocycle series and the
 x-gradient of the generating function, with ``left_bracket`` maps as A and
-B (exact x scaled to ints once, each vector summed on ``int_sparse``).
+B (exact x scaled to ints once, each vector summed by ``bracket_coords``).
 
 Float mode keeps the truncated Taylor matrix series with scaling and
 squaring (Moler & Van Loan, SIAM Rev. 45(1), 2003): it rejects a matrix
@@ -62,7 +63,7 @@ from itertools import chain
 from math import gcd, isfinite, lcm
 
 from . import linalg
-from .algebra import Element, Endomorphism, Value, bracket_defects, read_only
+from .algebra import Element, Endomorphism, Value, bracket_defects, int_apply, read_only
 from .linalg import EXACT, FLOAT, int_vector
 from .observables import Covector
 from .reports import check_law, samples
@@ -118,38 +119,6 @@ def exp_action(apply, v, limit=None, step=None):
         den *= grow
         total = [a * grow + t for a, t in zip(total, term)]
     return total, den
-
-
-def int_ad(algebra, x):
-    """ad_x on ints for a rational list x = X / d: (columns, s) with s = d·scale.
-
-    ``columns`` lists (j, ((k, a), ...)) for the nonzero columns of the int
-    matrix s·ad_x, read off ``algebra.int_sparse``:
-    a = sum_i X_i·c[i][j][k]·scale, nonzero.
-    """
-    x, d = int_vector(x)
-    found = {}
-    for xi, plane in zip(x, algebra.int_sparse):
-        if xi:
-            for j, row in plane:
-                column = found.setdefault(j, {})
-                for k, c in row:
-                    column[k] = column.get(k, 0) + xi * c
-    columns = [(j, tuple((k, a) for k, a in col.items() if a)) for j, col in found.items()]
-    return [column for column in columns if column[1]], d * algebra.scale
-
-
-def int_apply(columns, n):
-    """The int map of ``columns`` on lists of length n."""
-    def apply(w):
-        out = [0] * n
-        for j, column in columns:
-            wj = w[j]
-            if wj:
-                for k, a in column:
-                    out[k] += wj * a
-        return out
-    return apply
 
 
 def exact_exp_action(columns, step, v):
@@ -277,7 +246,7 @@ def bass_product(x, y, order=DEFAULT_FLOAT_ORDER):
     """x > y = exp(ad_x)(y)."""
     alg = x.algebra
     if x.mode == y.mode == EXACT:
-        return Element(alg, exact_exp_action(*int_ad(alg, x.coords), y.coords))
+        return Element(alg, exact_exp_action(*alg.int_ad(x.coords), y.coords))
     return exp_ad(x, order)(y)
 
 
@@ -286,7 +255,7 @@ def coadjoint(x, xi, order=DEFAULT_FLOAT_ORDER):
     alg = x.algebra
     if x.mode == xi.mode == EXACT:
         # xi o exp(A) = exp(A^T) xi: the columns of s·ad_{-x}, regrouped by row
-        columns, s = int_ad(alg, [-c for c in x.coords])
+        columns, s = alg.int_ad([-c for c in x.coords])
         rows = {}
         for j, column in columns:
             for k, a in column:
@@ -401,11 +370,11 @@ def exact_conjugation_residual(z, x):
     """
     alg = z.algebra
     n = alg.dim
-    ad_z, s_z = int_ad(alg, z.coords)
+    ad_z, s_z = alg.int_ad(z.coords)
     neg = [(j, tuple((k, -a) for k, a in col)) for j, col in ad_z]
-    ad_x = int_ad(alg, x.coords)
+    ad_x = alg.int_ad(x.coords)
     ax = exact_exp_action(ad_z, s_z, x.coords)
-    rhs, rhs_den = int_exp_columns(*int_ad(alg, ax), n)
+    rhs, rhs_den = int_exp_columns(*alg.int_ad(ax), n)
     maps = [(int_apply(m, n), s) for m, s in ((neg, s_z), ad_x, (ad_z, s_z))]
     worst, worst_den = 0, 1
     for j, want in enumerate(rhs):

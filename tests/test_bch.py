@@ -1,6 +1,7 @@
 """Truncated Baker-Campbell-Hausdorff series and the conjugation product."""
 
 import random
+import sys
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -126,6 +127,18 @@ def test_word_table_against_matrix_logarithm():
         term = right_nested_commutator(word)
         total = madd(total, mscale(coeff / len(word), term))
     assert total == truth
+
+
+def test_package_attribute_bch_is_the_module():
+    # the package re-exports conj_star and verify_conj_identity, but not the
+    # function bch, which would shadow the submodule of the same name
+    import leibrack
+    import leibrack.bch as module
+
+    assert module is sys.modules["leibrack.bch"] is leibrack.bch
+    assert module.log_word_table() is log_word_table()
+    assert leibrack.conj_star is conj_star
+    assert leibrack.verify_conj_identity is verify_conj_identity
 
 
 def test_bch_closed_form_on_class_two(heisenberg):

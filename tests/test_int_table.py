@@ -2,9 +2,9 @@
 
 ``LeibnizAlgebra.int_sparse`` is the sparse index of the dense table
 (``helpers.reference_sparse``) with every entry times ``scale``, the lcm of
-the table's denominators.  The nilpotency chain, the
-left center, the derivation system, the cocycle identity, exact ``ad``,
-exact ``exp_endo`` and ``racks.int_exp_columns`` run on it, and must give
+the table's denominators.  The nilpotency chain, the left center, the
+derivation system, the cocycle identity, ``int_ad`` and exact ``ad``, exact
+``exp_endo`` and ``racks.int_exp_columns`` run on it, and must give
 exactly what their Fraction references give, on tables with non-integral
 constants too: ``n4-rebased``, seeded rebases of n_5 and the dense n_5 of
 ``bench/gen.py``.
@@ -28,7 +28,7 @@ from leibrack.extension import build_extension, cocycle_identity_violations
 from leibrack.io import load_algebra
 from leibrack.observables import PolyObservable
 from leibrack.quantize import poisson_bracket
-from leibrack.racks import exp_endo, int_ad, int_exp_columns
+from leibrack.racks import exp_endo, int_exp_columns
 from leibrack.reports import check_law
 from leibrack.sampling import sample_elements, sample_observables
 
@@ -80,13 +80,20 @@ def test_int_sparse_over_scale_is_sparse(name):
     assert rebuilt == reference_sparse(alg)
 
 
+GEN = load_bench_gen()
+N5_DENSE = GEN.rebase(GEN.n_k(5), GEN.random_basis_change(GEN.seeded_rng(1, "n5"), 10), "n5d")
+NILPOTENCY_ALGEBRAS = {
+    **TABLE_ALGEBRAS, "n5-rebased": REBASED["n5-rebased"], **LADDER, "n5-dense": N5_DENSE
+}
+
+
 def test_rebased_tables_have_non_integral_constants():
     assert all(alg.scale > 1 for alg in REBASED.values())
 
 
-@pytest.mark.parametrize("name", list(TABLE_ALGEBRAS) + ["n5-rebased"])
+@pytest.mark.parametrize("name", list(NILPOTENCY_ALGEBRAS))
 def test_nilpotency_class_matches_the_fraction_chain(name):
-    alg = {**TABLE_ALGEBRAS, **REBASED}[name]
+    alg = NILPOTENCY_ALGEBRAS[name]
     assert alg.nilpotency_class() == reference_nilpotency_class(alg)
 
 
@@ -172,8 +179,6 @@ def test_corrupted_omega_cell_fails_with_the_reference_residual(extensions, name
     assert report.max_residual == reference.max_residual > 0
 
 
-GEN = load_bench_gen()
-N5_DENSE = GEN.rebase(GEN.n_k(5), GEN.random_basis_change(GEN.seeded_rng(1, "n5"), 10), "n5d")
 KERNEL_ALGEBRAS = {**TABLE_ALGEBRAS, **LADDER, "n5-dense": N5_DENSE}
 
 
@@ -206,9 +211,20 @@ def test_exact_ad_matches_the_dense_fraction_table(name):
     alg = KERNEL_ALGEBRAS[name]
     for x in kernel_elements(alg):
         got = alg.ad(x).matrix
-        assert [list(row) for row in got] == reference_ad(alg, x.coords)
+        want = reference_ad(alg, x.coords)
+        assert [list(row) for row in got] == want
         assert all(type(a) is Fraction for row in got for a in row)
         assert alg.ad(list(x.coords)).matrix == got
+        # the shared kernel: the nonzero int columns of s·ad_x, s = d·scale
+        columns, s = alg.int_ad(x.coords)
+        assert s == linalg.int_vector(x.coords)[1] * alg.scale
+        assert all(type(a) is int and a for _, column in columns for _, a in column)
+        assert all(column for _, column in columns)
+        dense = [[0] * alg.dim for _ in range(alg.dim)]
+        for j, column in columns:
+            for k, a in column:
+                dense[k][j] = a
+        assert dense == [[a * s for a in row] for row in want]
 
 
 def assert_exact_bracket(alg, x, y):
@@ -288,7 +304,7 @@ def test_exact_exponentials_match_the_fraction_series(name):
             assert "nilpotent" in got
             continue
         assert all(type(a) is Fraction for row in got.matrix for a in row)
-        columns, den = int_exp_columns(*int_ad(alg, x.coords), alg.dim)
+        columns, den = int_exp_columns(*alg.int_ad(x.coords), alg.dim)
         assert (columns, den) == reference_int_exp_columns(ad.matrix)
         assert all(type(t) is int for column in columns for t in column)
 
