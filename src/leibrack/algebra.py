@@ -228,9 +228,7 @@ class LeibnizAlgebra(Value):
         return apply
 
     def bracket(self, x, y):
-        if x.algebra is not self:
-            raise ValueError("elements belong to a different algebra")
-        _, mode = join_elements(x, y)
+        _, mode = join_elements(x, y, self)
         return Element(self, self.left_bracket(x.coords, mode)(y.coords), mode)
 
     def int_ad(self, coords):
@@ -391,15 +389,19 @@ def int_apply(columns, n):
     return apply
 
 
-def join_elements(x, y):
+def join_elements(x, y, algebra=None, mode=None):
     """The algebra and mode two elements, maps or covectors share; ValueError if not.
 
-    Algebras are compared by identity, as ``LeibnizAlgebra.bracket`` does.
+    Algebras are compared by identity.  A given ``algebra`` or ``mode`` is
+    required of both: ``LeibnizAlgebra.bracket`` passes itself, and the
+    exact-only cocycle kernels pass the quotient and ``EXACT``.
     """
-    if x.algebra is not y.algebra:
+    if x.algebra is not y.algebra or algebra is not None and x.algebra is not algebra:
         raise ValueError("elements belong to a different algebra")
-    if x.mode != y.mode:
-        raise ValueError(f"mixed scalar modes {x.mode!r} and {y.mode!r}")
+    if x.mode != y.mode or mode is not None and x.mode != mode:
+        raise ValueError(
+            f"mixed scalar modes {x.mode!r} and {(y.mode if x.mode != y.mode else mode)!r}"
+        )
     return x.algebra, x.mode
 
 
@@ -452,8 +454,7 @@ class Element(Coordinates):
         return Element(alg, linalg.vec_add(self.coords, other.coords), mode)
 
     def __sub__(self, other):
-        alg, mode = join_elements(self, other)
-        return Element(alg, linalg.vec_sub(self.coords, other.coords), mode)
+        return self + -other
 
     def __neg__(self):
         return Element(self.algebra, [-c for c in self.coords], self.mode)

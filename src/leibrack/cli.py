@@ -199,16 +199,19 @@ def cmd_analyze(algebra, args):
         raise UsageError("analyze needs a Leibniz algebra; run validate first")
     ext = build_extension(algebra)
     ders = derivation_algebra(algebra)
-    quotient_entries = [  # int_sparse lists the nonzero brackets in (i, j) order
-        {"i": a + 1, "j": b + 1, "value": vector_repr(ext.quotient.table[a][b])}
-        for a, plane in enumerate(ext.quotient.int_sparse)
-        for b, _ in plane
-    ]
+    quot = ext.quotient
+    quotient_entries = []  # int_sparse lists the nonzero brackets in (i, j) order
+    for a, plane in enumerate(quot.int_sparse):
+        for b, row in plane:
+            value = [0] * quot.dim
+            for k, c in row:
+                value[k] = Fraction(c, quot.scale)
+            quotient_entries.append({"i": a + 1, "j": b + 1, "value": vector_repr(value)})
     details = {
         "left_center_dim": ext.center.dim,
         "left_center_basis": [vector_repr(row) for row in ext.center.basis_rows],
-        "quotient_dim": ext.quotient.dim,
-        "quotient_is_lie": ext.quotient.is_lie(),
+        "quotient_dim": quot.dim,
+        "quotient_is_lie": quot.is_lie(),
         "quotient_brackets": quotient_entries,
         "omega_table": [
             [vector_repr(cell) for cell in row] for row in ext.omega_table
@@ -221,13 +224,13 @@ def cmd_analyze(algebra, args):
         },
     }
 
-    q = ext.quotient.dim
+    q = quot.dim
     tables = [
         ("cocycle-identity", cocycle_identity_violations(ext), q ** 3),
         ("reconstruction", reconstruction_violations(ext), (q * (ext.center.dim + 1)) ** 2),
         ("projection-morphism", projection_morphism_violations(ext), algebra.dim ** 2),
     ]
-    checks = [check_law("quotient-is-lie", [({}, int(not ext.quotient.is_lie()))])]
+    checks = [check_law("quotient-is-lie", [({}, int(not quot.is_lie()))])]
     checks += [
         check_law(name, basis_defects(found, "pair"), checked=count)
         for name, found, count in tables

@@ -24,14 +24,20 @@ ints, and sum packed int vectors (``linalg.pack``): each vector of the law
 is packed once into a single int over one common denominator, a term of a
 residual is one int multiply-add, and only a nonzero total is unpacked
 into Fractions.  ``build_extension`` splits the ``int_sparse`` brackets of
-h against the center rows scaled to ints, one Fraction per entry.
+h against the center rows scaled to ints: the quotient comes straight from
+its int ``(k, num, den)`` entries (``LeibnizAlgebra.from_entries``, no dense
+table), and omega takes one Fraction per entry.  ``int_omega`` keeps omega
+on ints over one denominator, built once per extension for the cocycle
+series.  ``section`` and the cocycle kernels take elements of ``quotient``
+only, checked by identity as ``join_elements`` checks every binary op.
 """
 
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 
 from . import linalg
-from .algebra import Element, LeibnizAlgebra, bracket_defects, left_center
+from .algebra import Element, LeibnizAlgebra, bracket_defects, join_elements, left_center
 
 
 class ExtensionData:
@@ -45,27 +51,36 @@ class ExtensionData:
         self.omega_table = omega_table
         self.complement = [k for k in range(algebra.dim) if k not in center.pivots]
 
-    def section(self, x):
-        """s : q -> h, linear right inverse of pi."""
-        coords = [0] * self.algebra.dim
-        for k, c in zip(self.complement, x.coords):
-            coords[k] = c
-        return Element(self.algebra, coords, x.mode)
+    def lift(self, coords):
+        """s on coordinate lists: ``coords`` on the complement, 0 elsewhere."""
+        out = [0] * self.algebra.dim
+        for k, c in zip(self.complement, coords):
+            out[k] = c
+        return out
 
-    def omega(self, x, y):
-        """Bilinear extension of the cocycle table to quotient elements."""
-        coords = [0] * self.algebra.dim
-        for xa, row in zip(x.coords, self.omega_table):
-            if xa == 0:
-                continue
-            for yb, cell in zip(y.coords, row):
-                if yb == 0:
-                    continue
-                w = xa * yb
-                for k, c in enumerate(cell):
-                    if c:
-                        coords[k] = coords[k] + w * c
-        return Element(self.algebra, coords, x.mode)
+    def section(self, x):
+        """s : q -> h, linear right inverse of pi, on an element x of ``quotient``."""
+        join_elements(x, x, self.quotient)
+        return Element(self.algebra, self.lift(x.coords), x.mode)
+
+    @cached_property
+    def int_omega(self):
+        """``_int_cells(omega_table)``, built on first use."""
+        return _int_cells(self.omega_table)
+
+
+def _int_cells(table):
+    """An omega table on ints: (cells, dw).
+
+    ``cells[a][b]`` lists the nonzero (k, dw * omega(e_a, e_b)_k), dw the
+    lcm of the table's denominators.
+    """
+    dw = lcm(*(c.denominator for row in table for cell in row for c in cell))
+    cells = [
+        [[(k, c.numerator * (dw // c.denominator)) for k, c in enumerate(v) if c] for v in row]
+        for row in table
+    ]
+    return cells, dw
 
 
 def build_extension(algebra):
@@ -92,22 +107,27 @@ def build_extension(algebra):
     flat, dc = linalg.int_vector([c for row in center.basis_rows for c in row])
     rows = [flat[b * n : (b + 1) * n] for b in range(center.dim)]
     den, zero = algebra.scale * dc, Fraction(0)
-    quotient_table, omega_table = [], []
-    for k_a in complement:
+    entries, omega_table = {}, []
+    for a, k_a in enumerate(complement):
         plane = dict(algebra.int_sparse[k_a])
-        q_row, omega_row = [], []
-        for k_b in complement:
+        omega_row = []
+        for b, k_b in enumerate(complement):
             w = dict(plane.get(k_b, ()))
             z = [0] * n
             for p, row in zip(center.pivots, rows):
                 if w.get(p):
                     z = [x + w[p] * y for x, y in zip(z, row)]
-            q_row.append([Fraction(w.get(k, 0) * dc - z[k], den) for k in complement])
+            cell = []
+            for c, k in enumerate(complement):
+                if num := w.get(k, 0) * dc - z[k]:
+                    g = gcd(num, den)
+                    cell.append((c, num // g, den // g))
+            entries[a, b] = cell
             omega_row.append([Fraction(-c, den) if c else zero for c in z])
-        quotient_table.append(q_row)
         omega_table.append(omega_row)
-    quotient = LeibnizAlgebra(
-        quotient_table,
+    quotient = LeibnizAlgebra.from_entries(
+        len(complement),
+        entries,
         basis=tuple(algebra.basis[k] + "~" for k in complement),
         name=(algebra.name + "/leftcenter") if algebra.name else "quotient",
     )
@@ -144,7 +164,7 @@ def cocycle_identity_violations(ext):
     """
     alg, quot = ext.algebra, ext.quotient
     n, q = alg.dim, quot.dim
-    dw = lcm(*(c.denominator for row in ext.omega_table for cell in row for c in cell))
+    omega, dw = _int_cells(ext.omega_table)  # read at call time, not the cached int_omega
     den = lcm(alg.scale, quot.scale)
 
     def int_planes(planes, scale, cols):
@@ -159,11 +179,6 @@ def cocycle_identity_violations(ext):
     # lifts[a][l]: the nonzero (k, den * c) of [s(e_a), e_l]; q_brackets likewise on q
     lifts = int_planes([alg.int_sparse[k] for k in ext.complement], alg.scale, n)
     q_brackets = int_planes(quot.int_sparse, quot.scale, q)
-    # omega[a][b]: the nonzero (k, dw * c) of the cell
-    omega = [
-        [[(k, c.numerator * (dw // c.denominator)) for k, c in enumerate(v) if c] for v in row]
-        for row in ext.omega_table
-    ]
     terms = 2 * n + 3 * q
     largest_table = max(
         (abs(c) for plane in lifts + q_brackets for entries in plane for _, c in entries),

@@ -29,11 +29,11 @@ observable pullback and for exact ``exp_endo``, which makes one Fraction
 per nonzero entry.  Exact
 ``conjugation_lemma_violations`` compares exp(ad_z) exp(ad_x) exp(ad_{-z}) e_j
 with exp(ad_{a(x)}) e_j column by column on ints, with no inverse and no
-matrix product.  ``block_exp_action`` runs the rational series of
-``exp_terms`` on [[A, M], [0, B]], whose exponential holds
-sum A^p M B^q / (p+q+1)! in its corner: the rack cocycle series and the
-x-gradient of the generating function, with ``left_bracket`` maps as A and
-B (exact x scaled to ints once, each vector summed by ``bracket_coords``).
+matrix product.  ``block_exp_action`` runs ``exp_action`` on
+[[A, M], [0, B]], whose exponential holds sum A^p M B^q / (p+q+1)! in its
+corner.  Its int form, on the int maps s·A, s·M and s·B over one step s, is
+the rack cocycle series (``cocycle.rack_cocycle_series``); its rational
+form, on ``left_bracket`` maps, is the x-gradient of the generating function.
 
 Float mode keeps the truncated Taylor matrix series with scaling and
 squaring (Moler & Van Loan, SIAM Rev. 45(1), 2003): it rejects a matrix
@@ -92,10 +92,7 @@ def exp_terms(apply, v, limit=None, ints=False):
                 f"exact exponential needs a nilpotent matrix: no power up to {n} "
                 "vanishes; use float mode"
             )
-        term = apply(term)
-        if not ints:
-            inv = Fraction(1, k)
-            term = [inv * t if t else t for t in term]
+        term = apply(term) if ints else [Fraction(1, k) * t if t else t for t in apply(term)]
         if any(term):
             yield term
 
@@ -106,19 +103,17 @@ def exp_action(apply, v, limit=None, step=None):
     The int form takes a positive int ``step`` s, an int map ``apply`` = s·A
     and an int list v, and returns (T, D) with exp(A) v = T / D: after the
     last nonzero term K, D = K!·s^K, and T <- T·k·s + (sA)^k v at term k.
+    The rational form runs the same loop with a growth of 1 on the terms
+    A^k v / k! and returns T.
     """
-    terms = exp_terms(apply, v, limit, ints=step is not None)
-    total = next(terms)
-    if step is None:
-        for term in terms:
-            total = [a + t if t else a for a, t in zip(total, term)]
-        return total
-    den = 1
+    ints = step is not None
+    terms = exp_terms(apply, v, limit, ints)
+    total, den = next(terms), 1
     for k, term in enumerate(terms, 1):
-        grow = k * step
+        grow = k * step if ints else 1
         den *= grow
         total = [a * grow + t for a, t in zip(total, term)]
-    return total, den
+    return (total, den) if ints else total
 
 
 def exact_exp_action(columns, step, v):
@@ -150,18 +145,21 @@ def int_exp_columns(columns, step, n):
     return [[t // g for t in column] for column in ints], den // g
 
 
-def block_exp_action(a, m, b, dim, v, limit):
+def block_exp_action(a, m, b, dim, v, limit, step=None):
     """sum_{k<=limit} 1/k! sum_{p+q=k-1} A^p M B^q v: the top of exp([[A, M], [0, B]]) (0, v).
 
     A acts on lists of length ``dim``, B on those of ``len(v)``, M maps the
-    second to the first (Van Loan, IEEE TAC 23(3), 1978).
+    second to the first (Van Loan, IEEE TAC 23(3), 1978).  The int form, as
+    in ``exp_action``, takes a positive int ``step`` s, the int maps s·A,
+    s·M and s·B and an int list v, and returns the top as (T, D).
     """
 
     def apply(u):
         top, bottom = u[:dim], u[dim:]
         return [s + t for s, t in zip(a(top), m(bottom))] + b(bottom)
 
-    return exp_action(apply, [0] * dim + list(v), limit)[:dim]
+    found = exp_action(apply, [0] * dim + list(v), limit, step)
+    return found[:dim] if step is None else (found[0][:dim], found[1])
 
 
 def exp_endo(endo, order=DEFAULT_FLOAT_ORDER):

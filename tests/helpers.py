@@ -13,7 +13,7 @@ from leibrack import linalg
 from leibrack.algebra import ZERO, Element, Endomorphism, LeibnizAlgebra, hemi_semi_direct
 from leibrack.corpus import CORPUS_NAMES, load_corpus
 from leibrack.observables import Covector, PolyObservable
-from leibrack.racks import PairElement, exp_action, exp_ad, hs_rack_product
+from leibrack.racks import PairElement, bass_product, exp_action, exp_ad, hs_rack_product
 from leibrack.reports import check_law, samples
 from leibrack.sampling import rational_vector
 
@@ -351,6 +351,22 @@ def reference_derivations(algebra):
 # center rows), so a corrupted table shows in both.
 
 
+def reference_omega(ext, x, y):
+    """omega(x, y) on quotient elements: the bilinear extension of ``omega_table``."""
+    coords = [0] * ext.algebra.dim
+    for xa, row in zip(x.coords, ext.omega_table):
+        if xa == 0:
+            continue
+        for yb, cell in zip(y.coords, row):
+            if yb == 0:
+                continue
+            w = xa * yb
+            for k, c in enumerate(cell):
+                if c:
+                    coords[k] = coords[k] + w * c
+    return Element(ext.algebra, coords, x.mode)
+
+
 def reference_cocycle_identity_violations(ext):
     quot = ext.quotient
     violations = []
@@ -360,11 +376,11 @@ def reference_cocycle_identity_violations(ext):
         for b, y in enumerate(basis):
             sy = ext.section(y)
             for c, z in enumerate(basis):
-                term1 = ext.algebra.bracket(sx, ext.omega(y, z))
-                term2 = ext.algebra.bracket(sy, ext.omega(x, z))
-                term3 = ext.omega(quot.bracket(x, y), z)
-                term4 = ext.omega(x, quot.bracket(y, z))
-                term5 = ext.omega(y, quot.bracket(x, z))
+                term1 = ext.algebra.bracket(sx, reference_omega(ext, y, z))
+                term2 = ext.algebra.bracket(sy, reference_omega(ext, x, z))
+                term3 = reference_omega(ext, quot.bracket(x, y), z)
+                term4 = reference_omega(ext, x, quot.bracket(y, z))
+                term5 = reference_omega(ext, y, quot.bracket(x, z))
                 residual = term1 - term2 - term3 + term4 - term5
                 if not residual.is_zero():
                     violations.append(((a, b, c), residual.coords))
@@ -383,7 +399,8 @@ def reference_reconstruction_violations(ext):
             for a in center_elements:
                 for b in center_elements:
                     lhs = alg.bracket(sx + a, sy + b)
-                    rhs = ext.section(quot.bracket(x, y)) - ext.omega(x, y) + alg.bracket(sx, b)
+                    rhs = ext.section(quot.bracket(x, y)) - reference_omega(ext, x, y)
+                    rhs = rhs + alg.bracket(sx, b)
                     if lhs != rhs:
                         violations.append(((i, j), (lhs - rhs).coords))
     return violations
@@ -748,12 +765,80 @@ def reference_rack_cocycle_series(ext, x, y, order, sign=-1):
     for q in range(order):
         if q:
             inner = ad_q(inner)
-        vec = ext.omega(x, inner)
+        vec = reference_omega(ext, x, inner)
         for p in range(order - q):
             k = p + q + 1
             total = total + (Fraction(sign, factorial(k)) * vec)
             vec = ad_h(vec)
     return total
+
+
+def reference_rack_cocycle_exact(ext, x, y):
+    """The section defect s(x) > s(y) - s(x > y) by Element rack products."""
+    return bass_product(ext.section(x), ext.section(y)) - ext.section(bass_product(x, y))
+
+
+def cocycle_extension(seed=1):
+    """A left Leibniz table with omega != 0 whose left center is not central.
+
+    The construction of the paper's section 3 on q = n_3, acting on column
+    vectors V of length 3: for omega in ZL^2(q, V), the exact nullspace of
+
+        x.omega(y, z) - y.omega(x, z) + omega(x, [y, z]) - omega([x, y], z)
+          - omega(y, [x, z]) = 0,
+
+    h = V + q with [(u, x), (v, y)] = (x v + omega(x, y), [x, y]) is left
+    Leibniz, its left center is V (coordinates 0-2; q takes 3-5), and
+    [s(x), v] = x v is not 0 on V.  omega is a combination of the nullspace
+    basis with seeded coefficients in [-2, 2].
+    """
+    q = n_k(3)
+    m, dv = q.dim, 3
+    units = [(i, i + d) for d in range(1, 3) for i in range(3 - d)]  # n_k's basis order
+
+    def unknown(a, b, k):
+        """The column of omega(e_a, e_b)_k."""
+        return (a * m + b) * dv + k
+
+    rows = []
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                for k in range(dv):
+                    row = {}
+                    # x.omega(y, z) - y.omega(x, z), with (E_ij v)_k = v_j at k = i
+                    for sign, first, rest in ((1, a, b), (-1, b, a)):
+                        i, j = units[first]
+                        if k == i:
+                            col = unknown(rest, c, j)
+                            row[col] = row.get(col, 0) + sign
+                    # omega(x, [y, z]) - omega([x, y], z) - omega(y, [x, z])
+                    for sign, (u, w), slot in ((1, (b, c), lambda d: (a, d)),
+                                               (-1, (a, b), lambda d: (d, c)),
+                                               (-1, (a, c), lambda d: (b, d))):
+                        for d, coef in enumerate(q.table[u][w]):
+                            if coef:
+                                col = unknown(*slot(d), k)
+                                row[col] = row.get(col, 0) + sign * int(coef)  # n_3 has int constants
+                    row = {col: v for col, v in row.items() if v}
+                    if row:
+                        rows.append(row)
+    basis = linalg.nullspace(rows, cols=m * m * dv)
+    rng = random.Random(seed)
+    coeffs = [rng.randint(-2, 2) for _ in basis]
+    omega = [sum((c * vec[i] for c, vec in zip(coeffs, basis)), Fraction(0)) for i in range(m * m * dv)]
+    n = dv + m
+    entries = {}
+    for a in range(m):
+        i, j = units[a]
+        entries[(dv + a, j)] = {i: 1}  # [s(E_ij), v_j] = E_ij v_j = v_i
+        for b in range(m):
+            comps = {t: omega[unknown(a, b, t)] for t in range(dv) if omega[unknown(a, b, t)]}
+            comps.update({dv + d: c for d, c in enumerate(q.table[a][b]) if c})
+            if comps:
+                entries[(dv + a, dv + b)] = comps
+    names = [f"v{k + 1}" for k in range(dv)] + list(q.basis)
+    return LeibnizAlgebra(make_table(n, entries), basis=names, name=f"zl2-n3-seed{seed}")
 
 
 def reference_generating_series_terms(x, y, xi, order=12):
