@@ -6,7 +6,7 @@ Commands: validate, analyze, rack, bch, cocycle, quantize (alias
 quantize-check), hessian, tangent.  Every command prints one line per check
 and, with --json OUT, writes a deterministic JSON report (same input and
 seed give byte-identical bytes).  Exit codes: 0 all checks pass, 1 at least
-one check failed, 2 usage or parse error.
+one check failed, 2 usage, parse or file error.
 
 Vector-valued flags take comma-separated exact fractions, e.g. --xi 1,1/2,-3.
 
@@ -34,7 +34,7 @@ from .extension import (
     projection_morphism_violations,
     reconstruction_violations,
 )
-from .io import InterchangeError, load_algebra, scalar_repr
+from .io import load_algebra, scalar_repr
 from .linalg import EXACT, FLOAT
 from .observables import Covector, PolyObservable
 from .quantize import (
@@ -135,6 +135,8 @@ def check_args(command, args, algebra):
         raise UsageError(f"--order must be positive for the float exponential, got {args.order}")
     if command == "tangent" and not (math.isfinite(args.step) and args.step > 0):
         raise UsageError(f"--step must be a positive finite number, got {args.step}")
+    if command == "tangent" and 4.0 * args.step * args.step == 0.0:  # tangent_recover's divisor
+        raise UsageError(f"--step {args.step} is too small: 4 * step**2 underflows to 0.0")
     if command == "tangent" and not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError(f"--tol must be a positive finite number, got {args.tol}")
     if float_exp or (command == "bch" and args.mode == FLOAT):
@@ -550,23 +552,19 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(command_name(argv[0]) if argv else None).parse_args(argv)
     command = command_name(args.command)
-    try:
-        algebra = load_algebra(args.algebra)
-    except (InterchangeError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
-        check_args(command, args, algebra)
-        checks, details = HANDLERS[command](algebra, args)
-    except (UsageError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     config = {
         key: getattr(args, key)
         for key in ("mode", "order", "samples", "seed", "step", "tol", "x", "y", "xi")
         if hasattr(args, key) and getattr(args, key) is not None
     }
-    return emit(command, algebra, checks, config, args.seed, args.json_out, details)
+    try:  # InterchangeError is a ValueError; OSError covers the input and the --json file
+        algebra = load_algebra(args.algebra)
+        check_args(command, args, algebra)
+        checks, details = HANDLERS[command](algebra, args)
+        return emit(command, algebra, checks, config, args.seed, args.json_out, details)
+    except (UsageError, ValueError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

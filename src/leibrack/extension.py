@@ -16,24 +16,22 @@ reduced-echelon basis of Z, one per basis vector of q.
   -z for v = [s(x), s(y)], so one split of each bracket gives both the
   quotient table and omega, and omega lies in Z by construction.
 
-The cocycle identity and the reconstruction of h are evaluated straight
-from ``omega_table``, the sparse tables of h and q and the center basis
-rows, read at call time; no Element is built per basis triple.  Both read
-the ``int_sparse`` tables of h and q, scale omega and the center rows to
-ints, and sum packed int vectors (``linalg.pack``): each vector of the law
-is packed once into a single int over one common denominator, a term of a
-residual is one int multiply-add, and only a nonzero total is unpacked
-into Fractions.  ``build_extension`` splits the ``int_sparse`` brackets of
-h against the center rows scaled to ints: the quotient comes straight from
-its int ``(k, num, den)`` entries (``LeibnizAlgebra.from_entries``, no dense
-table), and omega takes one Fraction per entry.  ``int_omega`` keeps omega
-on ints over one denominator, built once per extension for the cocycle
-series.  ``section`` and the cocycle kernels take elements of ``quotient``
-only, checked by identity as ``join_elements`` checks every binary op.
+omega is kept once, on ints: ``int_omega = (cells, dw)``, with
+``cells[a][b]`` the nonzero (k, dw * omega(e_a, e_b)_k) and dw the lcm of
+its denominators.  ``build_extension`` splits the ``int_sparse`` brackets
+of h against the center rows scaled to ints: the quotient comes straight
+from its int ``(k, num, den)`` entries (``LeibnizAlgebra.from_entries``),
+and omega is -z over one denominator.  ``omega_table`` is a read-only
+Fraction view of it for reports and tests.  The cocycle identity, the
+reconstruction of h and the cocycle series read ``int_omega`` and the
+``int_sparse`` tables at call time, with no Element per basis triple; the
+two laws pack each vector once into one int (``linalg.pack``), so a term
+is one int multiply-add and only a nonzero total becomes Fractions.
+``section`` and the cocycle kernels take elements of ``quotient`` only,
+checked by identity as ``join_elements`` checks every binary op.
 """
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
@@ -43,13 +41,24 @@ from .algebra import Element, LeibnizAlgebra, bracket_defects, join_elements, le
 class ExtensionData:
     """Left center, quotient Lie algebra, section, projection, and cocycle."""
 
-    def __init__(self, algebra, center, quotient, pi_matrix, omega_table):
+    def __init__(self, algebra, center, quotient, pi_matrix, complement, int_omega):
         self.algebra = algebra
         self.center = center
         self.quotient = quotient
         self.pi_matrix = pi_matrix
-        self.omega_table = omega_table
-        self.complement = [k for k in range(algebra.dim) if k not in center.pivots]
+        self.complement = complement
+        self.int_omega = int_omega
+
+    @property
+    def omega_table(self):
+        """``omega_table[a][b]``: omega(e_a, e_b) as n Fractions, built from ``int_omega``."""
+        cells, dw = self.int_omega
+        table = [[[Fraction(0)] * self.algebra.dim for _ in row] for row in cells]
+        for out, row in zip(table, cells):
+            for v, cell in zip(out, row):
+                for k, c in cell:
+                    v[k] = Fraction(c, dw)
+        return table
 
     def lift(self, coords):
         """s on coordinate lists: ``coords`` on the complement, 0 elsewhere."""
@@ -62,25 +71,6 @@ class ExtensionData:
         """s : q -> h, linear right inverse of pi, on an element x of ``quotient``."""
         join_elements(x, x, self.quotient)
         return Element(self.algebra, self.lift(x.coords), x.mode)
-
-    @cached_property
-    def int_omega(self):
-        """``_int_cells(omega_table)``, built on first use."""
-        return _int_cells(self.omega_table)
-
-
-def _int_cells(table):
-    """An omega table on ints: (cells, dw).
-
-    ``cells[a][b]`` lists the nonzero (k, dw * omega(e_a, e_b)_k), dw the
-    lcm of the table's denominators.
-    """
-    dw = lcm(*(c.denominator for row in table for cell in row for c in cell))
-    cells = [
-        [[(k, c.numerator * (dw // c.denominator)) for k, c in enumerate(v) if c] for v in row]
-        for row in table
-    ]
-    return cells, dw
 
 
 def build_extension(algebra):
@@ -103,11 +93,12 @@ def build_extension(algebra):
     # w = [e_a, e_b] splits as (w - z) + z, with z = sum_p w[p] row_p its
     # part in the center: the quotient cell is w - z on the complement, and
     # omega(e_a, e_b) = s(pi(w)) - w = -z.  On ints, with w from int_sparse
-    # and the rows times their lcm dc, both are over scale * dc.
+    # and the rows times their lcm dc, both are over scale * dc; omega is
+    # then divided by the gcd g of that denominator and every entry of z.
     flat, dc = linalg.int_vector([c for row in center.basis_rows for c in row])
     rows = [flat[b * n : (b + 1) * n] for b in range(center.dim)]
-    den, zero = algebra.scale * dc, Fraction(0)
-    entries, omega_table = {}, []
+    den = g = algebra.scale * dc
+    entries, cells = {}, []
     for a, k_a in enumerate(complement):
         plane = dict(algebra.int_sparse[k_a])
         omega_row = []
@@ -120,11 +111,12 @@ def build_extension(algebra):
             cell = []
             for c, k in enumerate(complement):
                 if num := w.get(k, 0) * dc - z[k]:
-                    g = gcd(num, den)
-                    cell.append((c, num // g, den // g))
+                    d = gcd(num, den)
+                    cell.append((c, num // d, den // d))
             entries[a, b] = cell
-            omega_row.append([Fraction(-c, den) if c else zero for c in z])
-        omega_table.append(omega_row)
+            omega_row.append([(k, -c) for k, c in enumerate(z) if c])
+            g = gcd(g, *z)
+        cells.append(omega_row)
     quotient = LeibnizAlgebra.from_entries(
         len(complement),
         entries,
@@ -134,7 +126,8 @@ def build_extension(algebra):
     if not quotient.is_lie():
         raise ValueError("quotient by the left center is not a Lie algebra")
 
-    return ExtensionData(algebra, center, quotient, pi_matrix, omega_table)
+    cells = [[[(k, c // g) for k, c in cell] for cell in row] for row in cells]
+    return ExtensionData(algebra, center, quotient, pi_matrix, complement, (cells, den // g))
 
 
 def projection_morphism_violations(ext):
@@ -154,8 +147,8 @@ def cocycle_identity_violations(ext):
     ``algebra.int_sparse`` at the complement indices of a and b applied to
     the nonzero entries of an omega cell; each omega of a bracket sums the
     q-coefficients of ``quotient.int_sparse`` times omega cells.  Every term
-    is a table entry times an omega entry, so the sums run on ints: omega
-    scaled by the lcm dw of its denominators, both tables put on the common
+    is a table entry times an omega entry, so the sums run on ints: the
+    cells of ``int_omega`` over dw, both tables put on the common
     denominator D of their scales, and each residual entry is an int over
     D * dw.  The action rows and the omega cells are packed once
     (``linalg.pack``), so each term is one int multiply-add, and only a
@@ -164,7 +157,7 @@ def cocycle_identity_violations(ext):
     """
     alg, quot = ext.algebra, ext.quotient
     n, q = alg.dim, quot.dim
-    omega, dw = _int_cells(ext.omega_table)  # read at call time, not the cached int_omega
+    omega, dw = ext.int_omega
     den = lcm(alg.scale, quot.scale)
 
     def int_planes(planes, scale, cols):
@@ -225,8 +218,8 @@ def reconstruction_violations(ext):
 
     By bilinearity the residual of (x, y, a, b) is D(x, y) + [a, s(y)] +
     [a, b], with D(x, y) = [s(x), s(y)] - s([x, y]) + omega(x, y).  The
-    three tables are built once on ints over one common denominator: omega
-    scaled by the lcm dw of its denominators, the center rows by the lcm dc
+    three tables are built once on ints over one common denominator: the
+    cells of ``int_omega`` over dw, the center rows times the lcm dc
     of theirs, and the ``int_sparse`` tables of h and q, so D is over dw,
     ``scale`` and the scale of q, a center action over dc * scale and a
     center square over dc**2 * scale.  They are packed (``linalg.pack``),
@@ -238,17 +231,19 @@ def reconstruction_violations(ext):
     n = alg.dim
     complement = ext.complement
     rows = ext.center.basis_rows
-    dw = lcm(*(c.denominator for row in ext.omega_table for cell in row for c in cell))
+    omega, dw = ext.int_omega
     dc = lcm(*(c.denominator for row in rows for c in row))
     den = lcm(dw, quot.scale, dc * dc * alg.scale)
-    f_lift, f_quot = den // alg.scale, den // quot.scale
+    f_omega, f_lift, f_quot = den // dw, den // alg.scale, den // quot.scale
     defects = []
-    for i, plane in enumerate(ext.omega_table):
+    for i, plane in enumerate(omega):
         lift = dict(alg.int_sparse[complement[i]])
         brackets = dict(quot.int_sparse[i])
         row = []
         for j, cell in enumerate(plane):
-            d = [c.numerator * (den // c.denominator) for c in cell]
+            d = [0] * n
+            for k, c in cell:
+                d[k] = c * f_omega
             for k, c in lift.get(complement[j], ()):
                 d[k] += c * f_lift
             for k, c in brackets.get(j, ()):

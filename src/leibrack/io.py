@@ -119,7 +119,7 @@ def load_algebra(path):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # bad JSON, bad UTF-8, an int past the digit limit
             raise InterchangeError(f"{path}: invalid JSON ({err})") from None
     return algebra_from_dict(doc)
 

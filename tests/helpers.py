@@ -351,19 +351,30 @@ def reference_derivations(algebra):
 # center rows), so a corrupted table shows in both.
 
 
+def perturb_omega(ext, a, b, delta):
+    """Add the n values ``delta`` to omega(e_a, e_b), writing through ``ext.int_omega``."""
+    table = [list(row) for row in ext.omega_table]  # never write into a table ext holds
+    table[a][b] = [c + d for c, d in zip(table[a][b], delta)]
+    dw = lcm(*(Fraction(c).denominator for row in table for cell in row for c in cell))
+    cells = [
+        [[(k, int(c * dw)) for k, c in enumerate(cell) if c] for cell in row] for row in table
+    ]
+    ext.int_omega = cells, dw
+
+
 def reference_omega(ext, x, y):
-    """omega(x, y) on quotient elements: the bilinear extension of ``omega_table``."""
+    """omega(x, y) on quotient elements: the bilinear extension of ``int_omega``."""
+    cells, dw = ext.int_omega
     coords = [0] * ext.algebra.dim
-    for xa, row in zip(x.coords, ext.omega_table):
+    for xa, row in zip(x.coords, cells):
         if xa == 0:
             continue
         for yb, cell in zip(y.coords, row):
             if yb == 0:
                 continue
             w = xa * yb
-            for k, c in enumerate(cell):
-                if c:
-                    coords[k] = coords[k] + w * c
+            for k, c in cell:
+                coords[k] = coords[k] + w * Fraction(c, dw)
     return Element(ext.algebra, coords, x.mode)
 
 

@@ -112,7 +112,12 @@ def test_usage_errors_exit_two(args):
 def test_parse_error_exits_two(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{oops")
-    assert run_cli("validate", broken).returncode == 2
+    proc = run_cli("validate", broken)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: {broken}: invalid JSON (Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1))\n"
+    )
     not_lowest = tmp_path / "nl.json"
     not_lowest.write_text(
         json.dumps({"dim": 1, "brackets": [{"i": 1, "j": 1, "value": [[2, 4]]}]})
@@ -407,6 +412,48 @@ def test_nonpositive_samples_rejected(samples):
 def test_bad_tangent_step_rejected(step):
     proc = run_cli("tangent", corpus_file("sl2"), f"--step={step}")
     assert_usage_error(proc, "--step must be a positive finite number")
+
+
+def test_tangent_step_whose_square_underflows_rejected():
+    # 4 * 1e-200**2 is 0.0 in floats: the difference quotient would divide by it
+    proc = run_cli("tangent", corpus_file("sl2"), "--step=1e-200")
+    assert_usage_error(proc, "--step 1e-200 is too small: 4 * step**2 underflows to 0.0")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def assert_one_error_line(proc, start):
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {start}") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_json_report_exits_two(tmp_path, where):
+    # the checks run and print; writing the report then fails
+    out = tmp_path / "no" / "r.json" if where == "missing" else tmp_path
+    proc = run_cli("validate", corpus_file("heisenberg"), "--json", out)
+    assert_one_error_line(proc, "[Errno ")
+    assert str(out) in proc.stderr
+    assert "overall: pass" in proc.stdout
+
+
+def test_input_that_is_not_utf8_exits_two(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"name": "caf\u00e9", "dim": 1}'.encode("latin-1"))
+    proc = run_cli("validate", bad)
+    assert_one_error_line(proc, f"{bad}: invalid JSON ('utf-8' codec can't decode byte 0xe9")
+
+
+# Python 3.11+ limits int parsing to 4300 digits by default; 0 means no limit
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int digit limit in this Python")
+def test_integer_past_the_digit_limit_exits_two(tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text('{"dim": ' + "1" * (DIGIT_LIMIT + 1) + "}")
+    proc = run_cli("validate", big)
+    assert_one_error_line(proc, f"{big}: invalid JSON (Exceeds the limit")
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])

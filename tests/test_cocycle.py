@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 from leibrack.cocycle import SERIES_SIGN, rack_cocycle_exact, rack_cocycle_series
-from leibrack.extension import build_extension
+from leibrack.extension import build_extension, cocycle_identity_violations
 from leibrack.io import load_algebra
 from leibrack.racks import bass_product
 from leibrack.sampling import sample_elements
@@ -17,6 +17,7 @@ from helpers import (
     cocycle_extension,
     load_all_corpus,
     n_k,
+    perturb_omega,
     random_invertible,
     rebase,
     reference_omega,
@@ -151,6 +152,17 @@ def test_elements_of_another_algebra_are_rejected(freenil3, heisenberg, slot):
             rack_cocycle_series(ext, *args, 2)
         with pytest.raises(ValueError, match="different algebra"):
             ext.section(other)
+
+
+def test_the_series_and_the_cocycle_identity_read_one_omega(freenil3):
+    ext = build_extension(freenil3)
+    x, y, _ = ext.quotient.basis_elements()
+    series = rack_cocycle_series(ext, x, y, order=3)
+    assert series == rack_cocycle_exact(ext, x, y)
+    assert cocycle_identity_violations(ext) == []
+    perturb_omega(ext, 0, 1, [Fraction(k + 1, 2) for k in range(freenil3.dim)])
+    assert rack_cocycle_series(ext, x, y, order=3) != series
+    assert cocycle_identity_violations(ext)
 
 
 # -- the int kernels against the Element references ------------------------------------

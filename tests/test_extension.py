@@ -3,6 +3,7 @@
 import copy
 import os
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -21,6 +22,7 @@ from helpers import (
     dense_cocycle_identity_violations,
     dense_reconstruction_violations,
     make_table,
+    perturb_omega,
     reference_cocycle_identity_violations,
     reference_omega,
     reference_reconstruction_violations,
@@ -178,14 +180,22 @@ def test_rebased_center_is_not_a_coordinate_axis(extensions):
     assert any(row[p] for row in ext.pi_matrix for p in ext.center.pivots)
 
 
+@pytest.mark.parametrize("name", list(CENTER_DIMS) + ["n4-rebased"])
+def test_int_omega_is_the_table_over_its_least_denominator(extensions, name):
+    ext = extensions[name]
+    cells, dw = ext.int_omega
+    table = ext.omega_table
+    assert dw == lcm(*(c.denominator for row in table for cell in row for c in cell))
+    assert [[[(k, c * dw) for k, c in enumerate(v) if c] for v in row] for row in table] == cells
+
+
 MUTATED = ("heisenberg", "freenil3", "n4-rebased")
 
 
 @pytest.mark.parametrize("name", MUTATED)
 def test_corrupted_omega_cell_gives_the_reference_violations(extensions, name):
     ext = copy.deepcopy(extensions[name])
-    cell = ext.omega_table[0][-1]
-    ext.omega_table[0][-1] = [c + Fraction(k + 1, 2) for k, c in enumerate(cell)]
+    perturb_omega(ext, 0, -1, [Fraction(k + 1, 2) for k in range(ext.algebra.dim)])
     for got, want in kernels_and_references(ext):
         assert got
         assert exact(got) == exact(want)
@@ -227,8 +237,7 @@ def test_huge_entries_give_the_reference_violations(huge_extensions, name):
         assert got == want == []
     assert dense_cocycle_identity_violations(ext) == dense_reconstruction_violations(ext) == []
     cells = copy.deepcopy(ext)
-    cell = cells.omega_table[0][-1]
-    cells.omega_table[0][-1] = [c + (-1) ** k * HUGE * (k + 1) / 3 for k, c in enumerate(cell)]
+    perturb_omega(cells, 0, -1, [(-1) ** k * HUGE * (k + 1) / 3 for k in range(ext.algebra.dim)])
     rows = copy.deepcopy(ext)
     rows.center.basis_rows[0][ext.complement[0]] -= HUGE / 5
     for broken in (cells, rows):

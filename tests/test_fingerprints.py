@@ -1,5 +1,6 @@
 """The CLI fingerprint tool on the ladder workload and the tests/data cases at seed 1."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -26,6 +27,7 @@ def test_ladder_fingerprints_compare_equal_to_themselves(tmp_path):
     assert len(ladder) == 7
     assert all(value["exit"] == 0 and value["json_sha256"] for value in ladder.values())
     assert found["usage validate heisenberg --mode float"]["exit"] == 2
+    assert found["usage tangent sl2 --step=1e-200"]["exit"] == 2
     data = {key: value for key, value in found.items() if key.startswith("data ")}
     assert sorted(data) == sorted(
         f"data seed1 {command} {name}"
@@ -110,3 +112,18 @@ def test_ladder_fingerprints_compare_equal_to_themselves(tmp_path):
     broken.write_text("{")
     for bad in (broken, tmp_path / "missing.json"):
         assert run_tool("--compare", out, bad).returncode == 2
+
+
+def test_an_uncaught_exception_takes_the_place_of_the_exit_code(tmp_path):
+    spec = importlib.util.spec_from_file_location("cli_fingerprints", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def main(argv):
+        print("partial")
+        raise ZeroDivisionError("float division by zero")
+
+    found = tool.run(main, ["tangent"], str(tmp_path / "r.json"))
+    assert found["exit"] == "uncaught ZeroDivisionError: float division by zero"
+    assert found["stdout_sha256"] == tool.digest(b"partial\n")
+    assert found["json_sha256"] is None

@@ -35,6 +35,7 @@ from leibrack.sampling import sample_elements, sample_observables
 from helpers import (
     load_bench_gen,
     n_k,
+    perturb_omega,
     random_invertible,
     rebase,
     reference_ad,
@@ -166,8 +167,7 @@ def test_cocycle_identity_matches_the_reference(extensions, name):
 @pytest.mark.parametrize("name", list(REBASED))
 def test_corrupted_omega_cell_fails_with_the_reference_residual(extensions, name):
     ext = copy.deepcopy(extensions[name])
-    cell = ext.omega_table[0][-1]
-    ext.omega_table[0][-1] = [c + Fraction(k + 1, 3) for k, c in enumerate(cell)]
+    perturb_omega(ext, 0, -1, [Fraction(k + 1, 3) for k in range(ext.algebra.dim)])
     got = cocycle_identity_violations(ext)
     want = reference_cocycle_identity_violations(ext)
     assert got

@@ -12,7 +12,9 @@ rejections, every command's ``--help``, and the ``bch`` and ``cocycle``
 flag paths that no workload takes), each as one in-process
 ``leibrack.cli.main(argv)`` call with ``--json`` into a scratch file.  Per
 op it records the SHA-256 of stdout and of the ``--json`` bytes (None when
-no file was written), the stderr text and the exit code.  Run it once on
+no file was written), the stderr text and the exit code, or the uncaught
+exception in place of the exit code (an old checkout may raise on a case
+that a later one rejects with exit 2).  Run it once on
 the parent checkout and once on the change, each in its own process.
 
 ``--compare`` prints the ops whose fingerprints differ, or are missing from
@@ -59,6 +61,7 @@ USAGE_CASES = [
     ("rack", "heisenberg", ("--samples", "0")),
     ("rack", "heisenberg", ("--samples", "-3")),
     *[("tangent", "sl2", (f"--step={step}",)) for step in ("0", "-1e-3", "nan", "inf")],
+    ("tangent", "sl2", ("--step=1e-200",)),  # positive, but 4 * step**2 underflows to 0.0
     *[("tangent", "hs1", (f"--tol={tol}",)) for tol in ("inf", "nan", "-1")],
     *[
         (command, "sl2", ("--mode", "float", "--order", order))
@@ -105,6 +108,8 @@ def run(main, argv, json_path):
             code = main([*argv, "--json", json_path])
         except SystemExit as exc:  # argparse rejects the flags
             code = exc.code
+        except Exception as exc:  # a process would print a traceback and exit 1
+            code = f"uncaught {type(exc).__name__}: {exc}"
     report = None
     if os.path.exists(json_path):
         with open(json_path, "rb") as handle:
