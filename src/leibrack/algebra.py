@@ -16,7 +16,7 @@ each i only the pairs ``(j, ((k, a), ...))`` with ``[e_i, e_j]`` nonzero,
 both indices ascending, each entry the int ``a = c * scale``, ``scale`` the
 lcm of the table's denominators.  The dense Fraction ``table`` is kept
 when ``__init__`` is given one, else built on first use (files load
-``from_entries``).  ``float_sparse`` has the same index with each entry
+``from_entries``); no command reads it.  ``float_sparse`` has the same index with each entry
 ``a / scale``, the correctly rounded ``float(c)`` (an entry that underflows
 to 0.0 included); it is built on its first use, so an exact run never
 converts the table (a coefficient beyond the float range would raise
@@ -671,7 +671,9 @@ def derivation_algebra(algebra):
     solves those rows modulo a prime, rebuilds the rational basis and
     checks it against every row on ints, so the basis is exact.  Returns a
     DerivationSummary whose basis matrices are the reduced-echelon
-    representatives of der(h); inner derivations are the span of the ad_x.
+    representatives of der(h).  The inner derivations are the image of
+    x -> ad_x, whose kernel is the left center Z, so dim_inner = n - dim Z
+    by rank-nullity, from the one solve of ``left_center``.
     """
     n = algebra.dim
     unique = dict.fromkeys(map(_primitive, _derivation_rows(algebra.int_sparse)))
@@ -680,13 +682,7 @@ def derivation_algebra(algebra):
     basis = [
         Endomorphism(algebra, [row[k * n : (k + 1) * n] for k in range(n)]) for row in flat_basis
     ]
-    ad_flat = [[0] * (n * n) for _ in range(n)]  # vec(ad_{e_i}) times scale
-    for flat, plane in zip(ad_flat, algebra.int_sparse):
-        for j, row in plane:
-            for k, c in row:
-                flat[k * n + j] = c
-    dim_inner = linalg.rank(ad_flat)
-    return DerivationSummary(algebra, basis, dim_inner)
+    return DerivationSummary(algebra, basis, n - left_center(algebra).dim)
 
 
 def hemi_semi_direct(lie_algebra, action, module_dim, name=""):

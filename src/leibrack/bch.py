@@ -15,8 +15,9 @@ value of a child is one bracket of that letter with the node's value.
 Evaluation walks the tree on coordinate lists, taking each bracket at most
 once, and drops a subtree as soon as its value is zero or it holds no word
 of degree <= order.  Each scalar kind brackets on its own table: exact
-input on ``int_sparse``, with x and y scaled to int lists and the terms
-summed over one common denominator; float input on ``float_sparse``, with
+input on ``int_sparse``, with x and y scaled to int lists by one common
+denominator, so that the denominator of a word depends on its degree
+only, and the terms summed over one denominator; float input on ``float_sparse``, with
 the nonzero terms added in table order.  So exact results equal, and float
 results are bit for bit, the sums of the plain word-by-word loop on the
 Fraction table.
@@ -126,38 +127,39 @@ def evaluate_word_table(table, x, y, order):
     sum that starts at +0 is never -0, so adding a signed zero would leave
     it as it is.
 
-    Exact input reads ``int_sparse`` with the int letters X = x·d_x and
-    Y = y·d_y (``linalg.int_vector``), so a word with a x-letters and b
-    y-letters has an int value over d_x^a·d_y^b·scale^(a+b-1).  The terms
-    are summed on ints over one common denominator, and one canonical
-    Fraction is made per coordinate.  One Element is built at the end.
+    Exact input reads ``int_sparse`` with the int letters X = x·d and
+    Y = y·d, d the lcm of the denominators of both (``linalg.int_vector``),
+    so a word of degree g has an int value over d^g·scale^(g-1), that is
+    step^g / scale with step = d·scale.  The terms are summed on ints over
+    one common denominator, and one canonical Fraction is made per
+    coordinate.  One Element is built at the end.
     """
     alg, mode = join_elements(x, y)
+    n = alg.dim
     if mode == EXACT:
-        (big_x, d_x), (big_y, d_y) = int_vector(x.coords), int_vector(y.coords)
-        letters, sparse = (big_x, big_y), alg.int_sparse
+        ints, d = int_vector(x.coords + y.coords)
+        letters, sparse = (ints[:n], ints[n:]), alg.int_sparse
     else:
         letters, sparse = (x.coords, y.coords), alg.float_sparse
     bracket = alg.bracket_coords
     terms = []
 
-    def walk(nodes, inner, xs, ys):
-        # xs, ys: how many x- and y-letters the suffix whose value is ``inner`` has
+    def walk(nodes, inner, degree):
+        # degree: the length of the suffix whose value is ``inner``
         for letter, reach, position, weight, children in nodes:
             if reach > order:
                 continue
             value = letters[letter] if inner is None else bracket(letters[letter], inner, sparse)
             if any(value):
-                a, b = (xs + 1, ys) if letter == 0 else (xs, ys + 1)
                 if position is not None:
-                    terms.append((position, weight, value, a, b))
-                walk(children, value, a, b)
+                    terms.append((position, weight, value, degree + 1))
+                walk(children, value, degree + 1)
 
-    walk(table.tree, None, 0, 0)
+    walk(table.tree, None, 0)
     if mode == EXACT:
-        return alg.element(_exact_sum(terms, d_x, d_y, alg.scale, alg.dim), mode)
-    total = [0.0] * alg.dim
-    for _, weight, value, _, _ in sorted(terms):
+        return alg.element(_exact_sum(terms, d * alg.scale, alg.scale, n), mode)
+    total = [0.0] * n
+    for _, weight, value, _ in sorted(terms):
         weight = float(weight)
         for k, v in enumerate(value):
             if v:
@@ -165,29 +167,23 @@ def evaluate_word_table(table, x, y, order):
     return alg.element(total, mode)
 
 
-def _exact_sum(terms, d_x, d_y, scale, dim):
-    """sum weight·W / (d_x^a·d_y^b·scale^(a+b-1)) over int terms, one Fraction per coordinate.
+def _exact_sum(terms, step, scale, dim):
+    """sum weight·W·scale / step^g over int terms of degree g, one Fraction per coordinate.
 
-    The common denominator is Q·d_x^A·d_y^B·scale^(G-1), with Q the lcm of
-    the weight denominators and A, B and G the largest a, b and a + b.
+    The common denominator is Q·step^G / scale, an int as G >= 1, with Q
+    the lcm of the weight denominators and G the largest degree.
     """
     if not terms:
         return [Fraction(0)] * dim
-    most_x = max(a for *_, a, _ in terms)
-    most_y = max(b for *_, b in terms)
-    degree = max(a + b for *_, a, b in terms)
+    most = max(g for *_, g in terms)
     q = lcm(*(weight.denominator for _, weight, *_ in terms))
     total = [0] * dim
-    for _, weight, value, a, b in terms:
-        factor = (
-            weight.numerator * (q // weight.denominator)
-            * d_x ** (most_x - a) * d_y ** (most_y - b) * scale ** (degree - a - b)
-        )
+    for _, weight, value, g in terms:
+        factor = weight.numerator * (q // weight.denominator) * step ** (most - g)
         for k, v in enumerate(value):
             if v:
                 total[k] += factor * v
-    den = q * d_x ** most_x * d_y ** most_y * scale ** (degree - 1)
-    return [Fraction(t, den) for t in total]
+    return [Fraction(t, q * step**most // scale) for t in total]
 
 
 def bch(x, y, order=MAX_ORDER):

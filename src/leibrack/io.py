@@ -119,7 +119,9 @@ def load_algebra(path):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except ValueError as err:  # bad JSON, bad UTF-8, an int past the digit limit
+        # bad JSON, bad UTF-8, an int past the digit limit; RecursionError
+        # for arrays or objects nested deeper than the parser's stack
+        except (ValueError, RecursionError) as err:
             raise InterchangeError(f"{path}: invalid JSON ({err})") from None
     return algebra_from_dict(doc)
 

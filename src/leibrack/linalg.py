@@ -11,7 +11,7 @@ updated row divided by its content) and ``det`` (Bareiss steps, whose
 divisions by the previous pivot are exact) turn their results back into
 canonical Fractions only at the end.  ``inverse`` and ``float_inverse``
 divide the right half of the echelon rows of ``[matrix | I]`` by their
-pivots, into Fractions or into floats; ``rank`` reads the int rows.
+pivots, into Fractions or into floats.
 ``nullspace`` solves modulo a prime instead (Dixon, Numer. Math. 40, 1982;
 von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5), on the sparse
 int rows (dicts) the structural kernels build: it takes the reduced
@@ -260,18 +260,13 @@ def mat_norm_1(a):
 def _int_rows(matrix):
     """Each row times the lcm of its denominators, as ints; returns (rows, lcms).
 
-    Scaling a row by a positive constant keeps the row space.  A row of
-    plain ints is passed through as it is, with scale 1, after one pass over
-    its types; no caller changes the rows it gets.  Any other row is read
-    entry by entry with ``as_integer_ratio``, the exact (num, den) in lowest
-    terms that ``Fraction`` would hold, and no Fraction is made.
+    Scaling a row by a positive constant keeps the row space.  Every row is
+    read entry by entry with ``as_integer_ratio``, the exact (num, den) in
+    lowest terms that ``Fraction`` would hold (an int gives (x, 1)), and no
+    Fraction is made.
     """
     rows, scales = [], []
     for row in matrix:
-        if {int}.issuperset(map(type, row)):
-            rows.append(row)
-            scales.append(1)
-            continue
         ratios = [x.as_integer_ratio() for x in row]
         d = lcm(*(den for _, den in ratios))
         rows.append([num * (d // den) for num, den in ratios])
@@ -316,10 +311,6 @@ def rref(matrix):
     """
     rows, pivots = echelon(_int_rows(matrix)[0])
     return [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)], pivots
-
-
-def rank(matrix):
-    return len(echelon(_int_rows(matrix)[0])[1])
 
 
 def nullspace(rows, cols):

@@ -40,10 +40,21 @@ def tangent_recover(product, dim, step=1e-3):
 
 
 def max_table_error(table, algebra):
-    """Largest entrywise deviation from the algebra's exact table."""
+    """Largest entrywise deviation from the algebra's exact table, in (i, j, k) order.
+
+    The entries come from ``float_sparse``, ``float(c)`` bit for bit, and a
+    zero entry is 0.0; no dense Fraction table is built.
+    """
+    exact = {
+        (i, j, k): c
+        for i, plane in enumerate(algebra.float_sparse)
+        for j, entries in plane
+        for k, c in entries
+    }
+    n = algebra.dim
     return max(
-        abs(table[i][j][k] - float(algebra.table[i][j][k]))
-        for i in range(algebra.dim)
-        for j in range(algebra.dim)
-        for k in range(algebra.dim)
+        abs(table[i][j][k] - exact.get((i, j, k), 0.0))
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
     )

@@ -232,11 +232,17 @@ FLOAT_ALGEBRAS = ("sl2", "heisenberg", "freenil3")
 
 
 def word_table_pairs(alg, mode=EXACT, scale=Fraction(1)):
-    """Sampled pairs plus the edge cases x = 0, y = 0, both zero and x = y."""
+    """Sampled pairs, the edge cases x = 0, y = 0, both zero and x = y, and coprime denominators.
+
+    The last pair has x over 3 and y over 5, so the exact kernel's common
+    denominator of the letters is 15, which neither letter has alone.
+    """
     pairs = sample_pairs(alg, 4, seed=31, mode=mode, scale=scale)
     x, y = pairs[0]
     zero = alg.zero(mode)
-    return pairs + [(zero, y), (x, zero), (zero, zero), (x, x), (y, y)]
+    thirds = alg.element([scale * Fraction(i + 1, 3) for i in range(alg.dim)], mode)
+    fifths = alg.element([scale * Fraction(2 - i, 5) for i in range(alg.dim)], mode)
+    return pairs + [(zero, y), (x, zero), (zero, zero), (x, x), (y, y), (thirds, fifths)]
 
 
 def counted_evaluations(monkeypatch, pairs, order):

@@ -456,6 +456,14 @@ def test_integer_past_the_digit_limit_exits_two(tmp_path):
     assert_one_error_line(proc, f"{big}: invalid JSON (Exceeds the limit")
 
 
+def test_deeply_nested_json_exits_two(tmp_path):
+    # the parser recurses once per array; 100,000 levels overflow its stack
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    proc = run_cli("validate", deep)
+    assert_one_error_line(proc, f"{deep}: invalid JSON (")
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
 def test_bad_tangent_tol_rejected(tol):
     # inf passes whatever the error, nan and negatives fail whatever it is.
@@ -538,6 +546,20 @@ def test_every_command_on_the_corpus_at_defaults(capsys):
                 assert err.startswith("error: ") and err.count("\n") == 1, (command, name, err)
     expected = {key: 2 if key in PRECONDITION_FAILURES else 0 for key in codes}
     assert codes == expected
+
+
+def test_no_command_reads_the_dense_table(monkeypatch, capsys):
+    # the kernels read int_sparse and float_sparse; the dense Fraction table
+    # serves the reference loops of the tests only
+    def refuse(algebra):
+        raise AssertionError(f"{algebra!r}: a command read the dense table")
+
+    monkeypatch.setattr(LeibnizAlgebra, "table", property(refuse))
+    for command in COMMANDS:
+        for name in CORPUS_NAMES:
+            for mode in ("exact", "float"):
+                cli.main([command, corpus_file(name), "--mode", mode])
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", COMMANDS)

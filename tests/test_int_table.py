@@ -122,7 +122,8 @@ def test_derivation_algebra_matches_the_fraction_nullspace(name):
 
 def test_structural_nullspaces_hand_sparse_rows_to_nullspace(monkeypatch):
     # left_center and derivation_algebra hand their sparse int rows to
-    # linalg.nullspace; no dense row is built on the way
+    # linalg.nullspace; no dense row is built on the way.  derivation_algebra
+    # solves the derivation system, then the left-center system for dim_inner
     solve, seen = linalg.nullspace, []
 
     def spy(rows, cols=None):
@@ -138,14 +139,17 @@ def test_structural_nullspaces_hand_sparse_rows_to_nullspace(monkeypatch):
         got = derivation_algebra(alg)
         assert [[x for row in d.matrix for x in row] for d in got.basis] == basis
         assert got.dim_inner == dim_inner
-        assert seen == [alg.dim, alg.dim**2]
+        assert seen == [alg.dim, alg.dim**2, alg.dim]
 
 
 def test_rebased_n5_derivations_need_the_second_prime(rungs):
     # the reduced-echelon basis of der(n5d) has entries of more than 63
-    # bits, beyond the reach of 2**127 - 1
+    # bits, beyond the reach of 2**127 - 1; the left center that gives
+    # dim_inner is solved after it, on the first prime
     derivation_algebra(REBASED["n5-rebased"])
-    assert rungs == [(linalg.PRIMES[0], False), (linalg.PRIMES[1], True)]
+    assert rungs == [
+        (linalg.PRIMES[0], False), (linalg.PRIMES[1], True), (linalg.PRIMES[0], True)
+    ]
 
 
 @pytest.fixture(scope="module")

@@ -433,7 +433,7 @@ def assert_derivation_residual_matches(name, matrix):
     """D lies in the span of ``derivation_algebra`` exactly when the dense n^4 residual is 0."""
     basis = flat_derivations(name)
     flat = [Fraction(x) for row in matrix for x in row]
-    in_span = linalg.rank(basis + [flat]) == len(basis)
+    in_span = len(linalg.rref(basis + [flat])[1]) == len(basis)
     assert in_span == (reference_derivation_residual(Endomorphism(ALGEBRAS[name], matrix)) == 0)
 
 
