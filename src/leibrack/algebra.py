@@ -138,6 +138,7 @@ class LeibnizAlgebra(Value):
         self.int_sparse = tuple(map(tuple, planes))
         self._leibniz_violations = None
         self._is_lie = None
+        self._left_center = None
         self._exp_ad = {}  # racks.exp_ad: (coords, mode, order) -> exp(ad_x)
         self._nilpotency_class = -2  # sentinel: not yet computed
 
@@ -544,14 +545,17 @@ def bracket_defects(source, target, matrix):
 
 
 class Subspace:
-    """A subspace of an algebra, held as a reduced-echelon basis matrix."""
+    """A subspace of an algebra, held as a reduced-echelon basis matrix.
+
+    ``basis_rows`` must be the canonical reduced echelon basis, as
+    ``linalg.nullspace`` returns it (Fraction rows, each led by a 1); the
+    pivot of a row is its first nonzero column.
+    """
 
     def __init__(self, algebra, basis_rows):
         self.algebra = algebra
-        rows = [list(map(Fraction, row)) for row in basis_rows]
-        reduced, pivots = linalg.rref(rows) if rows else ([], [])
-        self.basis_rows = reduced
-        self.pivots = pivots
+        self.basis_rows = basis_rows
+        self.pivots = [next(j for j, x in enumerate(row) if x) for row in basis_rows]
 
     @property
     def dim(self):
@@ -582,74 +586,92 @@ def left_center(algebra):
     squares [x, x], and the quotient by it is a Lie algebra.  The nullspace
     does not change when the table is scaled, so its sparse rows come from
     ``int_sparse``; ``linalg.nullspace`` solves them modulo a prime and
-    checks the basis on ints.
+    checks the basis on ints.  Its rows are the canonical reduced echelon
+    basis already, so the Subspace takes them as they are, with no second
+    elimination.  The algebra keeps the Subspace, so ``build_extension`` and
+    ``derivation_algebra`` share one solve.
     """
-    rows = {}  # (j, k) -> the row {i: scale * c[i][j][k]}
-    for i, plane in enumerate(algebra.int_sparse):
-        for j, entries in plane:
-            for k, c in entries:
-                rows.setdefault((j, k), {})[i] = c
-    basis = linalg.nullspace([rows[key] for key in sorted(rows)], cols=algebra.dim)
-    return Subspace(algebra, basis)
+    if algebra._left_center is None:
+        rows = {}  # (j, k) -> the row {i: scale * c[i][j][k]}
+        for i, plane in enumerate(algebra.int_sparse):
+            for j, entries in plane:
+                for k, c in entries:
+                    rows.setdefault((j, k), {})[i] = c
+        basis = linalg.nullspace([rows[key] for key in sorted(rows)], cols=algebra.dim)
+        algebra._left_center = Subspace(algebra, basis)
+    return algebra._left_center
 
 
 class DerivationSummary:
-    """Basis of der(h) plus the inner/outer dimension split."""
+    """Basis of der(h) plus the inner/outer dimension split.
 
-    def __init__(self, algebra, basis, dim_inner):
+    ``matrices`` holds the basis derivations as n x n lists of Fraction
+    rows; ``basis`` makes their Endomorphisms on its first read, which a
+    caller that wants only the dimensions, as ``analyze`` does, never pays
+    for.
+    """
+
+    def __init__(self, algebra, matrices, dim_inner):
         self.algebra = algebra
-        self.basis = basis
-        self.dim_der = len(basis)
+        self.matrices = matrices
+        self.dim_der = len(matrices)
         self.dim_inner = dim_inner
         self.dim_outer = self.dim_der - dim_inner
 
-    def __repr__(self):
-        return (
-            f"<derivations dim={self.dim_der} inner={self.dim_inner} outer={self.dim_outer}>"
-        )
+    @cached_property
+    def basis(self):
+        return [Endomorphism(self.algebra, matrix) for matrix in self.matrices]
 
 
 def _derivation_rows(int_sparse):
-    """The linear system cutting out the derivations, one sparse row per entry.
+    """The linear system cutting out the derivations, one sparse row per triple.
 
     ``int_sparse`` is ``algebra.int_sparse``, so every row is ``scale``
     times a row of the system.  The unknown is D, flattened to vec(D) with
-    D[m][l] at m * n + l.  For every basis pair (i, j) and coordinate m whose
-    identity has a term, yields the dict ``{column: coefficient}`` with
-    row . vec(D) equal to ``scale`` times the m-th entry of
-    D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].
+    D[m][l] at m * n + l.  The row of (i, j, m) is the dict ``{column:
+    coefficient}`` with row . vec(D) equal to ``scale`` times the m-th entry
+    of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j]; an entry that cancels stays as 0.
+    Each nonzero c = c[p][q][k] is visited once: it puts c at D[m][k] in the
+    n rows (p, q, m) of its bracket term, -c at D[p][i] in the n rows (i, q, k)
+    of [De_i, e_q], and -c at D[q][j] in the n rows (p, j, k) of [e_p, De_j].
+    So at most 3 n nnz rows are built, nnz the nonzero constants.
     """
     n = len(int_sparse)
-    # With c = c[p][q][m] != 0: left[q][m] holds (p, c) and right[p][m] holds (q, c).
-    left = [[[] for _ in range(n)] for _ in range(n)]
-    right = [[[] for _ in range(n)] for _ in range(n)]
+    rows = {}  # (i * n + j) * n + m -> row
     for p, plane in enumerate(int_sparse):
         for q, entries in plane:
-            for m, c in entries:
-                left[q][m].append((p, c))
-                right[p][m].append((q, c))
-    for i in range(n):
-        brackets = dict(int_sparse[i])
-        for j in range(n):
-            bracket = brackets.get(j, ())
+            base = (p * n + q) * n
             for m in range(n):
-                if not (bracket or left[j][m] or right[i][m]):
-                    continue
-                row = {}
-                terms = [(m * n + l, c) for l, c in bracket]
-                terms += [(l * n + i, -c) for l, c in left[j][m]]
-                terms += [(l * n + j, -c) for l, c in right[i][m]]
-                for col, c in terms:
-                    row[col] = row.get(col, 0) + c
-                yield row
+                rows[base + m] = {m * n + k: c for k, c in entries}
+    nn = n * n
+    for p, plane in enumerate(int_sparse):
+        for q, entries in plane:
+            for k, c in entries:
+                key, col = q * n + k, p * n  # rows (i, q, k), column D[p][i]
+                for i in range(n):
+                    row = rows.setdefault(key, {})
+                    row[col] = row.get(col, 0) - c
+                    key += nn
+                    col += 1
+                key, col = p * nn + k, q * n  # rows (p, j, k), column D[q][j]
+                for j in range(n):
+                    row = rows.setdefault(key, {})
+                    row[col] = row.get(col, 0) - c
+                    key += n
+                    col += 1
+    return rows.values()
 
 
 def _primitive(row):
     """A sparse int row divided by its content, leading entry positive.
 
     Two rows that are scalar multiples of each other give the same tuple of
-    ``(column, entry)``; the zero row gives ().
+    ``(column, entry)``; the zero row gives ().  A row of one entry is
+    ``((column, 1),)``, with no sort and no gcd.
     """
+    if len(row) == 1:
+        [(col, c)] = row.items()
+        return ((col, 1),) if c else ()
     entries = sorted((col, c) for col, c in row.items() if c)
     if not entries:
         return ()
@@ -664,25 +686,24 @@ def derivation_algebra(algebra):
 
     The unknown is the matrix D; for every basis pair (i, j) the identity
     D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] is linear in the entries of D.
-    The rows of ``_derivation_rows`` come from ``int_sparse``, and rows that
-    repeat up to a scalar are eliminated once (first occurrence, as a
-    primitive int row): the reduced echelon basis of the nullspace depends
-    only on the row space, which no scaling changes.  ``linalg.nullspace``
-    solves those rows modulo a prime, rebuilds the rational basis and
-    checks it against every row on ints, so the basis is exact.  Returns a
-    DerivationSummary whose basis matrices are the reduced-echelon
-    representatives of der(h).  The inner derivations are the image of
-    x -> ad_x, whose kernel is the left center Z, so dim_inner = n - dim Z
-    by rank-nullity, from the one solve of ``left_center``.
+    ``_derivation_rows`` builds its rows from the nonzero constants of
+    ``int_sparse``, each visited once, and rows that repeat up to a scalar
+    are eliminated once (as a primitive int row): the reduced echelon
+    basis of the nullspace depends only on the row space, which neither
+    scaling nor row order changes.  ``linalg.nullspace`` solves those rows
+    modulo a prime, rebuilds the rational basis and checks it against every
+    row on ints, so the basis is exact.  Returns a DerivationSummary whose
+    basis matrices are the reduced-echelon representatives of der(h).  The
+    inner derivations are the image of x -> ad_x, whose kernel is the left
+    center Z, so dim_inner = n - dim Z by rank-nullity, read off the
+    ``left_center`` the algebra keeps.
     """
     n = algebra.dim
     unique = dict.fromkeys(map(_primitive, _derivation_rows(algebra.int_sparse)))
     unique.pop((), None)
     flat_basis = linalg.nullspace(list(map(dict, unique)), cols=n * n)
-    basis = [
-        Endomorphism(algebra, [row[k * n : (k + 1) * n] for k in range(n)]) for row in flat_basis
-    ]
-    return DerivationSummary(algebra, basis, n - left_center(algebra).dim)
+    matrices = [[row[k : k + n] for k in range(0, n * n, n)] for row in flat_basis]
+    return DerivationSummary(algebra, matrices, n - left_center(algebra).dim)
 
 
 def hemi_semi_direct(lie_algebra, action, module_dim, name=""):

@@ -15,11 +15,12 @@ pivots, into Fractions or into floats.
 ``nullspace`` solves modulo a prime instead (Dixon, Numer. Math. 40, 1982;
 von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5), on the sparse
 int rows (dicts) the structural kernels build: it takes the reduced
-echelon form of the int rows mod p and of the kernel vectors read off it,
-rebuilds each entry as a rational, and checks on ints that every row
-annihilates every vector.  The check makes the answer exact: the rank mod
-p is at most the rank over Q, so N - rank_p independent vectors that pass
-it span the whole kernel.  The primes are the Mersenne primes of
+echelon form of the int rows mod p, with each pivot at its row's last
+nonzero column, so that the kernel vectors read off it are in reduced
+echelon form already, rebuilds each nonzero entry as a rational, and
+checks on ints that every row annihilates every vector.  The check makes
+the answer exact: the rank mod p is at most the rank over Q, so
+N - rank_p independent vectors that pass it span the whole kernel.  The primes are the Mersenne primes of
 ``PRIMES``, smallest first; when no rung passes, the fraction-free
 elimination runs.
 ``echelon`` is also the step of ``LeibnizAlgebra.nilpotency_class``, which
@@ -319,7 +320,9 @@ def nullspace(rows, cols):
     The rows are sparse int rows as the structural kernels build them:
     dicts ``{column: x}`` over ``cols`` columns, zero entries left out.
     They go to ``_modular_nullspace`` with each prime of ``PRIMES`` in
-    turn, and the first basis that passes its exact check is the answer.
+    turn, and the first basis that passes its exact check is the answer;
+    that rung works on the nonzero entries of the kernel vectors and makes
+    the dense Fraction rows only for the basis it returns.
     A rung fails when an entry has no rational with |num|, den <=
     sqrt(p / 2) (p too small for the answer) or when a vector misses a row
     (p divides a minor that decides the rank).  When every rung fails, the fraction-free
@@ -348,53 +351,64 @@ def nullspace(rows, cols):
 def _modular_nullspace(rows, cols, p):
     """The canonical nullspace basis of sparse int rows, solved mod p; None if unproven.
 
-    ``rows`` are dicts ``{column: x}``.  Each free column f of the echelon
-    form mod p gives the kernel vector with 1 at f and -row[f] at each
-    pivot; their reduced echelon form mod p is rebuilt entry by entry with
-    ``_rational`` (0 and 1 stay 0 and 1, so the rows keep their echelon
-    shape).  Those N - rank_p rows are independent, and when every input
-    row annihilates them on ints they span the kernel, whose dimension
-    N - rank_Q is at most N - rank_p: they are its reduced echelon basis.
+    ``rows`` are dicts ``{column: x}``.  In the reduced echelon form mod p
+    of ``_rref_mod`` each row has its pivot at its last nonzero column, so
+    the kernel vector of a free column f, 1 at f and -row[f] at the pivot
+    of each row with an entry at f, is 0 left of f and at every other free
+    column: these vectors are already the reduced echelon basis of the
+    kernel mod p, with the free columns as pivots.  Each nonzero entry is
+    rebuilt with ``_rational``.  Those N - rank_p vectors are independent,
+    and when every input row annihilates them on ints they span the kernel,
+    whose dimension N - rank_Q is at most N - rank_p: they are its reduced
+    echelon basis.  The vectors are rebuilt, scaled to ints, packed and
+    checked on their nonzero entries only (a zero has denominator 1, so it
+    changes no lcm, no slot width and no packed sum); the dense Fraction
+    rows are made once, after the check.
     """
     reduced = _rref_mod(rows, p)
-    kernel = [
-        {c: -row[f] for c, row in reduced.items() if f in row} | {f: 1}
-        for f in range(cols)
-        if f not in reduced
-    ]
-    if not kernel:
-        return []
     bound = isqrt(p // 2)
-    zero, one = Fraction(0), Fraction(1)
-    basis = []
-    for c, row in sorted(_rref_mod(kernel, p).items()):
-        v = [zero] * cols
-        v[c] = one
-        for j, x in row.items():
-            v[j] = _rational(x, p, bound)
-            if v[j] is None:
-                return None
-        basis.append(v)
-    scaled = [int_vector(v)[0] for v in basis]
-    largest = max(map(abs, chain(*scaled)))
+    kernel = {f: {f: Fraction(1)} for f in range(cols) if f not in reduced}
+    for c, row in reduced.items():
+        for f, x in row.items():
+            if x:
+                kernel[f][c] = entry = _rational(p - x, p, bound)
+                if entry is None:
+                    return None
+    scaled = []
+    for v in kernel.values():
+        d = lcm(*(x.denominator for x in v.values()))
+        scaled.append({j: x.numerator * (d // x.denominator) for j, x in v.items()})
+    largest = max((abs(x) for v in scaled for x in v.values()), default=0)
     largest *= max((abs(x) for row in rows for x in row.values()), default=0)
     width = slot_width(cols, largest)
-    packed = [pack(enumerate(col), width) for col in zip(*scaled)]
-    # each sum packs the products of one row with every vector (see ``pack``)
+    # packed[j]: entry j of vector b in slot b (see ``pack``)
+    packed = [0] * cols
+    for b, v in enumerate(scaled):
+        shift = b * width
+        for j, x in v.items():
+            packed[j] += x << shift
+    # each sum packs the products of one row with every vector
     if any(sum(map(mul, row.values(), map(packed.__getitem__, row))) for row in rows):
         return None
+    zero = Fraction(0)
+    basis = []
+    for v in kernel.values():
+        dense = [zero] * cols
+        for j, x in v.items():
+            dense[j] = x
+        basis.append(dense)
     return basis
 
 
 def _rref_mod(rows, p):
-    """Reduced echelon form mod p of sparse int rows: ``{pivot: {column: x}}``.
+    """Reduced echelon form mod p of sparse int rows, pivots last: ``{pivot: {column: x}}``.
 
-    A stored row is 1 at its pivot (left implicit) and 0 at every other
-    pivot and left of its own, so a new row is reduced in one sweep on
+    A stored row is 1 at its pivot, its last nonzero column (not stored),
+    and 0 at every other pivot, so a new row is reduced in one sweep on
     ints, its entries at the pivots being the multipliers, and taken mod p
-    once.  Its first nonzero column becomes a pivot, and the stored rows
-    with an entry there are cleared; only rows with a smaller pivot can
-    have one, so the form stays reduced echelon.
+    once.  Its last nonzero column becomes a pivot, and the stored rows
+    with an entry there are cleared.  Every stored entry sits at a free
+    column, left of its row's pivot.
     """
     basis = {}
     for row in rows:
@@ -406,7 +420,7 @@ def _rref_mod(rows, p):
         row = {j: r for j, x in row.items() if (r := x % p)}
         if not row:
             continue
-        c = min(row)
+        c = max(row)
         inv = pow(row.pop(c), -1, p)
         new = {j: x * inv % p for j, x in row.items()}
         for other in basis.values():

@@ -302,6 +302,40 @@ def dense_derivation_rows(alg):
     return rows
 
 
+def reference_derivation_rows(int_sparse):
+    """The derivation system's sparse int rows by the (i, j, m) loop over all n^3 triples.
+
+    The former ``algebra._derivation_rows``, kept as the oracle for the one
+    that visits each nonzero constant once.  Yields, for every triple whose
+    identity has a term, the dict ``{column: coefficient}`` of ``scale``
+    times the m-th entry of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j], with
+    D[m][l] at m * n + l.
+    """
+    n = len(int_sparse)
+    # With c = c[p][q][m] != 0: left[q][m] holds (p, c) and right[p][m] holds (q, c).
+    left = [[[] for _ in range(n)] for _ in range(n)]
+    right = [[[] for _ in range(n)] for _ in range(n)]
+    for p, plane in enumerate(int_sparse):
+        for q, entries in plane:
+            for m, c in entries:
+                left[q][m].append((p, c))
+                right[p][m].append((q, c))
+    for i in range(n):
+        brackets = dict(int_sparse[i])
+        for j in range(n):
+            bracket = brackets.get(j, ())
+            for m in range(n):
+                if not (bracket or left[j][m] or right[i][m]):
+                    continue
+                row = {}
+                terms = [(m * n + l, c) for l, c in bracket]
+                terms += [(l * n + i, -c) for l, c in left[j][m]]
+                terms += [(l * n + j, -c) for l, c in right[i][m]]
+                for col, c in terms:
+                    row[col] = row.get(col, 0) + c
+                yield row
+
+
 def reference_nilpotency_class(algebra):
     """The descending chain V_{k+1} = span [e_i, V_k] on Fraction brackets.
 

@@ -1,11 +1,19 @@
-"""The CLI fingerprint tool on the ladder workload and the tests/data cases at seed 1."""
+"""The CLI fingerprint tool on the ladder workload, the tests/data cases and its generated tables at seed 1."""
 
 import importlib.util
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from leibrack import linalg
+from leibrack.algebra import derivation_algebra, left_center
+from leibrack.io import load_algebra
+
+from helpers import reference_derivations
 from test_golden import BCH_POINTS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +56,11 @@ def test_ladder_fingerprints_compare_equal_to_themselves(tmp_path):
         fails = key.endswith("freenil3-perturbed") and " hessian " not in key
         assert value["exit"] == (1 if fails else 0)
         assert value["json_sha256"]
+    generated = {key: value for key, value in found.items() if key.startswith("generated ")}
+    assert sorted(generated) == sorted(
+        f"generated seed1 analyze {name}" for name in ("r3-p127", "r3-700bit")
+    )
+    assert all(value["exit"] == 0 and value["json_sha256"] for value in generated.values())
     assert found["usage frobnicate heisenberg"]["json_sha256"] is None
     # flag paths that no workload takes: bch at the golden points and at 0
     # (exit 0), bch below freenil3's class 3 (exit 1), cocycle --order 0 (exit 2)
@@ -114,10 +127,41 @@ def test_ladder_fingerprints_compare_equal_to_themselves(tmp_path):
         assert run_tool("--compare", out, bad).returncode == 2
 
 
-def test_an_uncaught_exception_takes_the_place_of_the_exit_code(tmp_path):
+def load_tool():
     spec = importlib.util.spec_from_file_location("cli_fingerprints", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+P1, P2, P3 = linalg.PRIMES
+
+
+@pytest.mark.parametrize(
+    "name, tried",
+    [
+        # the first rung's vector e1 fails the int check, the second passes
+        ("r3-p127", [(P1, False), (P2, True)]),
+        # no rung rebuilds a / b: the fraction-free elimination answers
+        ("r3-700bit", [(P1, False), (P2, False), (P3, False)]),
+    ],
+)
+def test_generated_tables_reach_the_paths_they_name(tmp_path, rungs, name, tried):
+    tool = load_tool()
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(tool.generated_table(name)))
+    alg = load_algebra(str(path))
+    a, b = tool.GENERATED[name]
+    assert left_center(alg).basis_rows == [[1, Fraction(-a, b), 0]]
+    assert rungs == tried
+    basis, dim_inner = reference_derivations(alg)
+    got = derivation_algebra(alg)
+    assert [[x for row in matrix for x in row] for matrix in got.matrices] == basis
+    assert got.dim_inner == dim_inner
+
+
+def test_an_uncaught_exception_takes_the_place_of_the_exit_code(tmp_path):
+    tool = load_tool()
 
     def main(argv):
         print("partial")

@@ -20,6 +20,10 @@ reports the bordered Hessian built from ``int_sparse``, and their bch
 reports the BCH word sum on a table beyond the corpus: every corpus table
 has scale 1, n4-rebased has scale 7056 and n5 has dimension 10.
 
+``analyze n7`` runs on ``helpers.n_k(7)`` (dim 21, class 6), written to a
+temp file: the derivation solve on the largest table that the golden cases
+read, where the solve has the most rows to get right.
+
 The ``bch`` cases with flags pin the BCH word sum at every truncation order
 1..8, on sampled pairs and on the fixed ``--x``/``--y`` pairs below, in exact
 mode on heisenberg and freenil3 and in float mode on sl2.
@@ -42,7 +46,7 @@ import pytest
 
 from leibrack import cli
 from leibrack.corpus import CORPUS_NAMES, corpus_path
-from leibrack.io import load_algebra
+from leibrack.io import load_algebra, save_algebra
 
 from helpers import n_k, random_invertible, rebase
 
@@ -52,6 +56,7 @@ FAILING = "freenil3-perturbed"
 NILPOTENT = ("abelian3", "leib2", "heisenberg", "freenil3")
 NILPOTENT_LIE = ("abelian3", "heisenberg", "freenil3")
 EXTENSIONS = ("n5", "n4-rebased")
+GENERATED = {"n7": lambda: n_k(7)}  # written to a temp file per case
 BCH_POINTS = {
     ("heisenberg", "exact"): ("1/2,-3,2", "2,1/3,-1"),
     ("freenil3", "exact"): ("1/2,-1,3,2/3,-5", "-2,1/3,1,0,7/4"),
@@ -84,6 +89,7 @@ def _cases():
         for order in range(1, 9):
             cases.append(("bch", name, mode, "--order", str(order)))
             cases.append(("bch", name, mode, "--order", str(order), f"--x={x}", f"--y={y}"))
+    cases.append(("analyze", "n7"))
     return cases
 
 
@@ -94,10 +100,14 @@ def case_id(case):
     return " ".join(case)
 
 
-def algebra_path(name):
-    """A corpus algebra by name, or else the file ``tests/data/<name>.json``."""
+def algebra_path(name, tmp):
+    """The file of algebra ``name``: corpus, ``tests/data``, or a ``GENERATED`` table saved in tmp."""
     if name in CORPUS_NAMES:
         return str(corpus_path(name))
+    if name in GENERATED:
+        path = os.path.join(tmp, f"{name}.json")
+        save_algebra(GENERATED[name](), path)
+        return path
     return os.path.join(HERE, "data", f"{name}.json")
 
 
@@ -107,10 +117,10 @@ def run_case(case):
     A case is (command, algebra[, mode[, further flags...]]).
     """
     command, name = case[:2]
-    argv = [command, algebra_path(name), "--seed", "1", "--samples", "5"]
-    if len(case) >= 3:
-        argv += ["--mode", case[2], *case[3:]]
     with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, algebra_path(name, tmp), "--seed", "1", "--samples", "5"]
+        if len(case) >= 3:
+            argv += ["--mode", case[2], *case[3:]]
         out = os.path.join(tmp, "report.json")
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv + ["--json", out])
@@ -131,9 +141,9 @@ def test_report_bytes_match_golden(case):
 
 
 def test_extension_data_files_follow_their_recipe():
-    assert load_algebra(algebra_path("n5")).table == n_k(5).table
+    assert load_algebra(algebra_path("n5", None)).table == n_k(5).table
     g = random_invertible(random.Random(1), 6)
-    assert load_algebra(algebra_path("n4-rebased")).table == rebase(n_k(4), g).table
+    assert load_algebra(algebra_path("n4-rebased", None)).table == rebase(n_k(4), g).table
 
 
 def test_golden_file_covers_exactly_the_cases():

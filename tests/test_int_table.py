@@ -20,8 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leibrack import algebra as algebra_module
 from leibrack import linalg
-from leibrack.algebra import Endomorphism, LeibnizAlgebra, derivation_algebra, left_center
+from leibrack.algebra import (
+    Endomorphism,
+    LeibnizAlgebra,
+    _derivation_rows,
+    _primitive,
+    derivation_algebra,
+    left_center,
+)
 from leibrack.cli import basis_defects
 from leibrack.corpus import CORPUS_NAMES, load_corpus
 from leibrack.extension import build_extension, cocycle_identity_violations
@@ -32,6 +40,7 @@ from leibrack.racks import exp_endo, int_exp_columns
 from leibrack.reports import check_law
 from leibrack.sampling import sample_elements, sample_observables
 
+import helpers
 from helpers import (
     load_bench_gen,
     n_k,
@@ -41,6 +50,7 @@ from helpers import (
     reference_ad,
     reference_bracket_coords,
     reference_cocycle_identity_violations,
+    reference_derivation_rows,
     reference_derivations,
     reference_exp_endo,
     reference_int_exp_columns,
@@ -83,6 +93,7 @@ def test_int_sparse_over_scale_is_sparse(name):
 
 GEN = load_bench_gen()
 N5_DENSE = GEN.rebase(GEN.n_k(5), GEN.random_basis_change(GEN.seeded_rng(1, "n5"), 10), "n5d")
+N4_DENSE = GEN.rebase(GEN.n_k(4), GEN.random_basis_change(GEN.seeded_rng(1, "n4"), 6), "n4d")
 NILPOTENCY_ALGEBRAS = {
     **TABLE_ALGEBRAS, "n5-rebased": REBASED["n5-rebased"], **LADDER, "n5-dense": N5_DENSE
 }
@@ -120,10 +131,66 @@ def test_derivation_algebra_matches_the_fraction_nullspace(name):
     assert got.dim_inner == dim_inner
 
 
+ROW_ALGEBRAS = {
+    **TABLE_ALGEBRAS,
+    **LADDER,
+    "n7": n_k(7),
+    "n4-dense": N4_DENSE,
+    "n5-dense": N5_DENSE,
+}
+
+
+def _normalized(row):
+    """A sparse row over its first nonzero entry, as sorted (column, Fraction) pairs; () for 0."""
+    entries = sorted((col, c) for col, c in row.items() if c)
+    return tuple((col, Fraction(c, entries[0][1])) for col, c in entries)
+
+
+@pytest.mark.parametrize("name", list(ROW_ALGEBRAS))
+def test_derivation_rows_match_the_triple_loop(name):
+    # the same rows up to a scalar as the loop over all (i, j, m), and
+    # _primitive (one-entry rows with no sort and no gcd) tells them apart
+    # as the normalized rows do
+    int_sparse = ROW_ALGEBRAS[name].int_sparse
+    got = list(_derivation_rows(int_sparse))
+    want = {_normalized(row) for row in reference_derivation_rows(int_sparse)}
+    want.discard(())
+    assert {_normalized(row) for row in got} - {()} == want
+    assert len(set(map(_primitive, got)) - {()}) == len(want)
+
+
+def test_derivation_rows_visit_each_nonzero_constant_once(monkeypatch):
+    # each nonzero constant adds to the n rows of its bracket term and the
+    # n rows of each action term: at most 3 n nnz row visits, 1,800 on n_6
+    # (dim 15, 40 constants), where a loop over all triples makes 3,375.
+    # The visits are counted as the items of every range the module makes
+    alg = n_k(6)
+    n = alg.dim
+    nnz = sum(len(entries) for plane in alg.int_sparse for _, entries in plane)
+    visits = []
+
+    def counting_range(*args):
+        r = range(*args)
+        visits.append(len(r))
+        return r
+
+    monkeypatch.setattr(algebra_module, "range", counting_range, raising=False)
+    rows = list(_derivation_rows(alg.int_sparse))
+    assert nnz == 40
+    assert len(rows) <= sum(visits) <= 3 * n * nnz
+    monkeypatch.undo()
+    monkeypatch.setattr(helpers, "range", counting_range, raising=False)
+    visits.clear()
+    assert len(list(reference_derivation_rows(alg.int_sparse))) == len(rows)
+    assert sum(visits) > n**3 > 3 * n * nnz
+
+
 def test_structural_nullspaces_hand_sparse_rows_to_nullspace(monkeypatch):
     # left_center and derivation_algebra hand their sparse int rows to
-    # linalg.nullspace; no dense row is built on the way.  derivation_algebra
-    # solves the derivation system, then the left-center system for dim_inner
+    # linalg.nullspace; no dense row is built on the way.  The algebra keeps
+    # its left center, so neither derivation_algebra (for dim_inner) nor
+    # build_extension solves it again.  The tables are built here, so that
+    # no solve kept by another test is reused
     solve, seen = linalg.nullspace, []
 
     def spy(rows, cols=None):
@@ -132,23 +199,28 @@ def test_structural_nullspaces_hand_sparse_rows_to_nullspace(monkeypatch):
         return solve(rows, cols)
 
     monkeypatch.setattr(linalg, "nullspace", spy)
-    for alg in (REBASED["n4-rebased"], LADDER["n5"]):
+    for alg in (load_algebra(os.path.join(DATA, "n4-rebased.json")), n_k(5)):
         seen.clear()
         assert left_center(alg).basis_rows == reference_left_center_rows(alg)
         basis, dim_inner = reference_derivations(alg)
         got = derivation_algebra(alg)
         assert [[x for row in d.matrix for x in row] for d in got.basis] == basis
         assert got.dim_inner == dim_inner
-        assert seen == [alg.dim, alg.dim**2, alg.dim]
+        assert build_extension(alg).center is left_center(alg)
+        assert seen == [alg.dim, alg.dim**2]
 
 
 def test_rebased_n5_derivations_need_the_second_prime(rungs):
-    # the reduced-echelon basis of der(n5d) has entries of more than 63
-    # bits, beyond the reach of 2**127 - 1; the left center that gives
-    # dim_inner is solved after it, on the first prime
-    derivation_algebra(REBASED["n5-rebased"])
+    # as analyze runs them, on a table built here: build_extension solves
+    # the left center on the first prime, and derivation_algebra reads
+    # dim_inner off it; the reduced-echelon basis of der(n5d) has entries
+    # of more than 63 bits, beyond the reach of 2**127 - 1
+    alg = rebase(N5, random_invertible(random.Random(5), N5.dim), "n5d")
+    assert alg == REBASED["n5-rebased"]
+    build_extension(alg)
+    derivation_algebra(alg)
     assert rungs == [
-        (linalg.PRIMES[0], False), (linalg.PRIMES[1], True), (linalg.PRIMES[0], True)
+        (linalg.PRIMES[0], True), (linalg.PRIMES[0], False), (linalg.PRIMES[1], True)
     ]
 
 

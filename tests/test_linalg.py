@@ -480,6 +480,27 @@ def test_nullspace_moves_past_an_unlucky_prime(rungs):
     assert rungs == [(P1, False), (P2, True)]
 
 
+def test_sparse_certificate_rejects_a_row_that_misses_one_vector(rungs):
+    # 2 e_2a + 3 e_2a+1 = 0 for a = 0..5: the kernel vectors are
+    # e_2a - 2/3 e_2a+1, two nonzero entries among 12 columns.  Adding P1 to
+    # one entry of the last row changes nothing mod P1, so the rung rebuilds
+    # the same vectors, and on ints that row misses the last one, scaled to
+    # 3 e_10 - 2 e_11, by 2 * P1
+    cols = 12
+    rows = [{2 * a: 2, 2 * a + 1: 3} for a in range(cols // 2)]
+    kernel = [[F(int(j == 2 * a)) - F(2, 3) * (j == 2 * a + 1) for j in range(cols)]
+              for a in range(cols // 2)]
+    assert linalg._modular_nullspace(rows, cols, P1) == kernel
+    bad = rows[:-1] + [{cols - 2: 2, cols - 1: 3 + P1}]
+    assert 3 * bad[-1][cols - 2] - 2 * bad[-1][cols - 1] == -2 * P1
+    assert all(sum(x * v[j] for j, x in bad[-1].items()) == 0 for v in kernel[:-1])
+    assert linalg._modular_nullspace(bad, cols, P1) is None
+    rungs.clear()
+    dense = [[row.get(j, 0) for j in range(cols)] for row in bad]
+    assert linalg.nullspace(bad, cols) == reference_nullspace(dense)
+    assert rungs == [(P1, False), (P2, True)]
+
+
 @pytest.mark.parametrize("bits", [50, 100, 400, 700])
 def test_nullspace_runs_the_same_rungs_on_dense_and_sparse_rows(rungs, bits):
     # a dense row reaches nullspace as sparse_int_rows scales it, and an

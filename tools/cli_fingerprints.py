@@ -6,10 +6,11 @@
 The first form imports ``leibrack`` from ``CHECKOUT/src`` and the op lists
 from ``CHECKOUT/bench/workloads.py`` (read only: no bytecode is written).
 It runs every op of the chosen workloads at the chosen seeds (default: all
-four workloads at seeds 1, 2, 3), then ``DATA_CASES`` at the same seeds,
-then ``USAGE_CASES`` (the usage errors of ``tests/test_cli.py``, argparse
-rejections, every command's ``--help``, and the ``bch`` and ``cocycle``
-flag paths that no workload takes), each as one in-process
+four workloads at seeds 1, 2, 3), then ``DATA_CASES`` and ``analyze`` on
+the ``GENERATED`` tables at the same seeds, then ``USAGE_CASES`` (the
+usage errors of ``tests/test_cli.py``, argparse rejections, every
+command's ``--help``, and the ``bch`` and ``cocycle`` flag paths that no
+workload takes), each as one in-process
 ``leibrack.cli.main(argv)`` call with ``--json`` into a scratch file.  Per
 op it records the SHA-256 of stdout and of the ``--json`` bytes (None when
 no file was written), the stderr text and the exit code, or the uncaught
@@ -44,6 +45,30 @@ DATA_CASES = [
     for name in ("freenil3-perturbed", "n4-rebased", "n5")
     for command in ("validate", "analyze", "rack", "cocycle", "quantize", "hessian", "bch")
 ]
+
+# Tables the tool writes itself, so that both checkouts read the same file:
+# the Lie algebra [e1, e3] = a e3, [e2, e3] = b e3, whose left center is
+# spanned by b e1 - a e2.  With a = 2**127 - 1 and b = 1 the row (a, b, 0) of
+# the left-center system is (0, 1, 0) mod that prime, so the first rung's
+# vector e1 fails the int check; with the coprime 700-bit a = 2**700 + 1 and
+# b = 2**700 - 1 no rung of linalg.PRIMES can rebuild a / b, and
+# linalg.nullspace runs its fraction-free elimination.
+GENERATED = {"r3-p127": (2**127 - 1, 1), "r3-700bit": (2**700 + 1, 2**700 - 1)}
+
+
+def generated_table(name):
+    """The algebra file of ``GENERATED[name]``, as a JSON document."""
+    a, b = GENERATED[name]
+    brackets = [(1, 3, a), (2, 3, b), (3, 1, -a), (3, 2, -b)]
+    return {
+        "name": name,
+        "dim": 3,
+        "basis": ["e1", "e2", "e3"],
+        "brackets": [
+            {"i": i, "j": j, "value": [[0, 1], [0, 1], [c, 1]]} for i, j, c in brackets
+        ],
+    }
+
 
 # Usage errors, help, and flag paths no workload takes: (command, corpus
 # name, flags).
@@ -147,11 +172,17 @@ def fingerprints(checkout, workloads=None, seeds=SEEDS):
                     if key in found:
                         raise ValueError(f"two ops are named {key!r}")
                     found[key] = run(cli.main, op["argv"], json_path)
+        for name in GENERATED:
+            with open(os.path.join(scratch, f"{name}.json"), "w", encoding="utf-8") as handle:
+                json.dump(generated_table(name), handle)
         for seed in seeds:
             for command, name in DATA_CASES:
                 path = os.path.join(checkout, "tests", "data", f"{name}.json")
                 argv = [command, path, "--seed", str(seed)]
                 found[f"data seed{seed} {command} {name}"] = run(cli.main, argv, json_path)
+            for name in GENERATED:
+                argv = ["analyze", os.path.join(scratch, f"{name}.json"), "--seed", str(seed)]
+                found[f"generated seed{seed} analyze {name}"] = run(cli.main, argv, json_path)
         for command, algebra, flags in USAGE_CASES:
             path = "/does/not/exist.json" if algebra is None else str(corpus_path(algebra))
             key = " ".join(["usage", command, algebra or path, *flags])

@@ -3,9 +3,9 @@
     python3 tools/reach.py CHECKOUT
 
 Runs ``cli_fingerprints.fingerprints(CHECKOUT, None, (1,))``: every op of
-every bench workload, ``DATA_CASES`` and ``USAGE_CASES``, at seed 1, in
-process, under ``sys.settrace``, with line events recorded only for the
-files of ``CHECKOUT/src/leibrack``.  So the op list is the fingerprint
+every bench workload, ``DATA_CASES``, the ``GENERATED`` tables and
+``USAGE_CASES``, at seed 1, in process, under ``sys.settrace``, with line
+events recorded only for the files of ``CHECKOUT/src/leibrack``.  So the op list is the fingerprint
 tool's, not a second copy.
 
 A statement is an ``ast`` statement in a function body (methods and nested
